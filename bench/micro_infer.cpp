@@ -19,7 +19,7 @@
 // Models are loaded through serve::ModelRegistry (ISSUE 7) — the same
 // build -> warm -> compile -> engine-pool path the serving daemon uses —
 // and engines carry per-engine infer::ExecOptions (overridable with
-// --packed / --dispatch-threshold) instead of mutating process globals.
+// --dispatch-threshold) instead of mutating process globals.
 //
 // The int8 leg (ISSUE 10): --precision int8 (or the default `both`)
 // additionally sweeps an int8-compiled twin of every configuration —
@@ -33,7 +33,7 @@
 // regression gate keys fp32 and int8 rows separately.
 //
 // Usage: micro_infer [--smoke 1] [--out BENCH_infer.json] [--min-ms 50]
-//                    [--width 16] [--packed 0|1] [--dispatch-threshold T]
+//                    [--width 16] [--dispatch-threshold T]
 //                    [--precision fp32|int8|both]
 
 #include <cmath>
@@ -179,9 +179,8 @@ int run(int argc, char** argv) {
   // Per-engine execution options for every engine the registry pools;
   // env vars still seed the process defaults, CLI flags override both.
   infer::ExecOptions exec = infer::ExecOptions::defaults();
-  exec.packed = args.get_int("packed", exec.packed ? 1 : 0) != 0;
-  exec.threshold = static_cast<float>(
-      args.get_double("dispatch-threshold", static_cast<double>(exec.threshold)));
+  exec.threshold = static_cast<float>(args.get_double(
+      "dispatch-threshold", static_cast<double>(exec.threshold)));
 
   serve::ModelRegistry registry;
 

@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
   train_cfg.lr = 0.005f;
   train_cfg.epochs = args.get_int("epochs", 5);
   train_cfg.batch_size = 22;
-  train_cfg.verbose = true;
+  ProgressPrinter progress;  // one stderr line per epoch
+  train_cfg.observers.push_back(&progress);
   fit(net, NeuronMode::Spiking, data.train, data.val, train_cfg);
 
   // Evaluate and print a per-class breakdown.

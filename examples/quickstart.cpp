@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
   train_cfg.epochs = args.get_int("epochs", 3);
   train_cfg.batch_size = 20;
   train_cfg.lr = 0.15f;
-  train_cfg.verbose = true;
+  ProgressPrinter progress;  // one stderr line per epoch
+  train_cfg.observers.push_back(&progress);
   TelemetryObserver telemetry_observer;
   if (!trace_out.empty()) train_cfg.observers.push_back(&telemetry_observer);
   const FitResult fr =

@@ -49,9 +49,9 @@ BnFold bn_fold(const BatchNormTT& bn, std::int64_t t) {
 }
 
 /// (O, CKK) row-major -> ((c,ky,kx), o) transposed panel.
-std::vector<float> transpose_rows(const float* w, std::int64_t o_c,
-                                  std::int64_t ckk) {
-  std::vector<float> wt(static_cast<std::size_t>(o_c * ckk));
+template <class T>
+std::vector<T> transpose_rows(const T* w, std::int64_t o_c, std::int64_t ckk) {
+  std::vector<T> wt(static_cast<std::size_t>(o_c * ckk));
   for (std::int64_t o = 0; o < o_c; ++o) {
     for (std::int64_t r = 0; r < ckk; ++r) {
       wt[static_cast<std::size_t>(r * o_c + o)] =
@@ -59,6 +59,20 @@ std::vector<float> transpose_rows(const float* w, std::int64_t o_c,
     }
   }
   return wt;
+}
+
+/// Row o of (rows, cols) row-major `w` scaled by s[o].
+std::vector<float> scale_rows(const std::vector<float>& w, std::int64_t cols,
+                              const std::vector<float>& s) {
+  std::vector<float> out(w.size());
+  for (std::size_t o = 0; o < s.size(); ++o) {
+    const std::int64_t base = static_cast<std::int64_t>(o) * cols;
+    for (std::int64_t r = 0; r < cols; ++r) {
+      out[static_cast<std::size_t>(base + r)] =
+          s[o] * w[static_cast<std::size_t>(base + r)];
+    }
+  }
+  return out;
 }
 
 // ---- int8 weight quantization (ISSUE 10) ----------------------------------
@@ -83,23 +97,11 @@ std::vector<std::int8_t> quantize_rows_i8(const float* w, std::int64_t rows,
     const float inv = 1.f / S[static_cast<std::size_t>(o)];
     const float* src = w + o * cols;
     std::int8_t* dst = q.data() + o * cols;
-    for (std::int64_t r = 0; r < cols; ++r) dst[r] = quantize_one_i8(src[r], inv);
-  }
-  return q;
-}
-
-/// (O, CKK) int8 rows -> ((c,ky,kx), o) transposed panel.
-std::vector<std::int8_t> transpose_rows_i8(const std::int8_t* w,
-                                           std::int64_t o_c,
-                                           std::int64_t ckk) {
-  std::vector<std::int8_t> wt(static_cast<std::size_t>(o_c * ckk));
-  for (std::int64_t o = 0; o < o_c; ++o) {
-    for (std::int64_t r = 0; r < ckk; ++r) {
-      wt[static_cast<std::size_t>(r * o_c + o)] =
-          w[static_cast<std::size_t>(o * ckk + r)];
+    for (std::int64_t r = 0; r < cols; ++r) {
+      dst[r] = quantize_one_i8(src[r], inv);
     }
   }
-  return wt;
+  return q;
 }
 
 float row_absmax(const float* row, std::int64_t n) {
@@ -116,9 +118,22 @@ struct WeightBuild {
   const float* layer_bias = nullptr;  ///< may be null
   std::int64_t rows = 0;          ///< O (conv/linear) or C (depthwise)
   std::int64_t cols = 0;          ///< CKK / KK / I
-  bool transpose = false;         ///< emit ((c,..), o) panels (conv only)
-  bool keep_dense = false;        ///< also keep the raw layout in wd
+  /// Raw (O, C'K'K') composite kernels of the op's sunk terms, in term
+  /// order (build_sunk_term). They share the op's BN fold and, in int8
+  /// plans, its per-channel scales.
+  std::vector<std::vector<float>> sunk;
 };
+
+/// Files one fp32 weight copy (row-major `rows` x `cols`) under the
+/// layouts the engine reads: Conv keeps the event kernels' transposed
+/// panel in `wt` and the GEMM rows in `wd`, DwConv its bank in `wt`,
+/// Linear its rows in `wd`. build_weights_i8 files wq8t/wq8d alike.
+void add_copy(OpPlan& op, std::vector<float> w, const WeightBuild& b) {
+  if (op.kind == OpKind::Conv) {
+    op.wt.push_back(transpose_rows(w.data(), b.rows, b.cols));
+  }
+  (op.kind == OpKind::DwConv ? op.wt : op.wd).push_back(std::move(w));
+}
 
 void build_weights(OpPlan& op, const WeightBuild& b, const BatchNormTT* bn,
                    bool fold_bn) {
@@ -135,10 +150,9 @@ void build_weights(OpPlan& op, const WeightBuild& b, const BatchNormTT* bn,
     // Single weight copy. With a BN present, scale/shift go to the
     // epilogue (one (scale, bias) pair per timestep); the layer's own
     // bias, if any, is pre-scaled into the shift (conv bias never
-    // coexists with BN in this repo's models).
-    op.wt.push_back(b.transpose ? transpose_rows(raw.data(), b.rows, b.cols)
-                                : raw);
-    if (b.keep_dense) op.wd.push_back(raw);
+    // coexists with BN in this repo's models). Sunk terms only exist in
+    // folded mode.
+    add_copy(op, std::move(raw), b);
     if (bn == nullptr) {
       op.bias.push_back(raw_bias);
     } else {
@@ -157,24 +171,22 @@ void build_weights(OpPlan& op, const WeightBuild& b, const BatchNormTT* bn,
     return;
   }
 
-  // Folded mode: scale each output row of the weights, one copy per
-  // timestep. The transposed panel feeds the event kernels; convs also
-  // keep the folded (O, CKK) layout so the dense and CSR dispatches run
-  // the exact row-major GEMM / event kernel the training graph runs
-  // (gemm_tn on the transposed panel is several times slower at the
-  // small spatial sizes where dense dispatch actually happens).
+  // Folded mode: scale each output row of the weights — the op's own and
+  // every sunk term's composite — one copy per timestep. Convs keep the
+  // folded (O, CKK) rows next to the transposed panel so dense dispatch
+  // runs the exact row-major GEMM the training graph runs (gemm_tn on
+  // the transposed panel is several times slower at the small spatial
+  // sizes where dense dispatch actually happens).
   for (std::int64_t t = 0; t < copies; ++t) {
     BnFold f = bn_fold(*bn, t);
-    std::vector<float> wf(n);
-    for (std::int64_t o = 0; o < b.rows; ++o) {
-      const float sc = f.scale[static_cast<std::size_t>(o)];
-      const float* src = raw.data() + o * b.cols;
-      float* dst = wf.data() + o * b.cols;
-      for (std::int64_t r = 0; r < b.cols; ++r) dst[r] = sc * src[r];
+    add_copy(op, scale_rows(raw, b.cols, f.scale), b);
+    std::size_t k = 0;
+    for (TermPlan& st : op.terms) {
+      if (!st.sunk) continue;
+      st.wt.push_back(transpose_rows(
+          scale_rows(b.sunk[k++], st.geom.col_rows(), f.scale).data(),
+          b.rows, st.geom.col_rows()));
     }
-    if (b.keep_dense && b.transpose) op.wd.push_back(wf);
-    op.wt.push_back(b.transpose ? transpose_rows(wf.data(), b.rows, b.cols)
-                                : std::move(wf));
     std::vector<float> bias(f.shift);
     for (std::int64_t o = 0; o < b.rows; ++o) {
       bias[static_cast<std::size_t>(o)] +=
@@ -192,10 +204,8 @@ void build_weights(OpPlan& op, const WeightBuild& b, const BatchNormTT* bn,
 /// panel is SHARED with every sunk ASC term's composite rows — both
 /// accumulate into the same int32 panel on the packed path, so one
 /// uniform per-channel dequant must cover them; S[o] therefore takes the
-/// absmax over the op's own row o AND each sunk term's composite row o.
-/// Terms' raw composite bases (stashed in t.wd[0] by build_sunk_term's
-/// int8 mode) are consumed here and replaced by the quantized transposed
-/// panel in t.wq8.
+/// absmax over the op's own row o AND each sunk term's composite row o,
+/// whose quantized transposed panel lands in t.wq8.
 void build_weights_i8(OpPlan& op, const WeightBuild& b,
                       const BatchNormTT* bn) {
   const std::int64_t copies = (bn != nullptr) ? bn->max_timesteps() : 1;
@@ -210,25 +220,19 @@ void build_weights_i8(OpPlan& op, const WeightBuild& b,
   std::vector<float> S(static_cast<std::size_t>(b.rows), 1.f);
   for (std::int64_t o = 0; o < b.rows; ++o) {
     float amax = row_absmax(raw.data() + o * b.cols, b.cols);
-    for (const TermPlan& t : op.terms) {
-      if (!t.sunk) continue;
-      const std::int64_t tckk = t.geom.col_rows();
-      amax = std::max(amax, row_absmax(t.wd[0].data() + o * tckk, tckk));
+    for (const std::vector<float>& base : b.sunk) {
+      const std::int64_t tckk =
+          static_cast<std::int64_t>(base.size()) / b.rows;
+      amax = std::max(amax, row_absmax(base.data() + o * tckk, tckk));
     }
     if (amax > 0.f) S[static_cast<std::size_t>(o)] = amax / 127.f;
   }
 
   auto q = quantize_rows_i8(raw.data(), b.rows, b.cols, S);
-  if (b.transpose) {
-    // Conv: transposed panel for the packed event kernel, rows for the
-    // dense int8 GEMM.
-    op.wq8t = transpose_rows_i8(q.data(), b.rows, b.cols);
-    op.wq8d = std::move(q);
-  } else if (op.kind == OpKind::DwConv) {
-    op.wq8t = std::move(q);  // (C, K, K) bank, both dispatch modes
-  } else {
-    op.wq8d = std::move(q);  // Linear (O, I) rows
+  if (op.kind == OpKind::Conv) {
+    op.wq8t = transpose_rows(q.data(), b.rows, b.cols);
   }
+  (op.kind == OpKind::DwConv ? op.wq8t : op.wq8d) = std::move(q);
 
   for (std::int64_t t = 0; t < copies; ++t) {
     std::vector<float> sc(S);
@@ -245,13 +249,12 @@ void build_weights_i8(OpPlan& op, const WeightBuild& b,
     op.bias.push_back(std::move(bias));
   }
 
+  std::size_t k = 0;
   for (TermPlan& t : op.terms) {
     if (!t.sunk) continue;
     const std::int64_t tckk = t.geom.col_rows();
-    auto tq = quantize_rows_i8(t.wd[0].data(), b.rows, tckk, S);
-    t.wq8 = transpose_rows_i8(tq.data(), b.rows, tckk);
-    t.wd.clear();  // dense dispatch rematerializes via t.pw; no CSR mode
-    t.wd.shrink_to_fit();
+    auto tq = quantize_rows_i8(b.sunk[k++].data(), b.rows, tckk, S);
+    t.wq8 = transpose_rows(tq.data(), b.rows, tckk);
   }
 }
 
@@ -469,8 +472,6 @@ class Compiler {
     b.layer_bias = conv.has_bias() ? conv.bias().value.data() : nullptr;
     b.rows = conv.out_channels();
     b.cols = conv.in_channels() * conv.kernel() * conv.kernel();
-    b.transpose = true;
-    b.keep_dense = true;  // dense/CSR dispatch wants the (O, CKK) layout
     build_op_weights(op, b, bn);
     const bool spiking_out = op.epi == Epi::Lif;
     const Shape out_shape = conv.output_shape(s);
@@ -525,10 +526,10 @@ class Compiler {
   /// r * s1 >= src_h, outside the source too). Taps land on a grid
   /// dilated by the projection stride s1; stored as an enlarged
   /// (k2-1)*s1+1 kernel with zeros off-grid since the kernels have no
-  /// dilation support. BN folding scales composite rows per timestep
-  /// exactly like the op's own weights.
-  void build_sunk_term(TermPlan& t, Conv2d& proj, Conv2d& cons,
-                       const BatchNormTT* bn, const Shape& src_s) {
+  /// dilation support. Returns the raw (O, C'K'K') composite, which the
+  /// weight builders fold and quantize exactly like the op's own rows.
+  std::vector<float> build_sunk_term(TermPlan& t, Conv2d& proj, Conv2d& cons,
+                                     const Shape& src_s) {
     const std::int64_t s1 = proj.stride();
     const std::int64_t k2 = cons.kernel();
     const std::int64_t kc = (k2 - 1) * s1 + 1;
@@ -540,7 +541,6 @@ class Compiler {
     t.channels = src_c;
     t.geom = ConvGeometry{src_c, src_s[2], src_s[3], kc,
                           s1 * cons.stride(), cons.pad() * s1};
-    t.macs = o_c * t.geom.out_h() * t.geom.out_w() * src_c * k2 * k2;
     t.pgeom = ConvGeometry{src_c, src_s[2], src_s[3], 1, s1, 0};
     t.proj_c = mid_c;
     t.pw.assign(proj.weight().value.data(),
@@ -565,27 +565,7 @@ class Compiler {
         }
       }
     }
-    if (int8()) {
-      // Stash the single RAW composite base; build_weights_i8 quantizes
-      // it with the consumer's shared per-channel scales (the BN fold
-      // lives in the epilogue scale, so no per-timestep copies exist).
-      t.wd.push_back(std::move(base));
-      return;
-    }
-    const std::int64_t copies = bn != nullptr ? bn->max_timesteps() : 1;
-    for (std::int64_t tt = 0; tt < copies; ++tt) {
-      std::vector<float> wf(base);
-      if (bn != nullptr) {
-        BnFold f = bn_fold(*bn, tt);
-        for (std::int64_t o = 0; o < o_c; ++o) {
-          const float sc = f.scale[static_cast<std::size_t>(o)];
-          float* row = wf.data() + o * ckk;
-          for (std::int64_t r = 0; r < ckk; ++r) row[r] *= sc;
-        }
-      }
-      t.wd.push_back(wf);
-      t.wt.push_back(transpose_rows(wf.data(), o_c, ckk));
-    }
+    return base;
   }
 
   int lower_block(Block& blk, int block_in) {
@@ -610,6 +590,7 @@ class Compiler {
       op.name = node.op->name();
       op.epi = classify_neuron(node.neuron.get(), op);
       op.out_c = node.plan.out_channels;
+      WeightBuild b;  // collects sunk composites on the way
 
       // Main term: the sequential predecessor.
       {
@@ -645,7 +626,7 @@ class Compiler {
               proj->kernel() == 1 && !proj->has_bias() &&
               proj->out_channels() == node.main_in_c) {
             const Shape ss = shape(src_val);
-            build_sunk_term(t, *proj, *cons, bn, ss);
+            b.sunk.push_back(build_sunk_term(t, *proj, *cons, ss));
             t.value = src_val;
             t.spiking = true;
           } else {
@@ -717,14 +698,11 @@ class Compiler {
         op.geom = ConvGeometry{conv->in_channels(), in_s[2], in_s[3],
                                conv->kernel(), conv->stride(), conv->pad()};
         op.macs = conv->macs(op_in);
-        WeightBuild b;
         b.w = conv->weight().value.data();
         b.layer_bias =
             conv->has_bias() ? conv->bias().value.data() : nullptr;
         b.rows = conv->out_channels();
         b.cols = conv->in_channels() * conv->kernel() * conv->kernel();
-        b.transpose = true;
-        b.keep_dense = true;
         build_op_weights(op, b, bn);
         out_shape = conv->output_shape(op_in);
       } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(node.op.get())) {
@@ -732,7 +710,6 @@ class Compiler {
         op.geom = ConvGeometry{dw->channels(), in_s[2], in_s[3],
                                dw->kernel(), dw->stride(), dw->pad()};
         op.macs = dw->macs(op_in);
-        WeightBuild b;
         b.w = dw->weight().value.data();
         b.layer_bias = dw->has_bias() ? dw->bias().value.data() : nullptr;
         b.rows = dw->channels();
@@ -817,6 +794,15 @@ class Compiler {
     plan_.scratch_floats = scratch;
   }
 
+  /// Float slots holding `n` int8 activation codes (int8 dense dispatch
+  /// quantizes its operand into the tail of the op's scratch).
+  std::int64_t code_floats(std::int64_t n) const {
+    return int8() ? (n + 3) / 4 : 0;
+  }
+
+  /// Mirrors the engine's per-op scratch layout (engine.cpp): the
+  /// accumulator, then the packed conv panel's transpose or, for dense
+  /// dispatch, the assembled image and its patch matrix or int8 codes.
   std::int64_t op_scratch(const OpPlan& op) const {
     switch (op.kind) {
       case OpKind::Conv: {
@@ -824,52 +810,27 @@ class Compiler {
         const std::int64_t ckk = op.geom.col_rows();
         const std::int64_t in_img =
             op.geom.in_c * op.geom.in_h * op.geom.in_w;
-        // Sunk terms: the CSR path lowers each to its own composite
-        // patch matrix in a dedicated region after the output; the dense
-        // path instead materializes the raw 1x1 projection through the
-        // cols slot (before the main im2col overwrites it).
-        std::int64_t srows = 0, psub = 0;
+        // The patch region also hosts each sunk term's 1x1 projection
+        // patches, re-materialized before the main lowering overwrites
+        // it; int8 codes follow the main patch matrix.
+        std::int64_t patch = ckk * p + code_floats(ckk * p);
         for (const TermPlan& t : op.terms) {
           if (!t.sunk) continue;
-          srows = std::max(srows, t.geom.col_rows() * p);
-          psub = std::max(psub, t.pgeom.col_rows() * t.pgeom.out_h() *
-                                    t.pgeom.out_w());
+          patch = std::max(patch, t.pgeom.col_rows() * t.pgeom.out_h() *
+                                      t.pgeom.out_w());
         }
-        const std::int64_t event = p * op.out_c;
-        const std::int64_t dense =
-            in_img + std::max(ckk * p, psub) + op.out_c * p;
-        const std::int64_t csr =
-            in_img + ckk * op.out_c + op.out_c * p + srows;
-        if (int8()) {
-          // Int8 dispatch is packed (int32 panel, same float count as
-          // `event`) or dense: assembled + cols + quantized patch rows
-          // (ckk*p int8 codes packed into float-sized slots) + the int32
-          // panel converted in place.
-          const std::int64_t dense_i8 = in_img + std::max(ckk * p, psub) +
-                                        (ckk * p + 3) / 4 + op.out_c * p;
-          return std::max({event, dense, csr, dense_i8});
-        }
-        return std::max({event, dense, csr});
+        return op.out_c * p + std::max(op.out_c * p, in_img + patch);
       }
       case OpKind::DwConv: {
         const std::int64_t p = op.geom.out_h() * op.geom.out_w();
         const std::int64_t in_img =
             op.geom.in_c * op.geom.in_h * op.geom.in_w;
-        if (int8()) {
-          // Dense int8: assembled + its quantized image + int32 acc.
-          return in_img + (in_img + 3) / 4 + op.geom.in_c * p;
-        }
-        return in_img + op.geom.in_c * p;
+        return op.geom.in_c * p + in_img + code_floats(in_img);
       }
       case OpKind::Linear: {
         const Shape& s =
             plan_.values[static_cast<std::size_t>(op.out)].shape;
-        if (int8()) {
-          const std::int64_t n = s[0];
-          const std::int64_t in_f = op.terms.front().channels;
-          return (n * in_f + 3) / 4 + s.numel();
-        }
-        return s.numel();
+        return s.numel() + code_floats(s[0] * op.terms.front().channels);
       }
       case OpKind::DscGather: {
         const auto& t = op.terms.front();

@@ -1,7 +1,6 @@
 #include "infer/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -13,54 +12,157 @@
 #include "tensor/quant_kernels.h"
 #include "tensor/spike_kernels.h"
 #include "tensor/spike_packed.h"
-#include "tensor/workspace.h"
 #include "telemetry/telemetry.h"
-#include "util/runtime_env.h"
 
 namespace snnskip::infer {
 
 namespace {
 
-// Process-wide DEFAULTS only (ISSUE 7): seeded from the environment once,
-// adjusted by the deprecated InferExec shims, snapshotted by each Engine
-// at construction. Atomics because the shims may race with concurrent
-// Engine construction on other threads.
-struct DefaultCfg {
-  std::atomic<bool> packed;
-  std::atomic<float> threshold;
-  // The density threshold resolves through the kernel config so the tuning
-  // profile can move it; SNNSKIP_INFER_THRESHOLD is folded in there (the
-  // env var always beats the profile).
-  DefaultCfg()
-      : packed(env::get_bool("SNNSKIP_INFER_PACKED", true)),
-        threshold(kernel_config().infer_threshold) {}
+// ---- precision traits ------------------------------------------------------
+//
+// Everything a weight-op body needs that differs between fp32 and int8
+// plans, so each op kind has exactly one body (the hannk idiom: precision
+// is a property of the tensors, not a fork of the ops). `panel` is the
+// event kernels' weight layout (OpPlan::wt / wq8t), `rows` the dense
+// GEMM's (wd / wq8d); `encode` turns a dense float operand into the
+// GEMM's input element type; `widen` turns the accumulator into the float
+// panel the shared epilogue reads; `dense_scale` is the epilogue input
+// scale of dense dispatch (the packed route always passes 1).
+
+/// fp32: float weights, operands and accumulators.
+struct Fp32 {
+  using Acc = float;
+  static const float* panel(const OpPlan& op, std::size_t wi) {
+    return op.wt[wi].data();
+  }
+  static const float* panel(const TermPlan& t, std::size_t wi) {
+    return t.wt[wi].data();
+  }
+  static const float* rows(const OpPlan& op, std::size_t wi) {
+    return op.wd[wi].data();
+  }
+  static constexpr auto conv_term = &spike_packed_conv2d_term;
+  static constexpr auto dw_term = &spike_packed_depthwise_term;
+  static const float* encode(const OpPlan&, std::int64_t, const float* x,
+                             float*) {
+    return x;
+  }
+  static void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k,
+                      const float* a, const float* b, float* c) {
+    snnskip::gemm_nt(m, n, k, 1.f, a, b, 0.f, c);
+  }
+  /// The exact im2col + GEMM the training graph runs, except that
+  /// few-pixel outputs (deep stages) lower to weight rows x contiguous
+  /// patch rows: gemm's 16-column microkernel degrades to scalar edge
+  /// loops there. Per-element summation stays in ascending-k order either
+  /// way, so the no-fold plan remains bitwise equal to the training eval
+  /// forward.
+  static void conv_gemm(const OpPlan& op, std::size_t wi, const float* img,
+                        float* cols, float* out) {
+    const ConvGeometry& g = op.geom;
+    const std::int64_t p = g.out_h() * g.out_w();
+    if (p < 16) {
+      im2row(g, img, cols);
+      gemm_nt(op.out_c, p, g.col_rows(), rows(op, wi), cols, out);
+    } else {
+      im2col(g, img, cols);
+      gemm(op.out_c, p, g.col_rows(), 1.f, rows(op, wi), cols, 0.f, out);
+    }
+  }
+  static float* widen(std::int64_t, float* acc) { return acc; }
+  static float dense_scale(const OpPlan&) { return 1.f; }
 };
 
-DefaultCfg& default_cfg() {
-  static DefaultCfg c;
-  return c;
+/// int8: one per-output-channel quantized weight copy and int32
+/// accumulators. The packed route sums binary events exactly; the dense
+/// route quantizes the assembled fp32 input with the op's compile-time
+/// step (lossless when every term is binary spikes and none is sunk),
+/// and the epilogue multiplies that step back in.
+struct Int8 {
+  using Acc = std::int32_t;
+  static const std::int8_t* panel(const OpPlan& op, std::size_t) {
+    return op.wq8t.data();
+  }
+  static const std::int8_t* panel(const TermPlan& t, std::size_t) {
+    return t.wq8.data();
+  }
+  static const std::int8_t* rows(const OpPlan& op, std::size_t) {
+    return op.wq8d.data();
+  }
+  static constexpr auto conv_term = &spike_packed_conv2d_term_i8;
+  static constexpr auto dw_term = &spike_packed_depthwise_term_i8;
+  /// Quantizes `n` floats into int8 codes stored at `codes`.
+  static const std::int8_t* encode(const OpPlan& op, std::int64_t n,
+                                   const float* x, float* codes) {
+    auto* q = reinterpret_cast<std::int8_t*>(codes);
+    quantize_int8(n, x, 1.f / op.in_scale, q);
+    return q;
+  }
+  static void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k,
+                      const std::int8_t* a, const std::int8_t* b,
+                      std::int32_t* c) {
+    gemm_s8s32_nt(m, n, k, a, b, c);
+  }
+  /// im2row, then the patch rows' codes (stored past the patch matrix)
+  /// against the weight rows.
+  static void conv_gemm(const OpPlan& op, std::size_t wi, const float* img,
+                        float* cols, std::int32_t* out) {
+    const ConvGeometry& g = op.geom;
+    const std::int64_t p = g.out_h() * g.out_w();
+    const std::int64_t ckk = g.col_rows();
+    im2row(g, img, cols);
+    gemm_nt(op.out_c, p, ckk, rows(op, wi),
+            encode(op, ckk * p, cols, cols + ckk * p), out);
+  }
+  /// Widens in place (same element size).
+  static float* widen(std::int64_t n, std::int32_t* acc) {
+    auto* f = reinterpret_cast<float*>(acc);
+    convert_i32_to_f32(n, acc, f);
+    return f;
+  }
+  static float dense_scale(const OpPlan& op) { return op.in_scale; }
+};
+
+/// DepthwiseConv2d's dense per-tap loop over one image (bias and BN live
+/// in the epilogue), accumulating Acc-typed products.
+template <class Acc, class X, class W>
+void depthwise_taps(const ConvGeometry& g, const X* in, const W* w,
+                    Acc* out) {
+  const std::int64_t h = g.in_h, wd = g.in_w, k = g.kernel;
+  const std::int64_t ho = g.out_h(), wo = g.out_w();
+  for (std::int64_t ch = 0; ch < g.in_c; ++ch) {
+    const X* plane = in + ch * h * wd;
+    const W* ker = w + ch * k * k;
+    Acc* optr = out + ch * ho * wo;
+    for (std::int64_t oy = 0; oy < ho; ++oy) {
+      for (std::int64_t ox = 0; ox < wo; ++ox) {
+        Acc acc = 0;
+        for (std::int64_t ky = 0; ky < k; ++ky) {
+          const std::int64_t iy = oy * g.stride - g.pad + ky;
+          if (iy < 0 || iy >= h) continue;
+          for (std::int64_t kx = 0; kx < k; ++kx) {
+            const std::int64_t ix = ox * g.stride - g.pad + kx;
+            if (ix < 0 || ix >= wd) continue;
+            acc += static_cast<Acc>(ker[ky * k + kx]) *
+                   static_cast<Acc>(plane[iy * wd + ix]);
+          }
+        }
+        optr[oy * wo + ox] = acc;
+      }
+    }
+  }
+}
+
+const std::int32_t* chrow_of(const TermPlan& t) {
+  return t.chrow.empty() ? nullptr : t.chrow.data();
 }
 
 }  // namespace
 
 ExecOptions ExecOptions::defaults() {
   ExecOptions o;
-  o.packed = default_cfg().packed.load(std::memory_order_relaxed);
-  o.threshold = default_cfg().threshold.load(std::memory_order_relaxed);
+  o.threshold = kernel_config().infer_threshold;
   return o;
-}
-
-bool InferExec::packed_enabled() {
-  return default_cfg().packed.load(std::memory_order_relaxed);
-}
-float InferExec::threshold() {
-  return default_cfg().threshold.load(std::memory_order_relaxed);
-}
-void InferExec::set_packed_enabled(bool on) {
-  default_cfg().packed.store(on, std::memory_order_relaxed);
-}
-void InferExec::set_threshold(float t) {
-  default_cfg().threshold.store(t, std::memory_order_relaxed);
 }
 
 Engine::Engine(PlanPtr plan, const ExecOptions& opts)
@@ -71,17 +173,18 @@ Engine::Engine(PlanPtr plan, const ExecOptions& opts)
   ctr_spikes_ = "infer.spikes_popcount." + m;
   ctr_synops_ = "infer.synops." + m;
   ctr_packed_ = "infer.packed_layers." + m;
-  ctr_csr_ = "infer.csr_layers." + m;
   ctr_dense_ = "infer.dense_layers." + m;
+  batch_ = plan_->input_shape[0];
   farena_.assign(static_cast<std::size_t>(plan_->float_arena), 0.f);
   warena_.assign(static_cast<std::size_t>(plan_->word_arena), 0u);
   sarena_.assign(static_cast<std::size_t>(plan_->state_arena), 0.f);
   scratch_.assign(static_cast<std::size_t>(plan_->scratch_floats), 0.f);
-  popcnt_.assign(plan_->values.size(), 0);
-  pvalid_.assign(plan_->values.size(), 0);
+  popcnt_.assign(plan_->values.size() * static_cast<std::size_t>(batch_),
+                 -1);
 }
 
-Engine::Engine(PlanPtr plan) : Engine(std::move(plan), ExecOptions::defaults()) {}
+Engine::Engine(PlanPtr plan)
+    : Engine(std::move(plan), ExecOptions::defaults()) {}
 
 float* Engine::dense(int v) {
   return farena_.data() + val(v).dense_off;
@@ -89,6 +192,10 @@ float* Engine::dense(int v) {
 
 std::uint64_t* Engine::words(int v) {
   return warena_.data() + val(v).packed_off;
+}
+
+const std::uint64_t* Engine::image_words(int v, std::int64_t img) {
+  return words(v) + img * (val(v).words / batch_);
 }
 
 void Engine::reset() {
@@ -141,25 +248,14 @@ void Engine::write_input(const Tensor& x) {
   const ValuePlan& v = val(iv);
   std::memcpy(dense(iv), x.data(),
               static_cast<std::size_t>(v.floats) * sizeof(float));
-  const std::int64_t n = v.shape[0];
-  const std::int64_t img_f = v.floats / n;
-  const std::int64_t img_w = v.words / n;
-  std::int64_t total = 0;
-  bool binary = true;
-  for (std::int64_t img = 0; img < n && binary; ++img) {
-    const std::int64_t r =
+  const std::int64_t img_f = v.floats / batch_;
+  const std::int64_t img_w = v.words / batch_;
+  for (std::int64_t img = 0; img < batch_; ++img) {
+    // -1 for a non-binary image (e.g. raw analog frames): dense mirror
+    // only, so every op reading it dispatches dense.
+    popcount(iv, img) =
         spike_pack(x.data() + img * img_f, img_f, words(iv) + img * img_w);
-    if (r < 0) {
-      binary = false;
-    } else {
-      total += r;
-    }
-  }
-  if (binary) {
-    pvalid_[static_cast<std::size_t>(iv)] = 1;
-    popcnt_[static_cast<std::size_t>(iv)] = total;
-  } else {
-    if (plan_->precision == Precision::Int8) {
+    if (popcount(iv, img) < 0 && plan_->precision == Precision::Int8) {
       // Int8 plans fix the stem's quantization step at exactly 1.0 on
       // the promise that the network input is a binary spike train (the
       // repo's encoders all emit one). Quantizing an analog frame with
@@ -169,11 +265,6 @@ void Engine::write_input(const Tensor& x) {
           "infer::Engine::step: int8 plans require binary (0/1) spike "
           "inputs; encode analog frames before stepping");
     }
-    // Non-binary input (e.g. raw analog frames): dense mirror only; the
-    // nonzero count still feeds the CSR-vs-dense density gate.
-    pvalid_[static_cast<std::size_t>(iv)] = 0;
-    popcnt_[static_cast<std::size_t>(iv)] =
-        count_nonzero(x.data(), x.numel());
   }
 }
 
@@ -187,60 +278,37 @@ void Engine::record_amax(const float* x, std::int64_t n) {
   (*calib_)[cur_op_] = m;
 }
 
-void Engine::exec_op(const OpPlan& op) {
-  SNNSKIP_SPAN_AGG("infer.op", op.name);
-  const bool i8 = plan_->precision == Precision::Int8;
-  switch (op.kind) {
-    case OpKind::Conv: i8 ? exec_conv_i8(op) : exec_conv(op); break;
-    case OpKind::DwConv: i8 ? exec_dwconv_i8(op) : exec_dwconv(op); break;
-    case OpKind::Linear: i8 ? exec_linear_i8(op) : exec_linear(op); break;
-    case OpKind::DscGather: exec_dsc_gather(op); break;
-    case OpKind::AvgPool: exec_avgpool(op); break;
-    case OpKind::GlobalAvgPool: exec_gap(op); break;
-    case OpKind::Neuron:
-    case OpKind::Relu: exec_neuron(op); break;
-    case OpKind::Copy: exec_copy(op); break;
-  }
-}
-
-namespace {
-
-/// Term-input density decision shared by Conv and DwConv dispatch.
-struct Dispatch {
-  bool all_spiking = true;  ///< every term produces binary spikes
-  bool all_packed = true;   ///< ...and its packed mask is valid
-  double density = 1.0;
-};
-
-}  // namespace
-
-// Measures the op's input density from the terms' exact popcounts and
-// classifies the step's dispatch mode.
-static Dispatch classify(const Plan& plan, const OpPlan& op,
-                         const std::vector<std::int64_t>& popcnt,
-                         const std::vector<char>& pvalid) {
-  Dispatch d;
+bool Engine::packed_ok(const OpPlan& op, std::int64_t img) {
   std::int64_t nnz = 0, elems = 0;
   for (const TermPlan& t : op.terms) {
-    const std::size_t v = static_cast<std::size_t>(t.value);
-    d.all_spiking = d.all_spiking && t.spiking;
-    d.all_packed = d.all_packed && t.spiking && pvalid[v] != 0;
-    nnz += popcnt[v];
-    elems += plan.values[v].floats;
+    if (!t.spiking || popcount(t.value, img) < 0) return false;
+    nnz += popcount(t.value, img);
+    elems += val(t.value).floats / batch_;
   }
-  if (d.all_spiking && elems > 0) {
-    d.density = static_cast<double>(nnz) / static_cast<double>(elems);
-  }
-  return d;
+  return elems > 0 && static_cast<double>(nnz) / static_cast<double>(elems) <
+                          static_cast<double>(opts_.threshold);
 }
 
-void Engine::assemble_image(const OpPlan& op, std::int64_t img, float* dst) {
+void Engine::count_dispatches(std::int64_t packed, std::int64_t dense) {
+  stats_.packed_dispatches += packed;
+  stats_.dense_dispatches += dense;
+  if (packed > 0) {
+    Telemetry::count("infer.packed_layers", static_cast<double>(packed));
+    Telemetry::count(ctr_packed_.c_str(), static_cast<double>(packed));
+  }
+  if (dense > 0) {
+    Telemetry::count("infer.dense_layers", static_cast<double>(dense));
+    Telemetry::count(ctr_dense_.c_str(), static_cast<double>(dense));
+  }
+}
+
+void Engine::assemble_image(const OpPlan& op, std::int64_t img, float* dst,
+                            float* patch) {
   const std::int64_t hw = op.geom.in_h * op.geom.in_w;
   for (const TermPlan& t : op.terms) {
-    if (t.sunk) continue;  // own geometry; added after the main compute
+    if (t.sunk) continue;  // own geometry; re-materialized below
     const ValuePlan& sv = val(t.value);
-    const std::int64_t src_img_f = sv.floats / sv.shape[0];
-    const float* src = dense(t.value) + img * src_img_f;
+    const float* src = dense(t.value) + img * (sv.floats / batch_);
     float* d = dst + t.offset * hw;
     if (t.add_join) {
       const std::int64_t n = t.channels * hw;
@@ -256,477 +324,141 @@ void Engine::assemble_image(const OpPlan& op, std::int64_t img, float* dst) {
                   static_cast<std::size_t>(t.channels * hw) * sizeof(float));
     }
   }
-}
-
-void Engine::add_sunk_terms(const OpPlan& op, std::int64_t img,
-                            std::size_t wi, float* rows, float* outr) {
-  const std::int64_t p = op.geom.out_h() * op.geom.out_w();
+  // Dense dispatch undoes the sinking: run the raw 1x1 projection and ADD
+  // it into the assembled input — the training graph's exact compute
+  // shape (one GEMM over the sum).
   for (const TermPlan& t : op.terms) {
     if (!t.sunk) continue;
     const ValuePlan& sv = val(t.value);
-    const float* src = dense(t.value) + img * (sv.floats / sv.shape[0]);
-    const std::size_t twi = t.wd.size() <= 1 ? 0 : wi;
-    const std::int64_t tckk = t.geom.col_rows();
-    if (p < 16) {
-      im2row(t.geom, src, rows);
-      gemm_nt(op.out_c, p, tckk, 1.f, t.wd[twi].data(), rows, 1.f, outr);
-    } else {
-      im2col(t.geom, src, rows);
-      gemm(op.out_c, p, tckk, 1.f, t.wd[twi].data(), rows, 1.f, outr);
-    }
-    stats_.dense_macs += t.macs;
+    const float* src = dense(t.value) + img * (sv.floats / batch_);
+    const std::int64_t pp = t.pgeom.out_h() * t.pgeom.out_w();
+    im2col(t.pgeom, src, patch);
+    gemm(t.proj_c, pp, t.pgeom.in_c, 1.f, t.pw.data(), patch, 1.f,
+         dst + t.offset * pp);
+    stats_.dense_macs += t.proj_c * t.pgeom.in_c * pp;
   }
+  // Post-assembly, post-projection: exactly what the int8 dense route
+  // quantizes — the range the calibration sweep needs.
+  record_amax(dst, op.geom.in_c * hw);
 }
 
+// Scratch layout of the weight ops: the accumulator first, then what the
+// dispatch needs past it (op_scratch in the compiler sizes each region).
+
+template <class P>
 void Engine::exec_conv(const OpPlan& op) {
-  const ValuePlan& ov = val(op.out);
-  const std::int64_t n = ov.shape[0];
-  const std::int64_t p = op.geom.out_h() * op.geom.out_w();
+  using Acc = typename P::Acc;
+  const ConvGeometry& g = op.geom;
+  const std::int64_t p = g.out_h() * g.out_w();
   const std::int64_t o_c = op.out_c;
-  const std::int64_t in_img = op.geom.in_c * op.geom.in_h * op.geom.in_w;
-  const std::int64_t ckk = op.geom.col_rows();
-  const std::size_t wi =
-      op.wt.size() <= 1 ? 0 : static_cast<std::size_t>(op.copy_index(t_));
-  const float* wt = op.wt[wi].data();
-
-  const Dispatch d = classify(*plan_, op, popcnt_, pvalid_);
-  const bool sparse_ok =
-      d.all_spiking && d.density < static_cast<double>(opts_.threshold);
-
-  if (opts_.packed && d.all_packed && sparse_ok) {
-    ++stats_.packed_dispatches;
-    Telemetry::count("infer.packed_layers");
-    Telemetry::count(ctr_packed_.c_str());
-    float* panel = scratch_.data();  // (P, O) transposed accumulator
-    for (std::int64_t img = 0; img < n; ++img) {
-      std::memset(panel, 0, static_cast<std::size_t>(p * o_c) * sizeof(float));
+  const std::size_t wi = op.weight_copy(t_);
+  Acc* acc = reinterpret_cast<Acc*>(scratch_.data());
+  // Packed: the panel's (O, P) transpose. Dense: the assembled image, then
+  // the patch matrix.
+  float* rest = scratch_.data() + o_c * p;
+  float* cols = rest + g.in_c * g.in_h * g.in_w;
+  std::int64_t packed = 0;
+  for (std::int64_t img = 0; img < batch_; ++img) {
+    if (packed_ok(op, img)) {
+      ++packed;
+      // (P, O) panel: every term accumulates into it.
+      std::memset(acc, 0, static_cast<std::size_t>(p * o_c) * sizeof(Acc));
       for (const TermPlan& t : op.terms) {
-        const ValuePlan& sv = val(t.value);
-        const std::int64_t src_c = sv.shape[1];
-        const std::uint64_t* w =
-            words(t.value) + img * (sv.words / sv.shape[0]);
+        const std::int64_t src_c = val(t.value).shape[1];
+        const std::uint64_t* w = image_words(t.value, img);
         if (t.sunk) {
-          // Sunk projection: composite kernel over the original spiking
-          // source, same output grid, accumulated into the same panel.
-          const std::size_t twi =
-              t.wt.size() <= 1 ? 0 : static_cast<std::size_t>(wi);
-          stats_.synops += spike_packed_conv2d_term(
-              t.geom, src_c, w, nullptr, t.wt[twi].data(), o_c, panel);
+          // Composite kernel over the projection's own spiking source,
+          // onto the same output grid.
+          stats_.synops += P::conv_term(t.geom, src_c, w, nullptr,
+                                        P::panel(t, wi), o_c, acc);
         } else {
-          stats_.synops += spike_packed_conv2d_term(
-              op.geom, src_c, w, t.chrow.empty() ? nullptr : t.chrow.data(),
-              wt, o_c, panel);
+          stats_.synops += P::conv_term(g, src_c, w, chrow_of(t),
+                                        P::panel(op, wi), o_c, acc);
         }
       }
-      epilogue(op, img, panel, /*so=*/1, /*sp=*/o_c);
-    }
-    return;
-  }
-
-  if (sparse_ok) {
-    // CSR fallback: the training graph's event kernel on a per-image
-    // assembled input (the packed path's correctness baseline).
-    ++stats_.csr_dispatches;
-    Telemetry::count("infer.csr_layers");
-    Telemetry::count(ctr_csr_.c_str());
-    float* w_oihw = scratch_.data();
-    float* assembled = w_oihw + ckk * o_c;
-    float* outr = assembled + in_img;
-    const float* wptr;
-    if (!op.wd.empty()) {
-      wptr = op.wd[op.wd.size() <= 1 ? 0 : wi].data();
+      transpose_panel(P::widen(p * o_c, acc), p, o_c, rest);
+      epilogue(op, img, rest);
     } else {
-      // Folded mode keeps only the transposed panel; rebuild OIHW here
-      // (non-default path — the packed kernels consume wt directly).
-      for (std::int64_t o = 0; o < o_c; ++o) {
-        for (std::int64_t r = 0; r < ckk; ++r) {
-          w_oihw[o * ckk + r] = wt[r * o_c + o];
-        }
-      }
-      wptr = w_oihw;
+      assemble_image(op, img, rest, cols);
+      P::conv_gemm(op, wi, rest, cols, acc);  // (O, P)
+      epilogue(op, img, P::widen(o_c * p, acc), P::dense_scale(op));
     }
-    std::int64_t nnz = 0;
-    for (std::int64_t img = 0; img < n; ++img) {
-      assemble_image(op, img, assembled);
-      csr_.build(assembled, 1, in_img);
-      nnz += csr_.nnz();
-      spike_conv2d_forward(op.geom, csr_, wptr, nullptr, o_c, outr,
-                           Workspace::tls());
-      add_sunk_terms(op, img, wi, outr + o_c * p, outr);
-      epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
-    }
-    stats_.synops += static_cast<std::int64_t>(std::llround(
-        static_cast<double>(op.macs) * static_cast<double>(nnz) /
-        static_cast<double>(n * in_img)));
-    return;
   }
-
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
-  float* assembled = scratch_.data();
-  float* cols = assembled + in_img;
-  // The cols region doubles as the sunk projections' 1x1 patch matrix
-  // (op_scratch sizes it to the max of both uses).
-  std::int64_t cols_f = ckk * p;
-  for (const TermPlan& t : op.terms) {
-    if (!t.sunk) continue;
-    cols_f = std::max(cols_f,
-                      t.pgeom.col_rows() * t.pgeom.out_h() * t.pgeom.out_w());
-  }
-  float* outr = cols + cols_f;
-  for (std::int64_t img = 0; img < n; ++img) {
-    assemble_image(op, img, assembled);
-    // Dense dispatch undoes the sinking: the composite kernel's zero
-    // rows are free on the event path but real GEMM work here, so run
-    // the raw 1x1 projection and ADD it into the assembled input — the
-    // training graph's exact compute shape (one GEMM over the sum).
-    for (const TermPlan& t : op.terms) {
-      if (!t.sunk) continue;
-      const ValuePlan& sv = val(t.value);
-      const float* src = dense(t.value) + img * (sv.floats / sv.shape[0]);
-      const std::int64_t pp = t.pgeom.out_h() * t.pgeom.out_w();
-      im2col(t.pgeom, src, cols);
-      gemm(t.proj_c, pp, t.pgeom.in_c, 1.f, t.pw.data(), cols, 1.f,
-           assembled + t.offset * pp);
-      stats_.dense_macs += t.proj_c * t.pgeom.in_c * pp;
-    }
-    // Post-assembly, post-projection: exactly what the int8 dense path
-    // will quantize — the range the calibration sweep needs.
-    record_amax(assembled, in_img);
-    if (!op.wd.empty() && p < 16) {
-      // Few-pixel outputs (deep stages): gemm's 16-column microkernel
-      // degrades to scalar edge loops, so lower to weight rows x
-      // contiguous patch rows instead. Per-element summation stays in
-      // ascending-k order either way, so the no-fold plan remains
-      // bitwise equal to the training eval forward.
-      im2row(op.geom, assembled, cols);
-      gemm_nt(o_c, p, ckk, 1.f, op.wd[op.wd.size() <= 1 ? 0 : wi].data(),
-              cols, 0.f, outr);
-    } else if (!op.wd.empty()) {
-      // The exact im2col + GEMM the training graph runs.
-      im2col(op.geom, assembled, cols);
-      gemm(o_c, p, ckk, 1.f, op.wd[op.wd.size() <= 1 ? 0 : wi].data(), cols,
-           0.f, outr);
-    } else {
-      im2col(op.geom, assembled, cols);
-      gemm_tn(o_c, p, ckk, 1.f, wt, cols, 0.f, outr);
-    }
-    epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
-  }
+  stats_.dense_macs += (batch_ - packed) * (op.macs / batch_);
+  count_dispatches(packed, batch_ - packed);
 }
 
+template <class P>
 void Engine::exec_dwconv(const OpPlan& op) {
-  const ValuePlan& ov = val(op.out);
-  const std::int64_t n = ov.shape[0];
-  const std::int64_t p = op.geom.out_h() * op.geom.out_w();
-  const std::int64_t c = op.geom.in_c;
-  const std::int64_t k = op.geom.kernel;
-  const std::int64_t in_img = c * op.geom.in_h * op.geom.in_w;
-  const std::size_t wi =
-      op.wt.size() <= 1 ? 0 : static_cast<std::size_t>(op.copy_index(t_));
-  const float* w = op.wt[wi].data();  // (C, K, K) bank, folded or raw
-
-  const Dispatch d = classify(*plan_, op, popcnt_, pvalid_);
-  const bool sparse_ok =
-      d.all_spiking && d.density < static_cast<double>(opts_.threshold);
-
-  if (opts_.packed && d.all_packed && sparse_ok) {
-    ++stats_.packed_dispatches;
-    Telemetry::count("infer.packed_layers");
-    Telemetry::count(ctr_packed_.c_str());
-    float* acc = scratch_.data();  // (C, Ho, Wo)
-    for (std::int64_t img = 0; img < n; ++img) {
-      std::memset(acc, 0, static_cast<std::size_t>(c * p) * sizeof(float));
+  using Acc = typename P::Acc;
+  const ConvGeometry& g = op.geom;
+  const std::int64_t p = g.out_h() * g.out_w();
+  const std::int64_t in_img = g.in_c * g.in_h * g.in_w;
+  const auto* bank = P::panel(op, op.weight_copy(t_));  // (C, K, K)
+  Acc* acc = reinterpret_cast<Acc*>(scratch_.data());    // (C, Ho, Wo)
+  float* assembled = scratch_.data() + g.in_c * p;
+  std::int64_t packed = 0;
+  for (std::int64_t img = 0; img < batch_; ++img) {
+    if (packed_ok(op, img)) {
+      ++packed;
+      std::memset(acc, 0, static_cast<std::size_t>(g.in_c * p) * sizeof(Acc));
       for (const TermPlan& t : op.terms) {
-        const ValuePlan& sv = val(t.value);
-        const std::uint64_t* wsrc =
-            words(t.value) + img * (sv.words / sv.shape[0]);
-        stats_.synops += spike_packed_depthwise_term(
-            op.geom, sv.shape[1], wsrc,
-            t.chrow.empty() ? nullptr : t.chrow.data(), w, acc);
+        stats_.synops +=
+            P::dw_term(g, val(t.value).shape[1], image_words(t.value, img),
+                       chrow_of(t), bank, acc);
       }
-      epilogue(op, img, acc, /*so=*/p, /*sp=*/1);
+      epilogue(op, img, P::widen(g.in_c * p, acc));
+    } else {
+      assemble_image(op, img, assembled, /*patch=*/nullptr);
+      depthwise_taps(g, P::encode(op, in_img, assembled, assembled + in_img),
+                     bank, acc);
+      epilogue(op, img, P::widen(g.in_c * p, acc), P::dense_scale(op));
     }
-    return;
   }
-
-  if (sparse_ok) {
-    ++stats_.csr_dispatches;
-    Telemetry::count("infer.csr_layers");
-    Telemetry::count(ctr_csr_.c_str());
-    float* assembled = scratch_.data();
-    float* outr = assembled + in_img;
-    std::int64_t nnz = 0;
-    for (std::int64_t img = 0; img < n; ++img) {
-      assemble_image(op, img, assembled);
-      csr_.build(assembled, 1, in_img);
-      nnz += csr_.nnz();
-      spike_depthwise_forward(op.geom, csr_, w, nullptr, outr);
-      epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
-    }
-    stats_.synops += static_cast<std::int64_t>(std::llround(
-        static_cast<double>(op.macs) * static_cast<double>(nnz) /
-        static_cast<double>(n * in_img)));
-    return;
-  }
-
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
-  float* assembled = scratch_.data();
-  float* outr = assembled + in_img;
-  const std::int64_t h = op.geom.in_h, wd = op.geom.in_w;
-  const std::int64_t ho = op.geom.out_h(), wo = op.geom.out_w();
-  const std::int64_t stride = op.geom.stride, pad = op.geom.pad;
-  for (std::int64_t img = 0; img < n; ++img) {
-    assemble_image(op, img, assembled);
-    record_amax(assembled, in_img);
-    // Same per-tap loop as DepthwiseConv2d's dense forward (bias and BN
-    // live in the epilogue).
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = assembled + ch * h * wd;
-      const float* ker = w + ch * k * k;
-      float* optr = outr + ch * p;
-      for (std::int64_t oy = 0; oy < ho; ++oy) {
-        for (std::int64_t ox = 0; ox < wo; ++ox) {
-          float acc = 0.f;
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            const std::int64_t iy = oy * stride - pad + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kx = 0; kx < k; ++kx) {
-              const std::int64_t ix = ox * stride - pad + kx;
-              if (ix < 0 || ix >= wd) continue;
-              acc += ker[ky * k + kx] * plane[iy * wd + ix];
-            }
-          }
-          optr[oy * wo + ox] = acc;
-        }
-      }
-    }
-    epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
-  }
+  stats_.dense_macs += (batch_ - packed) * (op.macs / batch_);
+  count_dispatches(packed, batch_ - packed);
 }
 
+template <class P>
 void Engine::exec_linear(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
-  const ValuePlan& iv = val(t.value);
-  const std::int64_t n = iv.shape[0];
   const std::int64_t in_f = t.channels;
   const std::int64_t o_f = op.out_c;
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
-  record_amax(dense(t.value), n * in_f);
-  float* outr = scratch_.data();  // (N, O)
+  const float* x = dense(t.value);
+  record_amax(x, batch_ * in_f);
   // out(N, O) = x(N, I) * W(O, I)^T — Linear::forward's dense GEMM; the
-  // bias moves to the epilogue.
-  gemm_nt(n, o_f, in_f, 1.f, dense(t.value), op.wt[0].data(), 0.f, outr);
-  for (std::int64_t img = 0; img < n; ++img) {
-    epilogue(op, img, outr + img * o_f, /*so=*/1, /*sp=*/1);
+  // bias moves to the epilogue. Scratch: the output rows, then the codes.
+  auto* out = reinterpret_cast<typename P::Acc*>(scratch_.data());
+  P::gemm_nt(batch_, o_f, in_f,
+             P::encode(op, batch_ * in_f, x, scratch_.data() + batch_ * o_f),
+             P::rows(op, 0), out);
+  const float* res = P::widen(batch_ * o_f, out);
+  for (std::int64_t img = 0; img < batch_; ++img) {
+    epilogue(op, img, res + img * o_f, P::dense_scale(op));
   }
+  stats_.dense_macs += op.macs;
+  count_dispatches(0, batch_);
 }
 
-// ---- int8 execution (ISSUE 10) --------------------------------------------
-//
-// Two dispatch modes (no CSR — the CSR kernels are fp32-only and exist as
-// the packed path's correctness baseline, which the int8 plan doesn't
-// need): the packed mode accumulates binary events into an int32 panel
-// with the int8 event kernels — pure integer adds, exact, and the
-// epilogue's per-channel scale (S[o] * bn_scale_t[o]) dequantizes in one
-// multiply. The dense mode assembles the fp32 input exactly like the
-// fp32 engine (including sunk-projection rematerialization through the
-// raw 1x1 weights), quantizes it with the op's compile-time step, runs
-// the int8 GEMM into int32, widens in place, and hands the epilogue
-// ascale = in_scale. When every input term is binary (in_scale == 1.0)
-// the quantization is lossless and both modes are bitwise-equal.
-
-void Engine::exec_conv_i8(const OpPlan& op) {
-  const ValuePlan& ov = val(op.out);
-  const std::int64_t n = ov.shape[0];
-  const std::int64_t p = op.geom.out_h() * op.geom.out_w();
-  const std::int64_t o_c = op.out_c;
-  const std::int64_t in_img = op.geom.in_c * op.geom.in_h * op.geom.in_w;
-  const std::int64_t ckk = op.geom.col_rows();
-
-  const Dispatch d = classify(*plan_, op, popcnt_, pvalid_);
-  const bool sparse_ok =
-      d.all_spiking && d.density < static_cast<double>(opts_.threshold);
-
-  if (opts_.packed && d.all_packed && sparse_ok) {
-    ++stats_.packed_dispatches;
-    Telemetry::count("infer.packed_layers");
-    Telemetry::count(ctr_packed_.c_str());
-    // (P, O) int32 panel carved from the float scratch (same element
-    // count); widened to float in place before the shared epilogue.
-    std::int32_t* panel = reinterpret_cast<std::int32_t*>(scratch_.data());
-    for (std::int64_t img = 0; img < n; ++img) {
-      std::memset(panel, 0,
-                  static_cast<std::size_t>(p * o_c) * sizeof(std::int32_t));
-      for (const TermPlan& t : op.terms) {
-        const ValuePlan& sv = val(t.value);
-        const std::int64_t src_c = sv.shape[1];
-        const std::uint64_t* w =
-            words(t.value) + img * (sv.words / sv.shape[0]);
-        if (t.sunk) {
-          stats_.synops += spike_packed_conv2d_term_i8(
-              t.geom, src_c, w, nullptr, t.wq8.data(), o_c, panel);
-        } else {
-          stats_.synops += spike_packed_conv2d_term_i8(
-              op.geom, src_c, w, t.chrow.empty() ? nullptr : t.chrow.data(),
-              op.wq8t.data(), o_c, panel);
-        }
-      }
-      convert_i32_to_f32(p * o_c, panel, scratch_.data());
-      epilogue(op, img, scratch_.data(), /*so=*/1, /*sp=*/o_c);
-    }
-    return;
-  }
-
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
-  float* assembled = scratch_.data();
-  float* cols = assembled + in_img;
-  std::int64_t cols_f = ckk * p;
-  for (const TermPlan& t : op.terms) {
-    if (!t.sunk) continue;
-    cols_f = std::max(cols_f,
-                      t.pgeom.col_rows() * t.pgeom.out_h() * t.pgeom.out_w());
-  }
-  std::int8_t* q8 = reinterpret_cast<std::int8_t*>(cols + cols_f);
-  const std::int64_t qf = (ckk * p + 3) / 4;  // int8 codes, float slots
-  std::int32_t* ipanel =
-      reinterpret_cast<std::int32_t*>(cols + cols_f + qf);
-  float* fpanel = cols + cols_f + qf;
-  const float inv = 1.f / op.in_scale;
-  for (std::int64_t img = 0; img < n; ++img) {
-    assemble_image(op, img, assembled);
-    // Sunk projections rematerialize through the raw fp32 1x1 weights,
-    // exactly like the fp32 dense path (the composite kernel's zero rows
-    // are free for event kernels but real work for a GEMM).
-    for (const TermPlan& t : op.terms) {
-      if (!t.sunk) continue;
-      const ValuePlan& sv = val(t.value);
-      const float* src = dense(t.value) + img * (sv.floats / sv.shape[0]);
-      const std::int64_t pp = t.pgeom.out_h() * t.pgeom.out_w();
-      im2col(t.pgeom, src, cols);
-      gemm(t.proj_c, pp, t.pgeom.in_c, 1.f, t.pw.data(), cols, 1.f,
-           assembled + t.offset * pp);
-      stats_.dense_macs += t.proj_c * t.pgeom.in_c * pp;
-    }
-    im2row(op.geom, assembled, cols);
-    quantize_int8(ckk * p, cols, inv, q8);
-    gemm_s8s32_nt(o_c, p, ckk, op.wq8d.data(), q8, ipanel);
-    convert_i32_to_f32(o_c * p, ipanel, fpanel);
-    epilogue(op, img, fpanel, /*so=*/p, /*sp=*/1, op.in_scale);
-  }
-}
-
-void Engine::exec_dwconv_i8(const OpPlan& op) {
-  const ValuePlan& ov = val(op.out);
-  const std::int64_t n = ov.shape[0];
-  const std::int64_t p = op.geom.out_h() * op.geom.out_w();
-  const std::int64_t c = op.geom.in_c;
-  const std::int64_t k = op.geom.kernel;
-  const std::int64_t in_img = c * op.geom.in_h * op.geom.in_w;
-  const std::int8_t* bank = op.wq8t.data();  // (C, K, K) int8 bank
-
-  const Dispatch d = classify(*plan_, op, popcnt_, pvalid_);
-  const bool sparse_ok =
-      d.all_spiking && d.density < static_cast<double>(opts_.threshold);
-
-  if (opts_.packed && d.all_packed && sparse_ok) {
-    ++stats_.packed_dispatches;
-    Telemetry::count("infer.packed_layers");
-    Telemetry::count(ctr_packed_.c_str());
-    std::int32_t* acc = reinterpret_cast<std::int32_t*>(scratch_.data());
-    for (std::int64_t img = 0; img < n; ++img) {
-      std::memset(acc, 0,
-                  static_cast<std::size_t>(c * p) * sizeof(std::int32_t));
-      for (const TermPlan& t : op.terms) {
-        const ValuePlan& sv = val(t.value);
-        const std::uint64_t* wsrc =
-            words(t.value) + img * (sv.words / sv.shape[0]);
-        stats_.synops += spike_packed_depthwise_term_i8(
-            op.geom, sv.shape[1], wsrc,
-            t.chrow.empty() ? nullptr : t.chrow.data(), bank, acc);
-      }
-      convert_i32_to_f32(c * p, acc, scratch_.data());
-      epilogue(op, img, scratch_.data(), /*so=*/p, /*sp=*/1);
-    }
-    return;
-  }
-
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
-  float* assembled = scratch_.data();
-  std::int8_t* q8 = reinterpret_cast<std::int8_t*>(assembled + in_img);
-  const std::int64_t qf = (in_img + 3) / 4;
-  std::int32_t* iacc =
-      reinterpret_cast<std::int32_t*>(assembled + in_img + qf);
-  float* facc = assembled + in_img + qf;
-  const std::int64_t h = op.geom.in_h, wd = op.geom.in_w;
-  const std::int64_t ho = op.geom.out_h(), wo = op.geom.out_w();
-  const std::int64_t stride = op.geom.stride, pad = op.geom.pad;
-  const float inv = 1.f / op.in_scale;
-  for (std::int64_t img = 0; img < n; ++img) {
-    assemble_image(op, img, assembled);
-    quantize_int8(in_img, assembled, inv, q8);
-    // The fp32 per-tap loop with int8 operands and an int32 accumulator.
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const std::int8_t* plane = q8 + ch * h * wd;
-      const std::int8_t* ker = bank + ch * k * k;
-      std::int32_t* optr = iacc + ch * p;
-      for (std::int64_t oy = 0; oy < ho; ++oy) {
-        for (std::int64_t ox = 0; ox < wo; ++ox) {
-          std::int32_t acc = 0;
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            const std::int64_t iy = oy * stride - pad + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kx = 0; kx < k; ++kx) {
-              const std::int64_t ix = ox * stride - pad + kx;
-              if (ix < 0 || ix >= wd) continue;
-              acc += static_cast<std::int32_t>(ker[ky * k + kx]) *
-                     static_cast<std::int32_t>(plane[iy * wd + ix]);
-            }
-          }
-          optr[oy * wo + ox] = acc;
-        }
-      }
-    }
-    convert_i32_to_f32(c * p, iacc, facc);
-    epilogue(op, img, facc, /*so=*/p, /*sp=*/1, op.in_scale);
-  }
-}
-
-void Engine::exec_linear_i8(const OpPlan& op) {
-  const TermPlan& t = op.terms.front();
-  const ValuePlan& iv = val(t.value);
-  const std::int64_t n = iv.shape[0];
-  const std::int64_t in_f = t.channels;
-  const std::int64_t o_f = op.out_c;
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
-  std::int8_t* q8 = reinterpret_cast<std::int8_t*>(scratch_.data());
-  const std::int64_t qf = (n * in_f + 3) / 4;
-  std::int32_t* iout =
-      reinterpret_cast<std::int32_t*>(scratch_.data() + qf);
-  float* fout = scratch_.data() + qf;
-  quantize_int8(n * in_f, dense(t.value), 1.f / op.in_scale, q8);
-  // out(N, O) = qx(N, I) * Wq(O, I)^T in int32; dequant in the epilogue.
-  gemm_s8s32_nt(n, o_f, in_f, q8, op.wq8d.data(), iout);
-  convert_i32_to_f32(n * o_f, iout, fout);
-  for (std::int64_t img = 0; img < n; ++img) {
-    epilogue(op, img, fout + img * o_f, /*so=*/1, /*sp=*/1, op.in_scale);
+void Engine::exec_op(const OpPlan& op) {
+  SNNSKIP_SPAN_AGG("infer.op", op.name);
+  const bool i8 = plan_->precision == Precision::Int8;
+  switch (op.kind) {
+    case OpKind::Conv:
+      i8 ? exec_conv<Int8>(op) : exec_conv<Fp32>(op);
+      break;
+    case OpKind::DwConv:
+      i8 ? exec_dwconv<Int8>(op) : exec_dwconv<Fp32>(op);
+      break;
+    case OpKind::Linear:
+      i8 ? exec_linear<Int8>(op) : exec_linear<Fp32>(op);
+      break;
+    case OpKind::DscGather: exec_dsc_gather(op); break;
+    case OpKind::AvgPool: exec_avgpool(op); break;
+    case OpKind::GlobalAvgPool: exec_gap(op); break;
+    case OpKind::Neuron:
+    case OpKind::Relu: exec_neuron(op); break;
+    case OpKind::Copy: exec_copy(op); break;
   }
 }
 
@@ -828,7 +560,7 @@ void Engine::exec_neuron(const OpPlan& op) {
   const std::int64_t n = sv.shape[0];
   const std::int64_t img_f = sv.floats / n;
   for (std::int64_t img = 0; img < n; ++img) {
-    epilogue(op, img, dense(t.value) + img * img_f, /*so=*/1, /*sp=*/1);
+    epilogue(op, img, dense(t.value) + img * img_f);
   }
 }
 
@@ -841,15 +573,12 @@ void Engine::exec_copy(const OpPlan& op) {
   if (ov.spiking && sv.spiking) {
     std::memcpy(words(op.out), words(t.value),
                 static_cast<std::size_t>(sv.words) * sizeof(std::uint64_t));
-    pvalid_[static_cast<std::size_t>(op.out)] =
-        pvalid_[static_cast<std::size_t>(t.value)];
-    popcnt_[static_cast<std::size_t>(op.out)] =
-        popcnt_[static_cast<std::size_t>(t.value)];
+    std::copy_n(&popcount(t.value, 0), batch_, &popcount(op.out, 0));
   }
 }
 
 void Engine::epilogue(const OpPlan& op, std::int64_t img, const float* acc,
-                      std::int64_t so, std::int64_t sp, float ascale) {
+                      float ascale) {
   const ValuePlan& ov = val(op.out);
   const std::int64_t n = ov.shape[0];
   const std::int64_t img_f = ov.floats / n;
@@ -874,24 +603,22 @@ void Engine::epilogue(const OpPlan& op, std::int64_t img, const float* acc,
                     ? sarena_.data() + op.refrac_off + img * img_f
                     : nullptr;
     std::int64_t spk = 0;
-    if (sp == 1 && rc == nullptr) {
-      // Contiguous accumulator rows and no refractory gate: the fused
-      // SIMD-dispatched row (bit-identical to the loop below at the
-      // Scalar/Avx2 levels) handles integrate + threshold + soft reset +
-      // spike-bit packing in one pass.
+    if (rc == nullptr) {
+      // No refractory gate: the fused SIMD-dispatched row (bit-identical
+      // to the loop below at the Scalar/Avx2 levels) handles integrate +
+      // threshold + soft reset + spike-bit packing in one pass.
       for (std::int64_t o = 0; o < o_c; ++o) {
-        spk += lif_epilogue_row(p, acc + o * so, sc != nullptr ? 1 : 0,
+        spk += lif_epilogue_row(p, acc + o * p, sc != nullptr ? 1 : 0,
                                 sc != nullptr ? ascale * sc[o] : 0.f, bias[o],
                                 op.beta, op.theta, m + o * p, dst + o * p,
                                 wbits, /*bit0=*/o * p);
       }
     } else {
       for (std::int64_t o = 0; o < o_c; ++o) {
-        const float* ab = acc + o * so;
         const float b = bias[o];
         for (std::int64_t j = 0; j < p; ++j) {
           const std::int64_t idx = o * p + j;
-          const float a = ab[j * sp];
+          const float a = acc[idx];
           const float in = (sc != nullptr ? (ascale * sc[o]) * a : a) + b;
           // Lif::forward's exact update: leaky integrate, refractory gate,
           // threshold compare, soft reset.
@@ -915,30 +642,15 @@ void Engine::epilogue(const OpPlan& op, std::int64_t img, const float* acc,
         }
       }
     }
-    if (img == 0) popcnt_[static_cast<std::size_t>(op.out)] = 0;
-    popcnt_[static_cast<std::size_t>(op.out)] += spk;
-    pvalid_[static_cast<std::size_t>(op.out)] = 1;
+    popcount(op.out, img) = spk;
     stats_.spikes += spk;
     return;
   }
 
-  if (sp == 1) {
-    for (std::int64_t o = 0; o < o_c; ++o) {
-      affine_epilogue_row(p, acc + o * so, sc != nullptr ? 1 : 0,
-                          sc != nullptr ? ascale * sc[o] : 0.f, bias[o],
-                          op.epi == Epi::Relu ? 1 : 0, dst + o * p);
-    }
-    return;
-  }
   for (std::int64_t o = 0; o < o_c; ++o) {
-    const float* ab = acc + o * so;
-    const float b = bias[o];
-    for (std::int64_t j = 0; j < p; ++j) {
-      const std::int64_t idx = o * p + j;
-      const float a = ab[j * sp];
-      const float in = (sc != nullptr ? (ascale * sc[o]) * a : a) + b;
-      dst[idx] = op.epi == Epi::Relu ? (in > 0.f ? in : 0.f) : in;
-    }
+    affine_epilogue_row(p, acc + o * p, sc != nullptr ? 1 : 0,
+                        sc != nullptr ? ascale * sc[o] : 0.f, bias[o],
+                        op.epi == Epi::Relu ? 1 : 0, dst + o * p);
   }
 }
 

@@ -8,40 +8,38 @@
 // performs zero heap allocations on the default (packed) path
 // (tests/infer_test.cpp pins this with Workspace heap-alloc counters).
 //
-// Per conv/depthwise op, dispatch picks one of three modes each step from
-// the measured input density (exact, via the packed masks' popcounts):
+// Per conv/depthwise op and per image, dispatch picks one of two modes
+// each step from that image's measured input density (exact, via the
+// packed masks' popcounts), so a request's answer never depends on which
+// other requests share its batch:
 //
 //   Packed  bit-packed event kernels (tensor/spike_packed.h). Requires
-//           every input term to carry a valid packed mask, the packed
-//           path to be enabled, and density < threshold. Skip joins run
-//           directly on the source masks — ADD joins accumulate each
-//           term into the same output panel (conv is linear), concat
-//           joins select weight rows through the term's chrow map — so
-//           no assembled input is ever materialized.
-//   CSR     the training graph's event kernels (spike_conv2d_forward et
-//           al.) on a per-image assembled input. Taken when the packed
-//           path is disabled (SNNSKIP_INFER_PACKED=0) but the density
-//           gate still passes — this is the apples-to-apples baseline
-//           the packed path is benchmarked against.
+//           every input term to carry a valid packed mask for the image
+//           and density < threshold. Skip joins run directly on the
+//           source masks — ADD joins accumulate each term into the same
+//           output panel (conv is linear), concat joins select weight
+//           rows through the term's chrow map — so no assembled input is
+//           ever materialized.
 //   Dense   assembled input + im2col + GEMM, for dense inputs (analog
 //           values, projection outputs) or high firing rates.
 //
-// Every mode feeds the same fused epilogue: BN scale/shift (folded into
+// Both modes feed the same fused epilogue: BN scale/shift (folded into
 // the weights, or applied here in no-fold mode), bias, and the LIF/PLIF
 // threshold-compare / soft-reset / refractory update, which writes the
 // output's dense mirror, its packed mask, and the exact spike popcount in
-// one pass.
+// one pass. Each op kind has one body for both precisions; a small
+// per-precision traits struct in engine.cpp supplies what differs
+// (accumulator type, weight panels, event kernel, dense GEMM step,
+// epilogue input scale).
 //
-// Runtime configuration (ISSUE 7): dispatch switches are PER ENGINE.
-// Each Engine snapshots an ExecOptions at construction and never consults
+// Runtime configuration: the density threshold is PER ENGINE. Each
+// Engine snapshots an ExecOptions at construction and never consults
 // process-global state afterwards, so concurrent engines with different
-// options (multi-tenant serving: one model latency-tuned packed, another
-// forced to the CSR baseline) cannot perturb each other. The environment
-// only seeds the process-wide *defaults*, read once through
-// util/runtime_env:
-//   SNNSKIP_INFER_PACKED=0          default packed off (CSR baseline)
-//   SNNSKIP_INFER_THRESHOLD=<frac>  default density cutoff for the event
-//                                   paths (0.25, valid range [0, 1])
+// options (multi-tenant serving) cannot perturb each other. The
+// environment only seeds the process-wide *default*, through the kernel
+// config (tensor/kernel_config.h):
+//   SNNSKIP_INFER_THRESHOLD=<frac>  default density cutoff for the packed
+//                                   path (0.25, valid range [0, 1])
 
 #include <cstdint>
 #include <string>
@@ -49,46 +47,30 @@
 
 #include "infer/plan.h"
 #include "metrics/energy.h"
-#include "tensor/spike_csr.h"
 #include "tensor/tensor.h"
 
 namespace snnskip::infer {
 
 /// Per-engine dispatch configuration. `ExecOptions{}` gives the compiled-in
-/// defaults; `ExecOptions::defaults()` gives the process-wide defaults
-/// (environment-seeded once, adjustable via the deprecated InferExec
-/// shims), which is what `Engine(plan)` uses.
+/// default; `ExecOptions::defaults()` gives the process-wide default (the
+/// kernel config's infer_threshold), which is what `Engine(plan)` uses.
 struct ExecOptions {
-  /// Bit-packed event kernels when density permits (false: CSR baseline).
-  bool packed = true;
-  /// Input density below which an event path is taken, in [0, 1].
+  /// Input density below which an op runs on the packed event kernels,
+  /// in [0, 1]; 0 forces dense dispatch everywhere.
   float threshold = 0.25f;
 
   static ExecOptions defaults();
 };
 
-/// DEPRECATED process-global switches, kept as shims for existing callers:
-/// the setters adjust the process-wide *defaults* consumed by engines
-/// constructed afterwards — they no longer affect live engines. New code
-/// should pass ExecOptions to the Engine constructor instead.
-class InferExec {
- public:
-  static bool packed_enabled();
-  static float threshold();
-  static void set_packed_enabled(bool on);
-  static void set_threshold(float t);
-};
-
 /// Per-engine execution statistics (reset with Engine::reset_stats).
+/// Dispatch counts are per (op, image): a batch-N step adds N per op.
 struct ExecStats {
   std::int64_t steps = 0;
-  std::int64_t packed_dispatches = 0;  ///< ops run on the packed kernels
-  std::int64_t csr_dispatches = 0;     ///< ops run on the CSR fallback
-  std::int64_t dense_dispatches = 0;   ///< ops run dense (GEMM / loops)
+  std::int64_t packed_dispatches = 0;  ///< images run on the packed kernels
+  std::int64_t dense_dispatches = 0;   ///< images run dense (GEMM / loops)
   std::int64_t spikes = 0;   ///< exact spike count (packed popcounts)
-  std::int64_t synops = 0;   ///< accumulates on event paths (exact for
-                             ///< packed; density * MACs estimate for CSR)
-  std::int64_t dense_macs = 0;  ///< MACs charged to dense-dispatched ops
+  std::int64_t synops = 0;   ///< exact accumulates on the packed path
+  std::int64_t dense_macs = 0;  ///< MACs charged to dense dispatches
 
   /// Energy proxy: ac_pj per event-path accumulate, mac_pj per dense MAC
   /// (same 45 nm constants as metrics/energy.h).
@@ -130,8 +112,8 @@ class Engine {
   /// records each weight op's per-input absmax into `amax` (one slot per
   /// plan op, max-merged across images/steps) every time the op runs a
   /// dense dispatch — which is every step when the engine is built with
-  /// {packed = false, threshold = 0}. The vector must outlive the engine
-  /// or be cleared with nullptr; it must be sized to plan().ops.size().
+  /// threshold 0. The vector must outlive the engine or be cleared with
+  /// nullptr; it must be sized to plan().ops.size().
   void set_calibration_sink(std::vector<float>* amax) { calib_ = amax; }
 
  private:
@@ -140,49 +122,54 @@ class Engine {
   const ValuePlan& val(int v) const {
     return plan_->values[static_cast<std::size_t>(v)];
   }
+  /// Exact spike count of value `v`'s image `img`; -1 while that image
+  /// has no valid packed mask (non-binary network input).
+  std::int64_t& popcount(int v, std::int64_t img) {
+    return popcnt_[static_cast<std::size_t>(v * batch_ + img)];
+  }
+  /// Packed mask words of value `v`'s image `img`.
+  const std::uint64_t* image_words(int v, std::int64_t img);
 
   void write_input(const Tensor& x);
   void exec_op(const OpPlan& op);
+  /// True when image `img` of every input term carries a valid packed
+  /// mask and the terms' combined density is below the threshold.
+  bool packed_ok(const OpPlan& op, std::int64_t img);
+  /// Weight ops: one body per kind, instantiated per precision traits
+  /// (engine.cpp) — packed event kernels or the dense route, per image.
+  template <class P>
   void exec_conv(const OpPlan& op);
+  template <class P>
   void exec_dwconv(const OpPlan& op);
+  template <class P>
   void exec_linear(const OpPlan& op);
-  // Int8-plan twins (ISSUE 10): packed int8 event kernels (int32 panel)
-  // or dense int8 GEMM (quantize assembled input, int8xint8->int32,
-  // dequant in the epilogue). There is no CSR mode for int8 plans.
-  void exec_conv_i8(const OpPlan& op);
-  void exec_dwconv_i8(const OpPlan& op);
-  void exec_linear_i8(const OpPlan& op);
   void exec_dsc_gather(const OpPlan& op);
   void exec_avgpool(const OpPlan& op);
   void exec_gap(const OpPlan& op);
   void exec_neuron(const OpPlan& op);
   void exec_copy(const OpPlan& op);
 
-  /// Dense-assemble one image's op input (main copy, ADD-join axpys,
-  /// concat gathers — the training graph's assemble_input, bitwise).
-  /// Sunk projection terms are excluded (own geometry; see below).
-  void assemble_image(const OpPlan& op, std::int64_t img, float* dst);
+  /// Dense-assemble one image's op input into `dst` (main copy, ADD-join
+  /// axpys, concat gathers — the training graph's assemble_input,
+  /// bitwise), then re-materialize every sunk projection term through its
+  /// raw 1x1 weights, using `patch` as the projection's patch matrix: the
+  /// composite kernel's zero rows are free for event kernels but real
+  /// GEMM work. Records the assembled range for calibration.
+  void assemble_image(const OpPlan& op, std::int64_t img, float* dst,
+                      float* patch);
 
-  /// Accumulate every sunk projection term (composite conv over its own
-  /// source) into the dense (O, P) accumulator `outr`, lowering each via
-  /// a patch matrix built in `rows`. CSR dispatch only: the packed mode
-  /// accumulates sunk events into the panel directly, and the dense mode
-  /// re-materializes the raw 1x1 projection into the assembled input
-  /// instead (the composite kernel's zero rows are free for event
-  /// kernels but real GEMM work).
-  void add_sunk_terms(const OpPlan& op, std::int64_t img, std::size_t wi,
-                      float* rows, float* outr);
+  /// Adds `packed` + `dense` image dispatches of one op to the stats and
+  /// the telemetry counters.
+  void count_dispatches(std::int64_t packed, std::int64_t dense);
 
-  /// Fused epilogue: scale/bias (+LIF or ReLU) over the accumulator of
-  /// one image, writing the output's dense mirror, packed mask bits, and
-  /// popcount. `so`/`sp` are the accumulator's channel/spatial strides
-  /// (packed panels are (P, O): so=1, sp=O; dense outputs are (O, P):
-  /// so=P, sp=1). `ascale` is the int8 dense path's input quantization
-  /// step, folded into the per-channel scale (eff[o] = ascale * sc[o]);
-  /// 1.0 everywhere else (exact — multiplying a float by 1.0 is the
-  /// identity, so fp32 plans are untouched).
+  /// Fused epilogue: scale/bias (+LIF or ReLU) over the (O, P)
+  /// accumulator rows of one image, writing the output's dense mirror,
+  /// packed mask bits, and popcount. `ascale` is the int8 dense path's
+  /// input quantization step, folded into the per-channel scale (eff[o] =
+  /// ascale * sc[o]); 1.0 everywhere else (exact — multiplying a float by
+  /// 1.0 is the identity, so fp32 plans are untouched).
   void epilogue(const OpPlan& op, std::int64_t img, const float* acc,
-                std::int64_t so, std::int64_t sp, float ascale = 1.f);
+                float ascale = 1.f);
 
   /// Calibration: max-merge |x| over `n` floats into the current op's
   /// sink slot (no-op without a sink).
@@ -194,14 +181,13 @@ class Engine {
   // concurrent engines serving different models never bleed into one
   // aggregate (the unprefixed infer.* keys keep the process-wide totals).
   std::string ctr_steps_, ctr_spikes_, ctr_synops_;
-  std::string ctr_packed_, ctr_csr_, ctr_dense_;
+  std::string ctr_packed_, ctr_dense_;
+  std::int64_t batch_ = 1;             // compiled batch size N
   std::vector<float> farena_;          // shared value dense mirrors
   std::vector<std::uint64_t> warena_;  // shared packed masks
   std::vector<float> sarena_;          // persistent neuron state
   std::vector<float> scratch_;         // per-op scratch high-water block
-  std::vector<std::int64_t> popcnt_;   // per value: exact nonzero count
-  std::vector<char> pvalid_;           // per value: packed mask is valid
-  SpikeCsr csr_;                       // CSR fallback (capacity reused)
+  std::vector<std::int64_t> popcnt_;   // per (value, image): see popcount()
   std::int64_t t_ = 0;                 // timestep (BNTT copy selection)
   ExecStats stats_;
   std::vector<float>* calib_ = nullptr;  // per-op input absmax sink

@@ -103,8 +103,6 @@ struct TermPlan {
   bool sunk = false;
   ConvGeometry geom{};                 ///< composite geometry over source
   std::vector<std::vector<float>> wt;  ///< per-t ((c,ky,kx), o) panels
-  std::vector<std::vector<float>> wd;  ///< per-t (o, ckk) rows (CSR path)
-  std::int64_t macs = 0;  ///< true-tap dense-equivalent MACs (accounting)
   // Dense-dispatch route: the composite kernel's zero rows are free on
   // the event path but real GEMM work when dense, so at dense dispatch
   // the engine instead materializes the projection into the assembled
@@ -117,9 +115,9 @@ struct TermPlan {
   /// Int8 plans: the composite kernel quantized with the CONSUMER's
   /// per-output-channel scales (shared S[o] over own + sunk rows, so one
   /// int32 panel dequantizes uniformly), transposed ((c,ky,kx), o) for
-  /// the packed event kernel. `wt`/`wd` stay empty — the int8 engine has
-  /// no CSR mode, and dense dispatch re-materializes the raw fp32 1x1
-  /// projection (`pw`) exactly like the fp32 engine.
+  /// the packed event kernel. `wt` stays empty; dense dispatch
+  /// re-materializes the raw fp32 1x1 projection (`pw`) exactly like the
+  /// fp32 engine.
   std::vector<std::int8_t> wq8;
 };
 
@@ -149,14 +147,13 @@ struct OpPlan {
   std::int64_t pool_kernel = 0, pool_stride = 0;
   bool pool_ceil = false;
 
-  // Weights. `wt[i]` is the transposed ((c,ky,kx), o) panel the event
-  // kernels consume; DwConv stores its (C, K, K) bank here unchanged;
-  // Linear stores (O, I) row-major. With BN folding there is one copy per
-  // BNTT timestep (weights differ per t); without, a single copy plus
-  // per-timestep epilogue scale. For convs `wd` additionally keeps the
-  // (O, C*K*K) row-major layout (folded per-timestep, or the single raw
-  // copy in no-fold mode) so the dense and CSR dispatches run the exact
-  // GEMM / event kernel the training graph runs.
+  // Weights. `wt[i]` is the event kernels' panel: the transposed
+  // ((c,ky,kx), o) layout for Conv, the (C, K, K) bank unchanged for
+  // DwConv. `wd[i]` holds the dense GEMM's row-major rows: (O, C*K*K) for
+  // Conv, (O, I) for Linear — the exact layout the training graph's GEMM
+  // reads. With BN folding there is one copy per BNTT timestep (weights
+  // differ per t); without, a single copy plus per-timestep epilogue
+  // scale.
   std::vector<std::vector<float>> wt;
   std::vector<std::vector<float>> wd;
   std::vector<std::vector<float>> bias;   ///< folded bias/shift per copy
@@ -164,13 +161,12 @@ struct OpPlan {
 
   // Int8 plans (Plan::precision == Precision::Int8): ONE quantized weight
   // copy (per-output-channel symmetric, S[o] = row absmax / 127, shared
-  // with every sunk term's composite rows). `wq8t` is the transposed
-  // ((c,ky,kx), o) panel for the packed event kernel (DwConv: the
-  // (C, K, K) bank); `wq8d` keeps the (O, CKK) rows for the dense int8
-  // GEMM (Linear: the (O, I) rows). `scale` then holds the DEQUANT
-  // scales per timestep (S[o] * bn_scale_t[o]) and `bias` the per-t
-  // shifts — the same epilogue mechanism as fp32 no-fold mode, which is
-  // what keeps one int8 copy sufficient across all BNTT timesteps.
+  // with every sunk term's composite rows), in the same two layouts:
+  // `wq8t` mirrors `wt` and `wq8d` mirrors `wd`. `scale` then holds the
+  // DEQUANT scales per timestep (S[o] * bn_scale_t[o]) and `bias` the
+  // per-t shifts — the same epilogue mechanism as fp32 no-fold mode,
+  // which is what keeps one int8 copy sufficient across all BNTT
+  // timesteps.
   std::vector<std::int8_t> wq8t;
   std::vector<std::int8_t> wq8d;
   /// Int8 dense dispatch: the input quantization STEP (dequant
@@ -194,6 +190,14 @@ struct OpPlan {
   std::int64_t copy_index(std::int64_t t) const {
     const auto n = static_cast<std::int64_t>(bias.size());
     return n <= 1 ? 0 : (t < n ? t : n - 1);
+  }
+
+  /// `wt`/`wd` index for timestep `t`: folded plans keep one fp32 copy
+  /// per timestep, no-fold and int8 plans a single one.
+  std::size_t weight_copy(std::int64_t t) const {
+    return wt.size() <= 1 && wd.size() <= 1
+               ? 0
+               : static_cast<std::size_t>(copy_index(t));
   }
 };
 
@@ -232,7 +236,6 @@ struct Plan {
       b += static_cast<std::int64_t>(op.wq8d.size());
       for (const TermPlan& t : op.terms) {
         fv(t.wt);
-        fv(t.wd);
         b += static_cast<std::int64_t>(t.pw.size()) * 4;
         b += static_cast<std::int64_t>(t.wq8.size());
       }

@@ -42,12 +42,10 @@ QuantProfile calibrate_quant(
         "infer::calibrate_quant: calibration sweeps run on the FP32 plan "
         "(the int8 plan is compiled FROM the resulting profile)");
   }
-  // Force dense dispatch everywhere: packed off and a zero density
-  // threshold mean every conv assembles its input (and rematerializes
-  // sunk projections) each step — the exact tensors the int8 dense path
-  // will quantize.
+  // Force dense dispatch everywhere: a zero density threshold means
+  // every conv assembles its input (and rematerializes sunk projections)
+  // each step — the exact tensors the int8 dense path will quantize.
   ExecOptions o;
-  o.packed = false;
   o.threshold = 0.f;
   Engine eng(fp32_plan, o);
   std::vector<float> amax(fp32_plan->ops.size(), 0.f);

@@ -122,8 +122,6 @@ ModelSpec ModelSpec::from_manifest(const std::string& path) {
         }
       } else if (key == "calib_steps") {
         spec.calib_steps = std::stoll(value);
-      } else if (key == "packed") {
-        spec.exec.packed = parse_bool(value);
       } else if (key == "threshold") {
         spec.exec.threshold = std::stof(value);
       } else {

@@ -81,7 +81,7 @@ struct ModelSpec {
   /// Parse a `key value` manifest (one pair per line; '#' comments).
   /// Keys: name family width in_channels num_classes timesteps theta
   /// neuron (lif|plif) seed checkpoint warm_bn_steps batch in_h in_w
-  /// fold_bn precision (fp32|int8) calib_steps packed threshold. Relative
+  /// fold_bn precision (fp32|int8) calib_steps threshold. Relative
   /// checkpoint paths resolve against the manifest's directory. Throws
   /// std::runtime_error on unreadable files or unknown keys.
   static ModelSpec from_manifest(const std::string& path);

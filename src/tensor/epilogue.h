@@ -2,9 +2,9 @@
 // SIMD-dispatched inference epilogue rows (ISSUE 9). The compiled engine
 // (src/infer) fuses BN folding + bias + LIF/PLIF (or ReLU) into one pass
 // over each accumulator panel; these are the unit-stride row primitives
-// behind that pass, vectorized per the active SIMD level. The engine only
-// calls them for contiguous panels (plane stride 1) — its strided layouts
-// (the packed-conv per-image panel) keep the scalar loop in engine.cpp.
+// behind that pass, vectorized per the active SIMD level. The engine
+// transposes its packed-conv (P, O) panels to (O, P) rows first, and
+// keeps a scalar loop only for refractory neurons.
 //
 // Bitwise contract: the Scalar and Avx2 variants produce identical bits
 // (same unfused multiply/add sequence per element, lane-exact compares);

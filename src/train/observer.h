@@ -15,8 +15,7 @@
 // outlive the fit() call. Two stock implementations ship here:
 // ProgressPrinter (the old stderr lines, byte-identical format) and
 // TelemetryObserver (epoch/batch counters + instant trace markers for
-// telemetry/telemetry.h). TrainConfig::verbose remains as a deprecated
-// shim that installs a ProgressPrinter internally.
+// telemetry/telemetry.h).
 
 #include <cstdint>
 #include <vector>

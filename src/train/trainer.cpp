@@ -176,26 +176,6 @@ EvalResult evaluate(Network& net, NeuronMode mode, const Dataset& ds,
   return res;
 }
 
-namespace {
-
-/// Fan-out for the observer hooks; also owns the `verbose` shim printer.
-class ObserverList {
- public:
-  ObserverList(const TrainConfig& cfg) : observers_(cfg.observers) {
-    if (cfg.verbose) observers_.push_back(&shim_printer_);
-  }
-  template <typename Fn>
-  void notify(Fn&& fn) {
-    for (TrainObserver* obs : observers_) fn(*obs);
-  }
-
- private:
-  std::vector<TrainObserver*> observers_;
-  ProgressPrinter shim_printer_;  // installed only when cfg.verbose
-};
-
-}  // namespace
-
 FitResult fit(Network& net, NeuronMode mode, DatasetPtr train, DatasetPtr val,
               const TrainConfig& cfg) {
   SNNSKIP_SPAN("train", "fit");
@@ -232,12 +212,15 @@ FitResult fit(Network& net, NeuronMode mode, DatasetPtr train, DatasetPtr val,
 
   DataLoader loader(*train, cfg.batch_size, /*shuffle=*/true, cfg.seed);
   FitResult result;
-  ObserverList observers(cfg);
-  observers.notify([&](TrainObserver& o) { o.on_train_begin(cfg); });
+  // Fan-out for the observer hooks.
+  auto notify = [&cfg](auto&& fn) {
+    for (TrainObserver* obs : cfg.observers) fn(*obs);
+  };
+  notify([&](TrainObserver& o) { o.on_train_begin(cfg); });
 
   for (std::int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     SNNSKIP_SPAN("train", "epoch");
-    observers.notify([&](TrainObserver& o) { o.on_epoch_begin(epoch); });
+    notify([&](TrainObserver& o) { o.on_epoch_begin(epoch); });
     const double lr_scale = monitor ? monitor->lr_scale() : 1.0;
     opt->set_lr(static_cast<float>(cfg.lr * lr_scale *
                 std::pow(cfg.lr_decay, static_cast<float>(epoch))));
@@ -264,7 +247,7 @@ FitResult fit(Network& net, NeuronMode mode, DatasetPtr train, DatasetPtr val,
         if (!monitor->recover(net)) {
           result.diverged = true;
           result.health_retries = monitor->retries();
-          observers.notify([&](TrainObserver& o) { o.on_train_end(result); });
+          notify([&](TrainObserver& o) { o.on_train_end(result); });
           return result;
         }
         opt = make_optimizer();
@@ -278,7 +261,7 @@ FitResult fit(Network& net, NeuronMode mode, DatasetPtr train, DatasetPtr val,
       bs.batch_size = static_cast<std::int64_t>(batch.y.size());
       bs.loss = loss;
       bs.grad_norm = grad_norm;
-      observers.notify([&](TrainObserver& o) { o.on_batch_end(bs); });
+      notify([&](TrainObserver& o) { o.on_batch_end(bs); });
       ++batches;
     }
     if (rolled_back) {
@@ -295,12 +278,12 @@ FitResult fit(Network& net, NeuronMode mode, DatasetPtr train, DatasetPtr val,
       result.best_val_acc = std::max(result.best_val_acc, stats.val_acc);
       result.final_val_acc = stats.val_acc;
     }
-    observers.notify([&](TrainObserver& o) { o.on_epoch_end(stats); });
+    notify([&](TrainObserver& o) { o.on_epoch_end(stats); });
     result.epochs.push_back(stats);
     if (monitor) monitor->capture(net);  // this epoch is the new last-good
   }
   if (monitor) result.health_retries = monitor->retries();
-  observers.notify([&](TrainObserver& o) { o.on_train_end(result); });
+  notify([&](TrainObserver& o) { o.on_train_end(result); });
   return result;
 }
 

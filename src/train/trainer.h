@@ -81,11 +81,6 @@ struct TrainConfig {
   /// after health.max_retries rollbacks.
   HealthConfig health{};
 
-  /// Deprecated shim: installs a ProgressPrinter for the duration of
-  /// fit(), reproducing the historical per-epoch stderr line. Prefer
-  /// adding a ProgressPrinter to `observers` explicitly.
-  bool verbose = false;
-
   /// Deterministic data-parallel engine; inert unless
   /// data_parallel.replica_factory is set (see DataParallelConfig).
   DataParallelConfig data_parallel{};

@@ -431,7 +431,6 @@ std::vector<Family> build_families(const TuneOptions& opts) {
     };
     f.measure = [iw, min_ms] {
       infer::ExecOptions eo;
-      eo.packed = true;
       eo.threshold = kernel_config().infer_threshold;
       infer::Engine eng(iw->plan, eo);
       Tensor out(iw->plan->output_shape);

@@ -1,12 +1,15 @@
 // Tests for the compiled inference engine (ISSUE 6): BN-fold numerical
-// equivalence, packed-vs-CSR-vs-dense forward equivalence across join
-// types and geometries, plan buffer-reuse safety, zero-allocation steady
-// state, checkpoint round-trips, and dispatch/energy accounting.
+// equivalence, packed-vs-dense and packed-vs-training-event-path forward
+// equivalence across join types and geometries, per-image dispatch
+// (batched rows equal batch-1 runs), plan buffer-reuse safety,
+// zero-allocation steady state, checkpoint round-trips, and
+// dispatch/energy accounting.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,31 +33,25 @@ namespace {
 using infer::CompileOptions;
 using infer::Engine;
 using infer::ExecOptions;
-using infer::InferExec;
 using infer::Plan;
 
-// Saves and restores the process-wide dispatch DEFAULTS around each test
-// (SparseExec globals for the training graph, InferExec shims for
-// default-constructed engines) so forced configurations never leak into
+// Saves and restores the training graph's process-wide SparseExec
+// switches around each test so forced configurations never leak into
 // other suites. Engines under test pass explicit ExecOptions instead.
 class InferTest : public ::testing::Test {
  protected:
   void SetUp() override {
     sparse_on_ = SparseExec::enabled();
     sparse_thr_ = SparseExec::threshold();
-    packed_on_ = InferExec::packed_enabled();
-    packed_thr_ = InferExec::threshold();
   }
   void TearDown() override {
     SparseExec::set_enabled(sparse_on_);
     SparseExec::set_threshold(sparse_thr_);
-    InferExec::set_packed_enabled(packed_on_);
-    InferExec::set_threshold(packed_thr_);
   }
 
  private:
-  bool sparse_on_ = true, packed_on_ = true;
-  float sparse_thr_ = 0.25f, packed_thr_ = 0.25f;
+  bool sparse_on_ = true;
+  float sparse_thr_ = 0.25f;
 };
 
 ModelConfig small_cfg() {
@@ -228,41 +225,49 @@ TEST_F(InferTest, NoFoldDensePlanIsBitwiseEqualToTraining) {
 
     CompileOptions opts;
     opts.fold_bn = false;
-    Engine eng(infer::compile(net, in, opts),
-               ExecOptions{/*packed=*/false, /*threshold=*/0.f});
+    Engine eng(infer::compile(net, in, opts), ExecOptions{/*threshold=*/0.f});
     const auto got = engine_eval(eng, xs);
     EXPECT_EQ(max_step_diff(ref, got), 0.f) << model;
     EXPECT_GT(eng.stats().dense_dispatches, 0);
   }
 }
 
-// --- packed vs CSR vs dense -------------------------------------------------
+// --- packed vs training event path vs dense ---------------------------------
 
-TEST_F(InferTest, PackedMatchesCsrBitwiseOnChain) {
-  // Single-term ops (chain adjacency): packed and CSR visit the same
-  // events in the same order — exact agreement required.
-  ModelConfig cfg = small_cfg();
-  Network net = build_model("single_block", cfg,
-                            {Adjacency::chain(4)});
-  const Shape in{2, cfg.in_channels, 8, 8};
-  warm_bn_stats(net, in, 4);
-  const auto xs = spike_inputs(in, 4, 0.15f, 41);
-  const infer::PlanPtr plan = infer::compile(net, in);
+TEST_F(InferTest, NoFoldPackedPlanIsBitwiseEqualToSparseTraining) {
+  // The training graph's event path is the packed kernels' reference:
+  // with both sides on their event kernels wherever the input spikes
+  // (threshold 1), a no-fold plan visits the same events in the same
+  // order and replays the training arithmetic — exact agreement across
+  // every family's join types.
+  SparseExec::set_enabled(true);
+  SparseExec::set_threshold(1.f);
+  for (const std::string model : {"single_block", "single_block-chain",
+                                  "resnet18s", "densenet121s",
+                                  "mobilenetv2s"}) {
+    ModelConfig cfg = small_cfg();
+    const bool chain = model == "single_block-chain";
+    Network net = chain ? build_model("single_block", cfg,
+                                      {Adjacency::chain(4)})
+                        : build_model(model, cfg,
+                                      default_adjacencies(model, cfg));
+    const Shape in{2, cfg.in_channels, 8, 8};
+    warm_bn_stats(net, in, 4);
+    const auto xs = spike_inputs(in, 4, 0.15f, 41);
+    const auto ref = training_eval(net, xs);
 
-  Engine packed_eng(plan, ExecOptions{/*packed=*/true, /*threshold=*/1.f});
-  const auto packed = engine_eval(packed_eng, xs);
-  EXPECT_GT(packed_eng.stats().packed_dispatches, 0);
-
-  Engine csr_eng(plan, ExecOptions{/*packed=*/false, /*threshold=*/1.f});
-  const auto csr = engine_eval(csr_eng, xs);
-  EXPECT_GT(csr_eng.stats().csr_dispatches, 0);
-
-  EXPECT_EQ(max_step_diff(packed, csr), 0.f);
+    CompileOptions opts;
+    opts.fold_bn = false;
+    Engine eng(infer::compile(net, in, opts), ExecOptions{/*threshold=*/1.f});
+    const auto got = engine_eval(eng, xs);
+    EXPECT_GT(eng.stats().packed_dispatches, 0) << model;
+    EXPECT_EQ(max_step_diff(ref, got), 0.f) << model;
+  }
 }
 
-TEST_F(InferTest, PackedMatchesCsrAndDenseAcrossJoinTypes) {
+TEST_F(InferTest, PackedMatchesDenseAcrossJoinTypes) {
   // ASC joins change only the accumulation ORDER between the packed
-  // (term-by-term) and CSR (pre-assembled) paths, so agreement is to
+  // (term-by-term) and dense (pre-assembled) paths, so agreement is to
   // rounding; DSC concat terms and strided/projection blocks ride along.
   for (const std::string model :
        {"resnet18s", "densenet121s", "mobilenetv2s"}) {
@@ -273,17 +278,13 @@ TEST_F(InferTest, PackedMatchesCsrAndDenseAcrossJoinTypes) {
     const auto xs = spike_inputs(in, 4, 0.15f, 43);
     const infer::PlanPtr plan = infer::compile(net, in);
 
-    Engine packed_eng(plan, ExecOptions{/*packed=*/true, /*threshold=*/1.f});
+    Engine packed_eng(plan, ExecOptions{/*threshold=*/1.f});
     const auto packed = engine_eval(packed_eng, xs);
     EXPECT_GT(packed_eng.stats().packed_dispatches, 0) << model;
 
-    Engine csr_eng(plan, ExecOptions{/*packed=*/false, /*threshold=*/1.f});
-    const auto csr = engine_eval(csr_eng, xs);
-
-    Engine dense_eng(plan, ExecOptions{/*packed=*/true, /*threshold=*/0.f});
+    Engine dense_eng(plan, ExecOptions{/*threshold=*/0.f});
     const auto dense = engine_eval(dense_eng, xs);
 
-    EXPECT_LE(max_step_diff(packed, csr), 1e-4f) << model;
     EXPECT_LE(max_step_diff(packed, dense), 1e-4f) << model;
   }
 }
@@ -332,8 +333,7 @@ TEST_F(InferTest, PackedSteadyStateIsAllocationFree) {
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
   const Shape in{2, cfg.in_channels, 8, 8};
-  Engine eng(infer::compile(net, in),
-             ExecOptions{/*packed=*/true, /*threshold=*/1.f});
+  Engine eng(infer::compile(net, in), ExecOptions{/*threshold=*/1.f});
 
   const auto xs = spike_inputs(in, 6, 0.15f, 51);
   Tensor out(eng.plan().output_shape);
@@ -388,8 +388,7 @@ TEST_F(InferTest, StatsAndEnergyAccounting) {
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
   const Shape in{2, cfg.in_channels, 8, 8};
-  Engine eng(infer::compile(net, in),
-             ExecOptions{/*packed=*/true, /*threshold=*/1.f});
+  Engine eng(infer::compile(net, in), ExecOptions{/*threshold=*/1.f});
   engine_eval(eng, spike_inputs(in, 4, 0.2f, 71));
 
   const infer::ExecStats& st = eng.stats();
@@ -410,35 +409,6 @@ TEST_F(InferTest, StatsAndEnergyAccounting) {
 
 // --- per-engine ExecOptions (ISSUE 7) ---------------------------------------
 
-TEST_F(InferTest, DeprecatedShimsOnlyAffectFutureEngines) {
-  // The InferExec setters adjust the process-wide defaults consumed at
-  // construction; a live engine's snapshot never changes.
-  ModelConfig cfg = small_cfg();
-  Network net = build_model("single_block", cfg,
-                            default_adjacencies("single_block", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
-  const infer::PlanPtr plan = infer::compile(net, in);
-
-  InferExec::set_packed_enabled(true);
-  InferExec::set_threshold(1.f);
-  Engine before(plan);
-  InferExec::set_packed_enabled(false);
-  InferExec::set_threshold(0.f);
-  Engine after(plan);
-
-  EXPECT_TRUE(before.options().packed);
-  EXPECT_EQ(before.options().threshold, 1.f);
-  EXPECT_FALSE(after.options().packed);
-  EXPECT_EQ(after.options().threshold, 0.f);
-
-  const auto xs = spike_inputs(in, 3, 0.15f, 81);
-  engine_eval(before, xs);
-  engine_eval(after, xs);
-  EXPECT_GT(before.stats().packed_dispatches, 0);
-  EXPECT_EQ(after.stats().packed_dispatches, 0);
-  EXPECT_GT(after.stats().dense_dispatches, 0);
-}
-
 TEST_F(InferTest, ConcurrentEnginesWithDistinctOptionsMatchSerial) {
   // N threads, each its own Engine over one shared plan with a different
   // dispatch configuration, must reproduce the serial single-engine runs
@@ -452,10 +422,10 @@ TEST_F(InferTest, ConcurrentEnginesWithDistinctOptionsMatchSerial) {
   const infer::PlanPtr plan = infer::compile(net, in);
 
   const std::vector<ExecOptions> configs = {
-      {/*packed=*/true, /*threshold=*/1.f},
-      {/*packed=*/false, /*threshold=*/1.f},
-      {/*packed=*/true, /*threshold=*/0.f},
-      {/*packed=*/true, /*threshold=*/0.25f},
+      {/*threshold=*/1.f},
+      {/*threshold=*/0.1f},
+      {/*threshold=*/0.f},
+      {/*threshold=*/0.25f},
   };
   std::vector<std::vector<Tensor>> inputs;
   std::vector<std::vector<Tensor>> serial(configs.size());
@@ -572,11 +542,11 @@ TEST_F(InferTest, Int8PackedMatchesDenseBitwiseOnSpikingOps) {
   const infer::PlanPtr plan = infer::compile(net, in, qopts);
 
   const auto xs = spike_inputs(in, 4, 0.2f, 211);
-  Engine packed_eng(plan, ExecOptions{/*packed=*/true, /*threshold=*/1.f});
+  Engine packed_eng(plan, ExecOptions{/*threshold=*/1.f});
   const auto packed = engine_eval(packed_eng, xs);
   EXPECT_GT(packed_eng.stats().packed_dispatches, 0);
 
-  Engine dense_eng(plan, ExecOptions{/*packed=*/false, /*threshold=*/0.f});
+  Engine dense_eng(plan, ExecOptions{/*threshold=*/0.f});
   const auto dense = engine_eval(dense_eng, xs);
   EXPECT_GT(dense_eng.stats().dense_dispatches, 0);
 
@@ -630,6 +600,70 @@ TEST_F(InferTest, Int8PlanRejectsNoFoldAndAnalogInput) {
   analog.fill(0.5f);
   Tensor out;
   EXPECT_THROW(q.step(analog, &out), std::invalid_argument);
+}
+
+// --- per-image dispatch -----------------------------------------------------
+
+/// Row `img` of a batched (N, ...) tensor as a batch-1 tensor.
+Tensor batch_row(const Tensor& x, std::int64_t img) {
+  std::vector<std::int64_t> dims = x.shape().dims();
+  const std::int64_t n = dims[0];
+  dims[0] = 1;
+  Tensor row{Shape(dims)};
+  const std::int64_t f = x.numel() / n;
+  std::memcpy(row.data(), x.data() + img * f,
+              static_cast<std::size_t>(f) * sizeof(float));
+  return row;
+}
+
+TEST_F(InferTest, BatchedRowsMatchBatchOneEngineBitwise) {
+  // Dispatch is decided per image, so an answer cannot depend on which
+  // requests share its batch: every row of a batch-8 engine fed a mix of
+  // quiet (5%) and busy (45%) images at the default threshold must equal
+  // a batch-1 engine run on that row alone. The int8 plan is the sharp
+  // case — its packed and dense routes round ASC-sunk residual terms
+  // differently, so a batch-wide decision moved quiet rows' answers.
+  ModelConfig cfg = small_cfg();
+  Network net =
+      build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
+  const std::int64_t n = 8, steps = 8;
+  const Shape in1{1, cfg.in_channels, 16, 16};
+  const Shape in{n, cfg.in_channels, 16, 16};
+  warm_bn_stats(net, in1, 4);
+  const infer::QuantProfile prof = calibrate(net, in1, 6, 131);
+
+  Rng rng(137);
+  std::vector<Tensor> xs;
+  for (std::int64_t t = 0; t < steps; ++t) {
+    Tensor x(in);
+    const std::int64_t f = x.numel() / n;
+    for (std::int64_t img = 0; img < n; ++img) {
+      const Tensor r = Tensor::bernoulli(in1, rng, img % 2 ? 0.45f : 0.05f);
+      std::memcpy(x.data() + img * f, r.data(),
+                  static_cast<std::size_t>(f) * sizeof(float));
+    }
+    xs.push_back(std::move(x));
+  }
+
+  for (const infer::Precision prec :
+       {infer::Precision::Fp32, infer::Precision::Int8}) {
+    CompileOptions opts;
+    opts.precision = prec;
+    opts.quant = &prof;
+    Engine batched(infer::compile(net, in, opts), ExecOptions{});
+    Engine single(infer::compile(net, in1, opts), ExecOptions{});
+    const auto outs = engine_eval(batched, xs);
+    EXPECT_GT(batched.stats().packed_dispatches, 0);
+    for (std::int64_t img = 0; img < n; ++img) {
+      std::vector<Tensor> row_in, row_out;
+      for (std::int64_t t = 0; t < steps; ++t) {
+        row_in.push_back(batch_row(xs[static_cast<std::size_t>(t)], img));
+        row_out.push_back(batch_row(outs[static_cast<std::size_t>(t)], img));
+      }
+      EXPECT_EQ(max_step_diff(engine_eval(single, row_in), row_out), 0.f)
+          << infer::precision_name(prec) << " row " << img;
+    }
+  }
 }
 
 TEST_F(InferTest, InputShapeMismatchThrows) {

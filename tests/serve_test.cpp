@@ -256,7 +256,6 @@ TEST(ModelRegistryTest, ManifestParsing) {
         << "theta 0.75\n"
         << "warm_bn_steps 4\n"
         << "batch 3\n"
-        << "packed false\n"
         << "threshold 0.5\n";
   }
   const ModelSpec spec = ModelSpec::from_manifest(path);
@@ -266,13 +265,12 @@ TEST(ModelRegistryTest, ManifestParsing) {
   EXPECT_EQ(spec.config.neuron, NeuronKind::Plif);
   EXPECT_EQ(spec.config.lif.threshold, 0.75f);
   EXPECT_EQ(spec.batch, 3);
-  EXPECT_FALSE(spec.exec.packed);
   EXPECT_EQ(spec.exec.threshold, 0.5f);
 
   ModelRegistry reg(2);
   ModelHandle m = reg.load(path);  // load(path) == load(from_manifest)
   EXPECT_EQ(m->batch_capacity(), 3);
-  EXPECT_FALSE(m->lease()->options().packed);
+  EXPECT_EQ(m->lease()->options().threshold, 0.5f);
 
   {
     std::ofstream out(path);
@@ -282,6 +280,12 @@ TEST(ModelRegistryTest, ManifestParsing) {
   {
     std::ofstream out(path);
     out << "no_such_key 1\n";
+  }
+  EXPECT_THROW(ModelSpec::from_manifest(path), std::runtime_error);
+  {
+    // The engine has no dispatch switch besides the threshold any more.
+    std::ofstream out(path);
+    out << "packed false\n";
   }
   EXPECT_THROW(ModelSpec::from_manifest(path), std::runtime_error);
   std::remove(path.c_str());

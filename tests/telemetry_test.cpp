@@ -197,13 +197,11 @@ TEST_F(TelemetryTest, CompiledInferenceEmitsSpansAndCounters) {
   // Dispatch counters mirror the engine's own stats exactly.
   const auto& st = eng.stats();
   double layers = 0.0;
-  for (const char* k :
-       {"infer.packed_layers", "infer.csr_layers", "infer.dense_layers"}) {
+  for (const char* k : {"infer.packed_layers", "infer.dense_layers"}) {
     auto it = snap.counters.find(k);
     if (it != snap.counters.end()) layers += it->second;
   }
   EXPECT_DOUBLE_EQ(layers, static_cast<double>(st.packed_dispatches +
-                                               st.csr_dispatches +
                                                st.dense_dispatches));
   EXPECT_DOUBLE_EQ(snap.counters.at("infer.spikes_popcount"),
                    static_cast<double>(st.spikes));

@@ -250,7 +250,8 @@ TEST(Observers, VerboseShimStillPrintsEpochLines) {
   Network net = build_model("single_block", mc,
                             default_adjacencies("single_block", mc));
   TrainConfig cfg = tiny_train();
-  cfg.verbose = true;  // deprecated path: must install a ProgressPrinter
+  ProgressPrinter printer;  // the per-epoch stderr line format
+  cfg.observers = {&printer};
   ::testing::internal::CaptureStderr();
   fit(net, NeuronMode::Spiking, train_ds, val_ds, cfg);
   const std::string err = ::testing::internal::GetCapturedStderr();
