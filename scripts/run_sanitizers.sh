@@ -10,9 +10,10 @@
 # system that sets them gets the same instrumentation without this wrapper.
 #
 # The TSan mode is scoped to the suites that actually spawn threads
-# (thread pool, data-parallel training, concurrent inference engines, the
-# serving daemon) — TSan roughly 10x-es the single-threaded suites for no
-# additional coverage, and ASan/TSan cannot share one build tree.
+# (thread pool, data-parallel training, concurrent candidate fine-tunes,
+# concurrent inference engines, the serving daemon) — TSan roughly 10x-es
+# the single-threaded suites for no additional coverage, and ASan/TSan
+# cannot share one build tree.
 
 set -euo pipefail
 trap 'echo "error: ${BASH_SOURCE[0]}:${LINENO}: \`${BASH_COMMAND}\` failed" >&2' ERR
@@ -54,15 +55,17 @@ echo
 if [[ "${MODE}" == "tsan" ]]; then
   echo "== ctest (concurrency suites under TSan) =="
   # Suites that exercise real threads: the pool itself, data-parallel
-  # gradient reduction, concurrent Engines with distinct ExecOptions, the
-  # serving daemon (dispatcher + workers + client threads), the serve
-  # chaos drills (loopback TCP, armed fault sites, concurrent clients),
-  # and both serve_load smokes' closed-loop clients.
+  # gradient reduction, candidate fine-tunes on pool workers against a
+  # shared weight store (ParallelEvaluator, SearchWorkerCount), concurrent
+  # Engines with distinct ExecOptions, the serving daemon (dispatcher +
+  # workers + client threads), the serve chaos drills (loopback TCP, armed
+  # fault sites, concurrent clients), and both serve_load smokes'
+  # closed-loop clients.
   (
     cd "${BUILD_DIR}"
     TSAN_OPTIONS="halt_on_error=1" \
       ctest --output-on-failure -j "$(nproc)" \
-      -R '(ParallelTest|ThreadPool|DataParallel|Concurrent|ServerTest|ModelRegistryTest|ServeFault|serve_load_smoke|serve_load_socket_smoke)'
+      -R '(ParallelTest|ThreadPool|DataParallel|ParallelEvaluator|SearchWorkerCount|Concurrent|ServerTest|ModelRegistryTest|ServeFault|serve_load_smoke|serve_load_socket_smoke)'
   )
 else
   echo "== ctest (tier-1 + fault suite) =="

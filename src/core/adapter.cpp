@@ -7,7 +7,9 @@
 
 namespace snnskip {
 
-BoProblem make_bo_problem(CandidateEvaluator& evaluator) {
+namespace {
+
+BoProblem space_problem(const CandidateEvaluator& evaluator) {
   BoProblem problem;
   problem.sample = [&evaluator](Rng& rng) {
     return evaluator.space().sample(rng);
@@ -15,20 +17,46 @@ BoProblem make_bo_problem(CandidateEvaluator& evaluator) {
   problem.featurize = [](const EncodingVec& code) {
     return one_hot_features(code);
   };
+  return problem;
+}
+
+// The shared-weights problem: single evaluations are batches of one, and a
+// round's batch fine-tunes up to `workers` candidates at once. Observations
+// carry the failed flag into the search trace / journal, so a penalized
+// candidate is distinguishable from a genuinely bad one.
+BoProblem shared_problem(CandidateEvaluator& evaluator, std::int64_t workers) {
+  BoProblem problem = space_problem(evaluator);
   problem.objective = [&evaluator](const EncodingVec& code) {
     return evaluator.evaluate_shared(code).objective;
   };
-  // observe carries the failed flag into the search trace / journal, so a
-  // penalized candidate is distinguishable from a genuinely bad one.
   problem.observe = [&evaluator](const EncodingVec& code) {
     const CandidateResult r = evaluator.evaluate_shared(code);
     return Observation{code, r.objective, r.failed};
   };
+  problem.observe_batch = [&evaluator, workers](
+                              std::size_t start_idx,
+                              const std::vector<EncodingVec>& codes) {
+    const std::vector<CandidateResult> results =
+        evaluator.evaluate_shared_batch(start_idx, codes, workers);
+    std::vector<Observation> observations;
+    observations.reserve(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      observations.push_back(
+          Observation{codes[i], results[i].objective, results[i].failed});
+    }
+    return observations;
+  };
   return problem;
 }
 
+}  // namespace
+
+BoProblem make_bo_problem(CandidateEvaluator& evaluator) {
+  return shared_problem(evaluator, env::workers(1));
+}
+
 BoProblem make_scratch_problem(CandidateEvaluator& evaluator) {
-  BoProblem problem = make_bo_problem(evaluator);
+  BoProblem problem = space_problem(evaluator);
   problem.objective = [&evaluator](const EncodingVec& code) {
     return evaluator.evaluate_scratch(code).objective;
   };
@@ -41,38 +69,15 @@ BoProblem make_scratch_problem(CandidateEvaluator& evaluator) {
 
 BoProblem make_parallel_bo_problem(CandidateEvaluator& evaluator,
                                    ParallelCandidateEvaluator& parallel) {
-  BoProblem problem = make_bo_problem(evaluator);
-  problem.observe_batch = [&parallel](std::size_t start_idx,
-                                      const std::vector<EncodingVec>& codes) {
-    const std::vector<CandidateResult> results =
-        parallel.evaluate_shared_batch(start_idx, codes);
-    std::vector<Observation> observations;
-    observations.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      observations.push_back(
-          Observation{codes[i], results[i].objective, results[i].failed});
-    }
-    return observations;
-  };
-  return problem;
+  return shared_problem(evaluator, parallel.workers());
 }
 
 SearchTrace bo_trace(CandidateEvaluator& evaluator, const BoConfig& cfg) {
-  const BoProblem problem = make_bo_problem(evaluator);
-  return run_bayes_opt(problem, cfg);
-}
-
-SearchTrace bo_trace_parallel(CandidateEvaluator& evaluator,
-                              const BoConfig& cfg,
-                              const ParallelEvalConfig& pcfg) {
-  ParallelCandidateEvaluator parallel(evaluator, pcfg);
-  const BoProblem problem = make_parallel_bo_problem(evaluator, parallel);
-  return run_bayes_opt(problem, cfg);
+  return run_bayes_opt(make_bo_problem(evaluator), cfg);
 }
 
 SearchTrace rs_trace(CandidateEvaluator& evaluator, const RsConfig& cfg) {
-  const BoProblem problem = make_scratch_problem(evaluator);
-  return run_random_search(problem, cfg);
+  return run_random_search(make_scratch_problem(evaluator), cfg);
 }
 
 AdaptationReport run_adaptation(const AdapterConfig& cfg) {
@@ -133,14 +138,7 @@ AdaptationReport run_adaptation(const AdapterConfig& cfg) {
   }
 
   // (3) Bayesian optimization over the skip-connection space.
-  // SNNSKIP_WORKERS > 1 opts the round batches into concurrent candidate
-  // fine-tunes (batch-entry snapshot semantics, core/parallel_evaluator.h);
-  // the default stays the serial reference trajectory.
-  if (env::workers(1) > 1) {
-    report.trace = bo_trace_parallel(evaluator, cfg.bo, ParallelEvalConfig{});
-  } else {
-    report.trace = bo_trace(evaluator, cfg.bo);
-  }
+  report.trace = bo_trace(evaluator, cfg.bo);
   report.best_code = report.trace.best;
 
   // (4) Final training of the winner from the shared weights.

@@ -49,21 +49,18 @@ struct AdaptationReport {
 };
 
 /// BO problem adapter over a CandidateEvaluator (shared-weights regime).
+/// Every evaluation goes through evaluate_shared_batch, with up to
+/// SNNSKIP_WORKERS candidates of a round fine-tuning at once.
 BoProblem make_bo_problem(CandidateEvaluator& evaluator);
 /// Same space but the objective trains from scratch (RS baseline regime).
 BoProblem make_scratch_problem(CandidateEvaluator& evaluator);
-/// Shared-weights problem with observe_batch wired to a parallel candidate
-/// evaluator, so each BO round's batch fine-tunes concurrently. Borrows
-/// both evaluators; they must outlive the problem.
+/// make_bo_problem at `parallel`'s worker count instead of SNNSKIP_WORKERS.
+/// `parallel` must wrap `evaluator`.
 BoProblem make_parallel_bo_problem(CandidateEvaluator& evaluator,
                                    ParallelCandidateEvaluator& parallel);
 
 SearchTrace bo_trace(CandidateEvaluator& evaluator, const BoConfig& cfg);
 SearchTrace rs_trace(CandidateEvaluator& evaluator, const RsConfig& cfg);
-/// bo_trace with parallel candidate evaluation (core/parallel_evaluator.h).
-SearchTrace bo_trace_parallel(CandidateEvaluator& evaluator,
-                              const BoConfig& cfg,
-                              const ParallelEvalConfig& pcfg);
 
 AdaptationReport run_adaptation(const AdapterConfig& cfg);
 

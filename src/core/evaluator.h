@@ -2,17 +2,33 @@
 // Candidate evaluation (the expensive f(A) inside the BO loop).
 //
 // Two regimes, matching the paper's comparison:
-//   evaluate_shared  — the proposed method: load the supernet weights from
-//                      the shared WeightStore, fine-tune for n epochs, read
-//                      validation accuracy, write the weights back.
+//   evaluate_shared_batch — the proposed method: fine-tune each candidate of
+//                      a BO round for n epochs from the supernet weights in
+//                      the shared WeightStore, read validation accuracy,
+//                      merge the healthy candidates' weights back.
+//                      evaluate_shared is a batch of one.
 //   evaluate_scratch — the random-search baseline's regime: fresh weights,
 //                      full training budget, no sharing.
+//
+// Shared evaluation has one semantics at every worker count (DESIGN.md
+// §5f): each candidate of a batch is a pure function of (the store at
+// batch entry, its code, its GLOBAL evaluation index), never of the
+// schedule.
+//   * every candidate fine-tunes on a private copy of the store as it
+//     stands at batch entry, so get_or_init never races and no candidate
+//     sees a sibling's weights;
+//   * its fine-tune seed is candidate_seed(finetune.seed, index), so a
+//     journal-resumed search re-derives the same seeds;
+//   * healthy candidates merge back via store_from in index order on the
+//     calling thread; a failed candidate merges nothing.
+// The worker count only sets how many fine-tunes run at once.
 //
 // The objective handed to the optimizer is the ACCURACY DROP versus the ANN
 // reference when one exists (static-image datasets), otherwise the negated
 // validation accuracy — both minimized.
 
 #include <optional>
+#include <vector>
 
 #include "core/search_space.h"
 #include "metrics/energy.h"
@@ -31,8 +47,8 @@ struct CandidateResult {
   double objective = 0.0;      ///< what the optimizer minimizes
   /// Training diverged past the health monitor's retry budget (or the
   /// metrics came back non-finite). The objective is then the finite
-  /// failure penalty, and for shared evaluation the WeightStore was
-  /// restored to its pre-candidate state.
+  /// failure penalty, and for shared evaluation the candidate merged
+  /// nothing into the WeightStore.
   bool failed = false;
   int health_retries = 0;      ///< rollbacks spent during the fine-tune
 };
@@ -94,31 +110,36 @@ class CandidateEvaluator {
   /// Build the candidate network (spiking) for an encoding.
   Network build(const EncodingVec& code) const;
 
+  /// Shared-weights evaluation of `codes` as one batch with global
+  /// evaluation indices start_idx .. start_idx + codes.size() - 1 (the
+  /// search loop's journal indices); up to `workers` fine-tunes run at
+  /// once on ThreadPool::global(). One result per code, in order.
+  std::vector<CandidateResult> evaluate_shared_batch(
+      std::size_t start_idx, const std::vector<EncodingVec>& codes,
+      std::int64_t workers = 1);
+  /// A batch of one at index evaluations().
   CandidateResult evaluate_shared(const EncodingVec& code);
   CandidateResult evaluate_scratch(const EncodingVec& code);
 
+  /// The fine-tune seed of global evaluation index `idx` (split stream off
+  /// `base_seed`).
+  static std::uint64_t candidate_seed(std::uint64_t base_seed,
+                                      std::size_t idx);
+
   /// Number of candidate trainings performed so far (cost accounting).
   std::size_t evaluations() const { return evaluations_; }
-  /// Attribute trainings performed outside evaluate_shared/evaluate_scratch
-  /// (the parallel candidate evaluator runs the fine-tunes itself but the
-  /// cost ledger stays here).
-  void add_evaluations(std::size_t n) { evaluations_ += n; }
 
   /// MACs for one timestep at batch-1 input shape.
   std::int64_t candidate_macs(const EncodingVec& code) const;
 
-  /// Post-training measurement: validation accuracy, firing rate, MACs,
-  /// energy, and the minimized objective for an already fine-tuned `net`.
-  /// Shared by evaluate_shared/evaluate_scratch and the parallel candidate
-  /// evaluator (core/parallel_evaluator.h); touches no evaluator state.
-  CandidateResult finish(Network& net, const FitResult& fit_result,
-                         const EncodingVec& code) const;
-  /// Penalized result for a diverged/non-finite candidate.
-  CandidateResult failed_result(const FitResult& fit_result,
-                                const char* regime) const;
-
  private:
   Shape input_shape() const;
+  /// Post-training measurement of a fine-tuned `net`: validation accuracy,
+  /// firing rate, MACs, energy and the minimized objective, or the
+  /// penalized result when the fit diverged or the metrics are non-finite.
+  /// Touches no evaluator state.
+  CandidateResult measure(Network& net, const FitResult& fit_result,
+                          const EncodingVec& code, const char* regime) const;
 
   EvaluatorConfig cfg_;
   DatasetBundle data_;

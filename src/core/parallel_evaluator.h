@@ -1,40 +1,27 @@
 #pragma once
-// Parallel candidate evaluation for the search loops ("parallel BO",
-// paper §III-B): fine-tune up to k proposed topologies concurrently on
-// ThreadPool::global().
+// A CandidateEvaluator bound to a worker count, for the search loops
+// ("parallel BO", paper §III-B): each BO round's k candidates fine-tune up
+// to `workers` at a time on ThreadPool::global().
 //
-// Determinism contract (mirrors the data-parallel trainer, DESIGN.md §5f):
-// every candidate in a batch is a pure function of
-//   (weight-store snapshot at batch entry, its code, its GLOBAL evaluation
-//    index) — never of the execution schedule. Concretely:
-//   * all k candidates start from the SAME WeightStore snapshot, each via
-//     a private store copy (so get_or_init never races and a candidate
-//     cannot observe a concurrent sibling's weights);
-//   * each candidate's fine-tune seed is split-derived from the global
-//     evaluation index, so resuming a journaled search re-derives the
-//     same seeds for the remaining suffix;
-//   * successful candidates' weights merge back into the shared store via
-//     store_from in candidate-index order, on the calling thread.
-// Batches of one executed serially are therefore the reference trajectory:
-// workers only change how many fine-tunes run concurrently, never any
-// result. Divergence isolation is inherited per-fit from the health
-// monitor; a failed candidate merges nothing back.
+// The batch semantics and the determinism contract are those of
+// CandidateEvaluator::evaluate_shared_batch (core/evaluator.h): every
+// candidate starts from the store at batch entry, fine-tunes with a seed
+// derived from its global evaluation index, and healthy candidates merge
+// back in index order. The worker count only changes how many fine-tunes
+// run concurrently, so 1, 2, 4 or 8 workers give bitwise-identical
+// results and stores.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/evaluator.h"
+#include "util/runtime_env.h"
 
 namespace snnskip {
 
 struct ParallelEvalConfig {
   /// Concurrent candidate fine-tunes; 0 reads SNNSKIP_WORKERS (unset => 1).
   std::int64_t workers = 0;
-  /// Derive each candidate's fine-tune seed from its global evaluation
-  /// index (split stream). Disable to reproduce the legacy fixed-seed
-  /// fine-tunes exactly (then batch_k == 1 matches evaluate_shared
-  /// bit-for-bit).
-  bool reseed_candidates = true;
 };
 
 class ParallelCandidateEvaluator {
@@ -42,25 +29,21 @@ class ParallelCandidateEvaluator {
   /// Borrows `base` (must outlive the parallel evaluator); all weights,
   /// references, and cost accounting stay in the base evaluator.
   explicit ParallelCandidateEvaluator(CandidateEvaluator& base,
-                                      ParallelEvalConfig cfg = {});
+                                      ParallelEvalConfig cfg = {})
+      : base_(&base),
+        workers_(cfg.workers > 0 ? cfg.workers : env::workers(1)) {}
 
   std::int64_t workers() const { return workers_; }
 
-  /// Evaluate `codes` as one batch with global evaluation indices
-  /// start_idx .. start_idx + codes.size() - 1 (the search loop's journal
-  /// indices). Returns one CandidateResult per code, in order.
+  /// CandidateEvaluator::evaluate_shared_batch at this worker count.
   std::vector<CandidateResult> evaluate_shared_batch(
-      std::size_t start_idx, const std::vector<EncodingVec>& codes);
-
-  /// The fine-tune seed used for global evaluation index `idx` (split
-  /// stream off `base_seed`). Exposed for the replay tests.
-  static std::uint64_t candidate_seed(std::uint64_t base_seed,
-                                      std::size_t idx);
+      std::size_t start_idx, const std::vector<EncodingVec>& codes) {
+    return base_->evaluate_shared_batch(start_idx, codes, workers_);
+  }
 
  private:
   CandidateEvaluator* base_;
-  ParallelEvalConfig cfg_;
-  std::int64_t workers_ = 1;
+  std::int64_t workers_;
 };
 
 }  // namespace snnskip

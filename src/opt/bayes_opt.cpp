@@ -6,70 +6,29 @@
 #include <unordered_set>
 
 #include "opt/journal.h"
-#include "telemetry/telemetry.h"
-#include "util/logging.h"
-#include "util/runtime_env.h"
 
 namespace snnskip {
 
-namespace {
-
-void append_observation(SearchTrace& trace, Observation obs) {
+void SearchTrace::record(Observation obs) {
   const double v = obs.value;
-  trace.observations.push_back(std::move(obs));
-  const double prev_best = trace.best_so_far.empty()
+  observations.push_back(std::move(obs));
+  const double prev_best = best_so_far.empty()
                                ? std::numeric_limits<double>::infinity()
-                               : trace.best_so_far.back();
+                               : best_so_far.back();
   if (v < prev_best) {
-    trace.best = trace.observations.back().code;
-    trace.best_value = v;
-    trace.best_so_far.push_back(v);
+    best = observations.back().code;
+    best_value = v;
+    best_so_far.push_back(v);
   } else {
-    trace.best_so_far.push_back(prev_best);
+    best_so_far.push_back(prev_best);
   }
-}
-
-}  // namespace
-
-std::string resolve_journal_path(const std::string& configured) {
-  return configured.empty() ? env::get_string("SNNSKIP_JOURNAL", "")
-                            : configured;
-}
-
-Observation guard_nonfinite(Observation obs, double nonfinite_penalty) {
-  if (!std::isfinite(obs.value)) {
-    // Last-resort guard: the GP's Cholesky cannot digest NaN/Inf targets,
-    // and one poisoned row would invalidate every later proposal.
-    SNNSKIP_LOG(Warn) << "search: non-finite objective penalized to "
-                      << nonfinite_penalty;
-    Telemetry::count("bo.nonfinite_values");
-    obs.value = nonfinite_penalty;
-    obs.failed = true;
-  }
-  return obs;
-}
-
-Observation evaluate_candidate(const BoProblem& problem,
-                               const EncodingVec& code,
-                               double nonfinite_penalty) {
-  Observation obs;
-  if (problem.observe) {
-    obs = problem.observe(code);
-  } else {
-    obs.value = problem.objective(code);
-  }
-  obs.code = code;
-  return guard_nonfinite(std::move(obs), nonfinite_penalty);
 }
 
 SearchTrace run_bayes_opt(const BoProblem& problem, const BoConfig& cfg) {
-  SearchTrace trace;
+  JournaledRounds rounds(problem, cfg.journal_path, cfg.nonfinite_penalty);
+  const SearchTrace& trace = rounds.trace();
   std::unordered_set<std::uint64_t> seen;
   const Rng root(cfg.seed);
-
-  const std::string journal_path = resolve_journal_path(cfg.journal_path);
-  std::vector<JournalEntry> replay = SearchJournal::replay(journal_path);
-  SearchJournal journal(journal_path);
 
   auto sample_unseen = [&](Rng& r) -> EncodingVec {
     // Rejection-sample a point not yet evaluated; give up after a bounded
@@ -79,67 +38,6 @@ SearchTrace run_bayes_opt(const BoProblem& problem, const BoConfig& cfg) {
       if (seen.count(encoding_hash(code)) == 0) return code;
     }
     return problem.sample(r);
-  };
-
-  auto evaluate = [&](const EncodingVec& code) {
-    const std::size_t idx = trace.observations.size();
-    seen.insert(encoding_hash(code));
-    if (idx < replay.size()) {
-      if (replay[idx].code == code) {
-        Observation obs{code, replay[idx].value, replay[idx].failed};
-        ++trace.replayed;
-        append_observation(trace, std::move(obs));
-        return;
-      }
-      // The journal came from a different problem/config; proposals have
-      // diverged, so the remainder cannot be trusted.
-      SNNSKIP_LOG(Warn) << "journal: proposal mismatch at evaluation " << idx
-                        << ", discarding the remaining journal";
-      replay.resize(idx);
-    }
-    Observation obs = evaluate_candidate(problem, code, cfg.nonfinite_penalty);
-    SNNSKIP_LOG(Debug) << "bo: observed value " << obs.value;
-    journal.append(idx, code, obs.value, obs.failed);
-    append_observation(trace, std::move(obs));
-  };
-
-  // Batched evaluation: satisfy the replayable prefix from the journal
-  // one-by-one (identical to the serial path), then hand the remaining
-  // suffix to observe_batch in one call so its candidates train
-  // concurrently. The suffix's start index is the journal index of its
-  // first live evaluation — batched evaluators key replay-stable
-  // per-candidate seeds off it.
-  auto evaluate_batch = [&](const std::vector<EncodingVec>& codes) {
-    std::size_t i = 0;
-    while (i < codes.size() && trace.observations.size() < replay.size() &&
-           replay[trace.observations.size()].code == codes[i]) {
-      evaluate(codes[i]);
-      ++i;
-    }
-    if (i == codes.size()) return;
-    if (!problem.observe_batch || codes.size() - i == 1) {
-      for (; i < codes.size(); ++i) evaluate(codes[i]);
-      return;
-    }
-    const std::size_t start = trace.observations.size();
-    if (start < replay.size()) {
-      SNNSKIP_LOG(Warn) << "journal: proposal mismatch at evaluation "
-                        << start << ", discarding the remaining journal";
-      replay.resize(start);
-    }
-    std::vector<EncodingVec> suffix(codes.begin() + static_cast<std::ptrdiff_t>(i),
-                                    codes.end());
-    for (const EncodingVec& code : suffix) seen.insert(encoding_hash(code));
-    std::vector<Observation> observed = problem.observe_batch(start, suffix);
-    for (std::size_t j = 0; j < suffix.size(); ++j) {
-      Observation obs = j < observed.size() ? std::move(observed[j])
-                                            : Observation{};
-      obs.code = suffix[j];
-      obs = guard_nonfinite(std::move(obs), cfg.nonfinite_penalty);
-      SNNSKIP_LOG(Debug) << "bo: observed value " << obs.value << " (batch)";
-      journal.append(start + j, obs.code, obs.value, obs.failed);
-      append_observation(trace, std::move(obs));
-    }
   };
 
   // Initial design: pure random. Each step draws from its own split
@@ -153,11 +51,11 @@ SearchTrace run_bayes_opt(const BoProblem& problem, const BoConfig& cfg) {
       Rng step_rng = root.split(static_cast<std::uint64_t>(i));
       EncodingVec code = sample_unseen(step_rng);
       // Marked seen immediately so the next design point rejects against
-      // it, exactly as the serial evaluate-as-you-go loop did.
+      // it.
       seen.insert(encoding_hash(code));
       design.push_back(std::move(code));
     }
-    evaluate_batch(design);
+    rounds.evaluate(design);
   }
 
   for (int round = 0; round < cfg.iterations; ++round) {
@@ -215,9 +113,10 @@ SearchTrace run_bayes_opt(const BoProblem& problem, const BoConfig& cfg) {
 
     // Evaluate the batch for real (the paper trains the k architectures in
     // parallel; evaluation order within the batch does not affect the GP).
-    evaluate_batch(batch);
+    for (const EncodingVec& code : batch) seen.insert(encoding_hash(code));
+    rounds.evaluate(batch);
   }
-  return trace;
+  return rounds.take_trace();
 }
 
 }  // namespace snnskip

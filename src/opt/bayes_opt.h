@@ -15,7 +15,7 @@
 // journaled values replace the first N objective calls, the proposals are
 // recomputed identically, and evaluation N continues live. Candidates
 // whose evaluation failed report a finite penalized objective (observe /
-// the non-finite guard below), so the GP never ingests NaN.
+// the journaled loop's non-finite guard), so the GP never ingests NaN.
 
 #include <functional>
 #include <string>
@@ -42,13 +42,14 @@ struct BoProblem {
   /// Optional richer evaluation carrying the failed flag (code is filled
   /// in by the optimizer). When set it is used instead of `objective`.
   std::function<Observation(const EncodingVec&)> observe;
-  /// Optional batched evaluation (parallel candidate training, see
-  /// core/parallel_evaluator.h): evaluate all codes concurrently, return
-  /// one Observation per code in order. `start_idx` is the global
-  /// evaluation index of codes[0] — the journal index the search loop
-  /// will record, which batched evaluators use to derive replay-stable
-  /// per-candidate seeds. When set it is preferred over observe/objective
-  /// for the non-replayed suffix of each proposed batch.
+  /// Optional batched evaluation (shared-weights candidate training, see
+  /// core/evaluator.h): evaluate all codes, return one Observation per
+  /// code in order. `start_idx` is the global evaluation index of codes[0]
+  /// — the journal index the search loop will record, which batched
+  /// evaluators use to derive replay-stable per-candidate seeds. When set,
+  /// run_bayes_opt and run_random_search send every round's live
+  /// (non-replayed) suffix to it, even a suffix of one code, and never
+  /// call observe/objective.
   std::function<std::vector<Observation>(std::size_t start_idx,
                                          const std::vector<EncodingVec>&)>
       observe_batch;
@@ -85,22 +86,12 @@ struct SearchTrace {
   EncodingVec best;
   double best_value = 0.0;
   std::size_t replayed = 0;  ///< evaluations satisfied from the journal
+
+  /// Append one evaluation and extend the running minimum; the one copy
+  /// of this bookkeeping that every search strategy uses.
+  void record(Observation obs);
 };
 
 SearchTrace run_bayes_opt(const BoProblem& problem, const BoConfig& cfg);
-
-/// Journal path resolution shared by BO and random search: the configured
-/// path wins, else $SNNSKIP_JOURNAL, else disabled (empty).
-std::string resolve_journal_path(const std::string& configured);
-
-/// One live evaluation via observe()/objective() with the non-finite
-/// guard applied (penalized + marked failed). Shared by BO and RS.
-Observation evaluate_candidate(const BoProblem& problem,
-                               const EncodingVec& code,
-                               double nonfinite_penalty);
-
-/// The non-finite guard alone (for observations produced by
-/// observe_batch): penalize and mark failed when value is NaN/Inf.
-Observation guard_nonfinite(Observation obs, double nonfinite_penalty);
 
 }  // namespace snnskip

@@ -1,27 +1,8 @@
 #include "opt/evolution.h"
 
 #include <deque>
-#include <limits>
 
 namespace snnskip {
-
-namespace {
-
-void record(SearchTrace& trace, EncodingVec code, double value) {
-  trace.observations.push_back(Observation{std::move(code), value});
-  const double prev_best = trace.best_so_far.empty()
-                               ? std::numeric_limits<double>::infinity()
-                               : trace.best_so_far.back();
-  if (value < prev_best) {
-    trace.best = trace.observations.back().code;
-    trace.best_value = value;
-    trace.best_so_far.push_back(value);
-  } else {
-    trace.best_so_far.push_back(prev_best);
-  }
-}
-
-}  // namespace
 
 SearchTrace run_evolution(
     const BoProblem& problem,
@@ -36,7 +17,7 @@ SearchTrace run_evolution(
   for (int i = 0; i < seed_count; ++i) {
     EncodingVec code = problem.sample(rng);
     const double value = problem.objective(code);
-    record(trace, code, value);
+    trace.record(Observation{code, value});
     population.push_back(Observation{std::move(code), value});
   }
 
@@ -50,7 +31,7 @@ SearchTrace run_evolution(
     }
     EncodingVec child = mutate(parent->code, rng);
     const double value = problem.objective(child);
-    record(trace, child, value);
+    trace.record(Observation{child, value});
     population.push_back(Observation{std::move(child), value});
     if (static_cast<int>(population.size()) > cfg.population) {
       population.pop_front();

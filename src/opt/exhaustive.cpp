@@ -1,26 +1,6 @@
 #include "opt/exhaustive.h"
 
-#include <limits>
-
 namespace snnskip {
-
-namespace {
-
-void record(SearchTrace& trace, EncodingVec code, double value) {
-  trace.observations.push_back(Observation{std::move(code), value});
-  const double prev_best = trace.best_so_far.empty()
-                               ? std::numeric_limits<double>::infinity()
-                               : trace.best_so_far.back();
-  if (value < prev_best) {
-    trace.best = trace.observations.back().code;
-    trace.best_value = value;
-    trace.best_so_far.push_back(value);
-  } else {
-    trace.best_so_far.push_back(prev_best);
-  }
-}
-
-}  // namespace
 
 std::size_t exhaustive_count(
     std::size_t slots,
@@ -62,7 +42,7 @@ SearchTrace run_exhaustive(
 
   std::size_t evaluations = 0;
   for (;;) {
-    record(trace, code, objective(code));
+    trace.record(Observation{code, objective(code)});
     if (++evaluations >= cfg.max_evaluations) break;
     // Odometer increment over admissible values, last slot fastest.
     std::size_t k = slots;

@@ -1,11 +1,14 @@
 #include "opt/journal.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
+#include "telemetry/telemetry.h"
 #include "util/logging.h"
+#include "util/runtime_env.h"
 
 namespace snnskip {
 
@@ -129,6 +132,76 @@ std::vector<JournalEntry> SearchJournal::replay(const std::string& path) {
                       << " evaluations from " << path;
   }
   return entries;
+}
+
+void SearchJournal::truncate(const std::string& path, std::size_t rows) {
+  std::uintmax_t bytes = 0;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::string line;
+    for (std::size_t r = 0; r < rows && std::getline(in, line); ++r) {
+      bytes += line.size() + 1;
+    }
+  }
+  std::error_code ec;
+  std::filesystem::resize_file(path, bytes, ec);
+}
+
+JournaledRounds::JournaledRounds(const BoProblem& problem,
+                                 const std::string& journal_path,
+                                 double nonfinite_penalty)
+    : problem_(problem),
+      nonfinite_penalty_(nonfinite_penalty),
+      path_(journal_path.empty() ? env::get_string("SNNSKIP_JOURNAL", "")
+                                 : journal_path),
+      replay_(SearchJournal::replay(path_)),
+      journal_(path_) {}
+
+void JournaledRounds::evaluate(const std::vector<EncodingVec>& codes) {
+  std::size_t i = 0;
+  for (; i < codes.size() && trace_.observations.size() < replay_.size();
+       ++i) {
+    const std::size_t idx = trace_.observations.size();
+    if (replay_[idx].code != codes[i]) {
+      SNNSKIP_LOG(Warn) << "journal: proposal mismatch at evaluation " << idx
+                        << ", discarding the remaining journal";
+      replay_.resize(idx);
+      SearchJournal::truncate(path_, idx);
+      break;
+    }
+    ++trace_.replayed;
+    const JournalEntry& row = replay_[idx];
+    trace_.record(Observation{codes[i], row.value, row.failed});
+  }
+  if (i == codes.size()) return;
+
+  const std::size_t start = trace_.observations.size();
+  const std::vector<EncodingVec> live(
+      codes.begin() + static_cast<std::ptrdiff_t>(i), codes.end());
+  std::vector<Observation> batch;
+  if (problem_.observe_batch) batch = problem_.observe_batch(start, live);
+  for (std::size_t j = 0; j < live.size(); ++j) {
+    Observation obs;
+    if (problem_.observe_batch) {
+      if (j < batch.size()) obs = std::move(batch[j]);
+    } else if (problem_.observe) {
+      obs = problem_.observe(live[j]);
+    } else {
+      obs.value = problem_.objective(live[j]);
+    }
+    obs.code = live[j];
+    if (!std::isfinite(obs.value)) {
+      // Last-resort guard: the GP's Cholesky cannot digest NaN/Inf targets,
+      // and one poisoned row would invalidate every later proposal.
+      SNNSKIP_LOG(Warn) << "search: non-finite objective penalized to "
+                        << nonfinite_penalty_;
+      Telemetry::count("bo.nonfinite_values");
+      obs.value = nonfinite_penalty_;
+      obs.failed = true;
+    }
+    journal_.append(start + j, obs.code, obs.value, obs.failed);
+    trace_.record(std::move(obs));
+  }
 }
 
 }  // namespace snnskip

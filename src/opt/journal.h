@@ -16,10 +16,16 @@
 // A torn final line (kill mid-write) is detected by the parser and
 // dropped; rows after the first unparsable line are ignored, keeping the
 // replayed prefix contiguous.
+//
+// JournaledRounds is the one evaluation loop of BO and random search built
+// on it: replay, live evaluation, the non-finite guard, append and the
+// best-so-far bookkeeping.
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "opt/bayes_opt.h"
 #include "opt/encoding.h"
 #include "util/json_writer.h"
 
@@ -51,8 +57,41 @@ class SearchJournal {
   /// empty vector.
   static std::vector<JournalEntry> replay(const std::string& path);
 
+  /// Cut the file back to its first `rows` lines.
+  static void truncate(const std::string& path, std::size_t rows);
+
  private:
   JsonLinesWriter writer_;
+};
+
+/// Evaluates the proposed rounds of run_bayes_opt and run_random_search.
+/// Each round's codes go through, in order:
+///   1. the journal's replayable prefix: rows whose code matches the
+///      proposal replay their recorded value. The first mismatch means the
+///      journal came from a different problem or config, so the journal is
+///      truncated there;
+///   2. the live suffix: one observe_batch call when that hook is set,
+///      else observe (or objective) per code;
+///   3. the non-finite guard, one journal row per code, trace().record.
+class JournaledRounds {
+ public:
+  /// An empty `journal_path` falls back to $SNNSKIP_JOURNAL, and empty
+  /// again disables the journal. `problem` must outlive this object.
+  JournaledRounds(const BoProblem& problem, const std::string& journal_path,
+                  double nonfinite_penalty);
+
+  void evaluate(const std::vector<EncodingVec>& codes);
+
+  const SearchTrace& trace() const { return trace_; }
+  SearchTrace take_trace() { return std::move(trace_); }
+
+ private:
+  const BoProblem& problem_;
+  double nonfinite_penalty_;
+  std::string path_;
+  std::vector<JournalEntry> replay_;  ///< read before journal_ opens
+  SearchJournal journal_;
+  SearchTrace trace_;
 };
 
 }  // namespace snnskip

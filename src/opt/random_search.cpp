@@ -1,41 +1,16 @@
 #include "opt/random_search.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_set>
 
 #include "opt/journal.h"
-#include "util/logging.h"
 
 namespace snnskip {
 
-namespace {
-
-void append_observation(SearchTrace& trace, Observation obs) {
-  const double v = obs.value;
-  trace.observations.push_back(std::move(obs));
-  const double prev_best = trace.best_so_far.empty()
-                               ? std::numeric_limits<double>::infinity()
-                               : trace.best_so_far.back();
-  if (v < prev_best) {
-    trace.best = trace.observations.back().code;
-    trace.best_value = v;
-    trace.best_so_far.push_back(v);
-  } else {
-    trace.best_so_far.push_back(prev_best);
-  }
-}
-
-}  // namespace
-
 SearchTrace run_random_search(const BoProblem& problem, const RsConfig& cfg) {
-  SearchTrace trace;
+  JournaledRounds rounds(problem, cfg.journal_path, cfg.nonfinite_penalty);
   std::unordered_set<std::uint64_t> seen;
   const Rng root(cfg.seed);
-
-  const std::string journal_path = resolve_journal_path(cfg.journal_path);
-  std::vector<JournalEntry> replay = SearchJournal::replay(journal_path);
-  SearchJournal journal(journal_path);
 
   // Proposal for global evaluation index i — its own split stream plus
   // rejection against `seen`, so the code sequence is identical whether
@@ -51,65 +26,15 @@ SearchTrace run_random_search(const BoProblem& problem, const RsConfig& cfg) {
     return code;
   };
 
-  // One journal-replayed or live serial evaluation (the reference path).
-  auto evaluate = [&](const EncodingVec& code) {
-    const std::size_t idx = trace.observations.size();
-    Observation obs;
-    if (idx < replay.size() && replay[idx].code == code) {
-      obs = Observation{code, replay[idx].value, replay[idx].failed};
-      ++trace.replayed;
-    } else {
-      if (idx < replay.size()) {
-        SNNSKIP_LOG(Warn) << "journal: proposal mismatch at evaluation "
-                          << idx << ", discarding the remaining journal";
-        replay.resize(idx);
-      }
-      obs = evaluate_candidate(problem, code, cfg.nonfinite_penalty);
-      journal.append(idx, code, obs.value, obs.failed);
-    }
-    append_observation(trace, std::move(obs));
-  };
-
   const int batch_k = std::max(1, cfg.batch_k);
   for (int i = 0; i < cfg.evaluations; i += batch_k) {
     const int k = std::min(batch_k, cfg.evaluations - i);
     std::vector<EncodingVec> codes;
     codes.reserve(static_cast<std::size_t>(k));
     for (int j = 0; j < k; ++j) codes.push_back(propose(i + j));
-
-    // Journal-replayable prefix runs through the serial path; the live
-    // suffix goes to observe_batch in one call when the hook is set
-    // (parallel candidate training, core/parallel_evaluator.h).
-    std::size_t c = 0;
-    while (c < codes.size() && trace.observations.size() < replay.size() &&
-           replay[trace.observations.size()].code == codes[c]) {
-      evaluate(codes[c]);
-      ++c;
-    }
-    if (c == codes.size()) continue;
-    if (!problem.observe_batch || codes.size() - c == 1) {
-      for (; c < codes.size(); ++c) evaluate(codes[c]);
-      continue;
-    }
-    const std::size_t start = trace.observations.size();
-    if (start < replay.size()) {
-      SNNSKIP_LOG(Warn) << "journal: proposal mismatch at evaluation "
-                        << start << ", discarding the remaining journal";
-      replay.resize(start);
-    }
-    std::vector<EncodingVec> suffix(
-        codes.begin() + static_cast<std::ptrdiff_t>(c), codes.end());
-    std::vector<Observation> observed = problem.observe_batch(start, suffix);
-    for (std::size_t j = 0; j < suffix.size(); ++j) {
-      Observation obs =
-          j < observed.size() ? std::move(observed[j]) : Observation{};
-      obs.code = suffix[j];
-      obs = guard_nonfinite(std::move(obs), cfg.nonfinite_penalty);
-      journal.append(start + j, obs.code, obs.value, obs.failed);
-      append_observation(trace, std::move(obs));
-    }
+    rounds.evaluate(codes);
   }
-  return trace;
+  return rounds.take_trace();
 }
 
 }  // namespace snnskip

@@ -1,14 +1,12 @@
 #include "train/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "fault/inject.h"
+#include "util/atomic_file.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 
@@ -34,51 +32,11 @@ bool read_pod(std::ifstream& in, T& v) {
   return in.good();
 }
 
-/// Durably replace `path` with the bytes produced by `emit`: write to a
-/// temp file in the same directory, fsync, then atomically rename. A
-/// crash at any point leaves either the old file or the new one, never a
-/// torn mixture.
-template <typename Emit>
-bool atomic_write(const std::string& path, Emit&& emit) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    SNNSKIP_LOG(Warn) << "checkpoint: cannot open " << tmp << " for write";
-    return false;
-  }
-  bool ok = emit(f);
-  if (ok && SNNSKIP_FAULT("checkpoint.write_fail")) ok = false;  // injected I/O error
-  if (ok) {
-    ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  }
-  if (std::fclose(f) != 0) ok = false;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    SNNSKIP_LOG(Warn) << "checkpoint: write to " << tmp << " failed";
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    SNNSKIP_LOG(Warn) << "checkpoint: rename to " << path << " failed";
-    return false;
-  }
-  if (SNNSKIP_FAULT("checkpoint.torn")) {
-    // Injected torn write (fault tests): chop trailing bytes off the
-    // final file, as a non-atomic filesystem could after a crash.
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    const auto cut =
-        static_cast<std::uintmax_t>(fault::payload("checkpoint.torn"));
-    if (!ec && size > cut) std::filesystem::resize_file(path, size - cut, ec);
-  }
-  return true;
-}
-
 }  // namespace
 
 bool save_entries(const std::string& path,
                   const std::vector<CheckpointEntry>& entries) {
-  return atomic_write(path, [&entries](std::FILE* f) {
+  auto emit = [&entries](std::FILE* f) {
     if (std::fwrite(kMagicV2, sizeof(kMagicV2), 1, f) != 1) return false;
     if (!write_pod(f, static_cast<std::uint64_t>(entries.size()))) {
       return false;
@@ -105,8 +63,24 @@ bool save_entries(const std::string& path,
         return false;
       }
     }
-    return true;
-  });
+    // Injected I/O error: fires after the payload, before the fsync.
+    return !SNNSKIP_FAULT("checkpoint.write_fail");
+  };
+  std::string err;
+  if (!atomic_write(path, emit, &err)) {
+    SNNSKIP_LOG(Warn) << "checkpoint: " << err;
+    return false;
+  }
+  if (SNNSKIP_FAULT("checkpoint.torn")) {
+    // Injected torn write (fault tests): chop trailing bytes off the
+    // final file, as a non-atomic filesystem could after a crash.
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path, ec);
+    const auto cut =
+        static_cast<std::uintmax_t>(fault::payload("checkpoint.torn"));
+    if (!ec && size > cut) std::filesystem::resize_file(path, size - cut, ec);
+  }
+  return true;
 }
 
 bool load_entries(const std::string& path,

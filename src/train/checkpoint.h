@@ -8,8 +8,9 @@
 //   entry: u32 name_len | name bytes | u32 ndim | i64 dims[ndim]
 //          | u32 crc32(payload) | f32 data
 //
-// Writes go to `<path>.tmp`, are fsync'd, and atomically renamed over the
-// target, so a crash mid-write leaves the previous checkpoint intact.
+// Writes go through atomic_write (util/atomic_file.h): `<path>.tmp` is
+// fsync'd, renamed over the target, and the directory fsync'd, so a crash
+// mid-write leaves the previous checkpoint intact.
 // Loading validates every header field against the actual file size
 // before allocating (a corrupted count/dims can no longer trigger huge
 // allocations), verifies each tensor's CRC-32, and on ANY error returns

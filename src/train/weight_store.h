@@ -38,14 +38,6 @@ class WeightStore {
   /// Copy network -> store (scattering conv slices back).
   void store_from(Network& net);
 
-  /// Deep copy of the stored tensors. The candidate evaluator snapshots
-  /// the store before each shared-weights fine-tune and restores it when
-  /// the candidate diverges, so one bad candidate can never contaminate
-  /// the weights every later candidate starts from (ISSUE 3).
-  using Snapshot = std::unordered_map<std::string, Tensor>;
-  Snapshot snapshot() const { return store_; }
-  void restore(Snapshot snap) { store_ = std::move(snap); }
-
   /// Bitwise equality with another store (same keys, same bytes) — the
   /// fault tests' "failed candidates left no trace" assertion.
   bool identical_to(const WeightStore& other) const;

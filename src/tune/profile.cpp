@@ -4,6 +4,7 @@
 
 #include "tensor/cpu_features.h"
 #include "tune/tune.h"
+#include "util/atomic_file.h"
 
 namespace snnskip::tune {
 
@@ -37,26 +38,10 @@ bool write_profile(const TuningProfile& p, const std::string& path,
     }
   }
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      if (err) *err = "cannot open " + tmp + " for writing";
-      return false;
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-      if (err) *err = "short write to " + tmp;
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (err) *err = "rename " + tmp + " -> " + path + " failed";
-    std::remove(tmp.c_str());
-    return false;
-  }
+  auto emit = [&text](std::FILE* f) {
+    return std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  };
+  if (!atomic_write(path, emit, err)) return false;
 
   // Re-read the committed file and re-parse: catches torn writes and any
   // serialize/parse drift at the point of creation rather than at load.

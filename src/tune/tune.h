@@ -110,9 +110,9 @@ TuningProfile assemble_profile(const std::vector<Family>& fams,
                                const std::vector<FamilyResult>& results,
                                const std::string& id);
 
-/// Serialize + CRC the profile, write it to `path` via a temp file and
-/// atomic rename, then re-read and re-parse the final bytes (a profile
-/// that would be rejected at load time must never be committed).
+/// Serialize + CRC the profile, replace `path` with it via atomic_write
+/// (util/atomic_file.h), then re-read and re-parse the final bytes (a
+/// profile that would be rejected at load time must never be committed).
 bool write_profile(const TuningProfile& p, const std::string& path,
                    std::string* err);
 

@@ -316,6 +316,12 @@ CandidateEvaluator make_tiny_evaluator() {
   return CandidateEvaluator(cfg, make_datasets("cifar10-dvs", data));
 }
 
+SearchTrace bo_trace_at(CandidateEvaluator& ev, const BoConfig& bo,
+                        std::int64_t workers) {
+  ParallelCandidateEvaluator parallel(ev, {.workers = workers});
+  return run_bayes_opt(make_parallel_bo_problem(ev, parallel), bo);
+}
+
 std::vector<EncodingVec> sample_codes(const CandidateEvaluator& ev,
                                       std::size_t k) {
   Rng rng(77);
@@ -346,10 +352,10 @@ TEST(ParallelEvaluator, BatchResultsIdenticalAcrossWorkers) {
 }
 
 TEST(ParallelEvaluator, CandidateSeedIsReplayStable) {
-  EXPECT_EQ(ParallelCandidateEvaluator::candidate_seed(17, 4),
-            ParallelCandidateEvaluator::candidate_seed(17, 4));
-  EXPECT_NE(ParallelCandidateEvaluator::candidate_seed(17, 4),
-            ParallelCandidateEvaluator::candidate_seed(17, 5));
+  EXPECT_EQ(CandidateEvaluator::candidate_seed(17, 4),
+            CandidateEvaluator::candidate_seed(17, 4));
+  EXPECT_NE(CandidateEvaluator::candidate_seed(17, 4),
+            CandidateEvaluator::candidate_seed(17, 5));
 }
 
 TEST(ParallelEvaluator, BoJournalReplayReproducesTrajectory) {
@@ -366,7 +372,7 @@ TEST(ParallelEvaluator, BoJournalReplayReproducesTrajectory) {
   bo.journal_path = path;
 
   CandidateEvaluator ev_live = make_tiny_evaluator();
-  const SearchTrace live = bo_trace_parallel(ev_live, bo, {.workers = 4});
+  const SearchTrace live = bo_trace_at(ev_live, bo, 4);
   ASSERT_EQ(live.observations.size(), 4u);
   EXPECT_EQ(live.replayed, 0u);
 
@@ -374,7 +380,7 @@ TEST(ParallelEvaluator, BoJournalReplayReproducesTrajectory) {
   // live fine-tunes — and matches the recorded one observation-for-
   // observation.
   CandidateEvaluator ev_replay = make_tiny_evaluator();
-  const SearchTrace replayed = bo_trace_parallel(ev_replay, bo, {.workers = 4});
+  const SearchTrace replayed = bo_trace_at(ev_replay, bo, 4);
   EXPECT_EQ(replayed.replayed, replayed.observations.size());
   EXPECT_EQ(ev_replay.evaluations(), 0u);
   ASSERT_EQ(replayed.observations.size(), live.observations.size());
@@ -400,7 +406,7 @@ TEST(ParallelEvaluator, TruncatedJournalResumesWithStableSeeds) {
   bo.journal_path = path;
 
   CandidateEvaluator ev_live = make_tiny_evaluator();
-  const SearchTrace live = bo_trace_parallel(ev_live, bo, {.workers = 1});
+  const SearchTrace live = bo_trace_at(ev_live, bo, 1);
 
   // Simulate a crash after the initial design: keep the first two rows.
   std::vector<std::string> lines;
@@ -421,7 +427,7 @@ TEST(ParallelEvaluator, TruncatedJournalResumesWithStableSeeds) {
   // prefix VALUES match exactly. (Suffix values may differ: the journal
   // replays observations, not the weight-store evolution behind them.)
   CandidateEvaluator ev_resume = make_tiny_evaluator();
-  const SearchTrace resumed = bo_trace_parallel(ev_resume, bo, {.workers = 4});
+  const SearchTrace resumed = bo_trace_at(ev_resume, bo, 4);
   EXPECT_EQ(resumed.replayed, 2u);
   ASSERT_EQ(resumed.observations.size(), live.observations.size());
   for (std::size_t i = 0; i < live.observations.size(); ++i) {
@@ -434,6 +440,52 @@ TEST(ParallelEvaluator, TruncatedJournalResumesWithStableSeeds) {
   EXPECT_TRUE(std::isfinite(resumed.observations[2].value));
   EXPECT_TRUE(std::isfinite(resumed.observations[3].value));
   std::remove(path.c_str());
+}
+
+TEST(ParallelEvaluator, LoneRoundCandidateScoresAsInSharedRound) {
+  // Evaluation #2 is alone in its round at a budget of 3 and shares its
+  // round with #3 at a budget of 4. The store it starts from and its code
+  // are the same in both runs, so its score must be too.
+  RsConfig rs;
+  rs.batch_k = 2;
+  rs.seed = 13;
+  auto run = [&rs](int budget) {
+    CandidateEvaluator ev = make_tiny_evaluator();
+    ParallelCandidateEvaluator parallel(ev, {.workers = 2});
+    RsConfig cfg = rs;
+    cfg.evaluations = budget;
+    return run_random_search(make_parallel_bo_problem(ev, parallel), cfg);
+  };
+  const SearchTrace alone = run(3);
+  const SearchTrace shared = run(4);
+  ASSERT_EQ(alone.observations.size(), 3u);
+  ASSERT_EQ(shared.observations.size(), 4u);
+  EXPECT_EQ(alone.observations[2].code, shared.observations[2].code);
+  EXPECT_EQ(alone.observations[2].value, shared.observations[2].value);
+}
+
+// --- worker count vs search answers ------------------------------------------
+
+TEST(SearchWorkerCount, BoTraceMatchesFourWorkerBatchPathBitwise) {
+  BoConfig bo;
+  bo.iterations = 1;
+  bo.batch_k = 2;
+  bo.initial_design = 2;
+  bo.candidate_pool = 8;
+  bo.seed = 11;
+
+  CandidateEvaluator ev_default = make_tiny_evaluator();
+  const SearchTrace reference = bo_trace(ev_default, bo);
+  CandidateEvaluator ev_four = make_tiny_evaluator();
+  const SearchTrace four = bo_trace_at(ev_four, bo, 4);
+
+  ASSERT_EQ(reference.observations.size(), 4u);
+  ASSERT_EQ(four.observations.size(), reference.observations.size());
+  for (std::size_t i = 0; i < reference.observations.size(); ++i) {
+    EXPECT_EQ(four.observations[i].code, reference.observations[i].code);
+    EXPECT_EQ(four.observations[i].value, reference.observations[i].value);
+  }
+  EXPECT_TRUE(ev_four.store().identical_to(ev_default.store()));
 }
 
 // --- random search batching --------------------------------------------------
@@ -504,11 +556,34 @@ TEST(RandomSearchBatch, ObserveBatchReceivesGlobalIndices) {
   cfg.seed = 13;
   const SearchTrace trace = run_random_search(problem, cfg);
   ASSERT_EQ(trace.observations.size(), 7u);
-  // Rounds of 3, 3, 1: the final singleton goes through the serial path.
-  EXPECT_EQ(starts, (std::vector<std::size_t>{0, 3}));
-  EXPECT_EQ(sizes, (std::vector<std::size_t>{3, 3}));
-  for (std::size_t i = 0; i < 6; ++i) {
+  // Rounds of 3, 3, 1: the final singleton goes through observe_batch too.
+  EXPECT_EQ(starts, (std::vector<std::size_t>{0, 3, 6}));
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{3, 3, 1}));
+  for (std::size_t i = 0; i < 7; ++i) {
     EXPECT_EQ(trace.observations[i].value, static_cast<double>(i));
+  }
+
+  // BO with rounds of one after the initial design of 2. The GP's one-hot
+  // features take ternary slot values, so BO samples from 0..2.
+  problem.sample = [](Rng& rng) {
+    EncodingVec code(3);
+    for (int& v : code) v = static_cast<int>(rng.next() % 3);
+    return code;
+  };
+  starts.clear();
+  sizes.clear();
+  BoConfig bo;
+  bo.initial_design = 2;
+  bo.iterations = 2;
+  bo.batch_k = 1;
+  bo.candidate_pool = 8;
+  bo.seed = 13;
+  const SearchTrace bo_run = run_bayes_opt(problem, bo);
+  ASSERT_EQ(bo_run.observations.size(), 4u);
+  EXPECT_EQ(starts, (std::vector<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 1, 1}));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(bo_run.observations[i].value, static_cast<double>(i));
   }
 }
 

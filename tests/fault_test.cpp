@@ -611,6 +611,45 @@ TEST_F(FaultTest, RandomSearchResumeReproducesBestSoFar) {
   std::remove(path.c_str());
 }
 
+TEST_F(FaultTest, JournalProposalMismatchTruncatesFile) {
+  const std::string path = testing::TempDir() + "fault_rs_mismatch.jsonl";
+  std::remove(path.c_str());
+  RsConfig cfg;
+  cfg.evaluations = 10;
+  cfg.seed = 9;
+  cfg.journal_path = path;
+  const SearchTrace full = run_random_search(toy_problem(6, nullptr), cfg);
+
+  // Row 3 records a code the search never proposes: replay stops there.
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 10u);
+  lines[3] = "{\"idx\": 3, \"code\": [9, 9, 9, 9, 9, 9], \"value\": 0.5, "
+             "\"failed\": 0}";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const std::string& line : lines) out << line << "\n";
+  }
+  int calls = 0;
+  const SearchTrace resumed = run_random_search(toy_problem(6, &calls), cfg);
+  EXPECT_EQ(calls, 7);
+  EXPECT_EQ(resumed.replayed, 3u);
+  expect_same_trace(full, resumed);
+
+  // The stale rows are gone from the file, so a second restart replays
+  // the resumed run in full.
+  const std::vector<JournalEntry> rows = SearchJournal::replay(path);
+  ASSERT_EQ(rows.size(), 10u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].code, full.observations[i].code) << i;
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(FaultTest, NonFiniteObjectiveIsPenalizedNotPropagated) {
   // An objective that returns NaN for a third of the space: the GP must
   // only ever see finite targets, and those points must be marked failed.
