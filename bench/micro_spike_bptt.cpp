@@ -109,8 +109,9 @@ int run(int argc, char** argv) {
               "rate", "sparse_ns", "dense_ns", "speedup", "density",
               "held_sparse", "held_dense");
 
-  const bool fwd_was = SparseExec::enabled();
-  const bool bwd_was = SparseExec::bwd_enabled();
+  // The dense leg runs at threshold 0 (dense everywhere); the sparse leg
+  // at the configured threshold.
+  const float threshold = SparseExec::threshold();
   bool all_equal = true;
   for (const ConvShape& sh : shapes) {
     Rng rng(42);
@@ -123,14 +124,13 @@ int run(int argc, char** argv) {
       const double in_density = x.nonzero_fraction();
       const double grad_density = g.nonzero_fraction();
 
-      SparseExec::set_enabled(true);
-      SparseExec::set_bwd_enabled(true);
+      SparseExec::set_threshold(threshold);
       Tensor dx_sparse = step(conv, x, g);
       Tensor dw_sparse = conv.weight().grad;
       const std::int64_t held_sparse = retained_after_forward(conv, x, g);
       const double sparse_ns = time_step_ns(conv, x, g, min_ms);
 
-      SparseExec::set_enabled(false);
+      SparseExec::set_threshold(0.f);
       Tensor dx_dense = step(conv, x, g);
       Tensor dw_dense = conv.weight().grad;
       const std::int64_t held_dense = retained_after_forward(conv, x, g);
@@ -172,8 +172,7 @@ int run(int argc, char** argv) {
       json.end_row();
     }
   }
-  SparseExec::set_enabled(fwd_was);
-  SparseExec::set_bwd_enabled(bwd_was);
+  SparseExec::set_threshold(threshold);
 
   if (!all_equal) return 1;
   std::printf("wrote %s\n", out_path.c_str());

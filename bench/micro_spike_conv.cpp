@@ -76,7 +76,9 @@ int run(int argc, char** argv) {
   std::printf("%8s %6s %6s %12s %12s %9s %9s\n", "channels", "hw", "rate",
               "sparse_ns", "dense_ns", "speedup", "density");
 
-  const bool was_enabled = SparseExec::enabled();
+  // The dense leg runs at threshold 0 (dense everywhere); the sparse leg
+  // at the configured threshold.
+  const float threshold = SparseExec::threshold();
   bool all_equal = true;
   for (const ConvShape& sh : shapes) {
     Rng rng(42);
@@ -87,11 +89,11 @@ int run(int argc, char** argv) {
           Shape{1, sh.channels, sh.hw, sh.hw}, rng, static_cast<float>(rate));
       const double density = x.nonzero_fraction();
 
-      SparseExec::set_enabled(true);
+      SparseExec::set_threshold(threshold);
       Tensor y_sparse = conv.forward(x, /*train=*/false);
       const double sparse_ns = time_forward_ns(conv, x, min_ms);
 
-      SparseExec::set_enabled(false);
+      SparseExec::set_threshold(0.f);
       Tensor y_dense = conv.forward(x, /*train=*/false);
       const double dense_ns = time_forward_ns(conv, x, min_ms);
 
@@ -122,7 +124,7 @@ int run(int argc, char** argv) {
       json.end_row();
     }
   }
-  SparseExec::set_enabled(was_enabled);
+  SparseExec::set_threshold(threshold);
 
   if (!all_equal) return 1;
   std::printf("wrote %s\n", out_path.c_str());

@@ -1,14 +1,10 @@
 #include "infer/quant.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "infer/engine.h"
-#include "util/crc32.h"
 
 namespace snnskip::infer {
 
@@ -16,13 +12,6 @@ namespace {
 
 bool is_weight_op(OpKind k) {
   return k == OpKind::Conv || k == OpKind::DwConv || k == OpKind::Linear;
-}
-
-/// Hexfloat: exact binary round-trip through strtof, locale-independent.
-std::string format_amax(float v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", static_cast<double>(v));
-  return buf;
 }
 
 }  // namespace
@@ -71,80 +60,6 @@ QuantProfile calibrate_quant(
     if (!merged) p.op_amax.emplace_back(op.name, amax[i]);
   }
   return p;
-}
-
-std::string serialize_quant_profile(const QuantProfile& p) {
-  std::string body = "snnskip-quant-profile-v1\n";
-  body += "model " + p.model + "\n";
-  for (const auto& [name, v] : p.op_amax) {
-    body += "op " + format_amax(v) + " " + name + "\n";
-  }
-  const std::uint32_t crc = crc32(body.data(), body.size());
-  return body + "crc32 " + std::to_string(crc) + "\n";
-}
-
-bool parse_quant_profile(const std::string& text, QuantProfile* out,
-                         std::string* err) {
-  auto bad = [err](const std::string& what) {
-    if (err != nullptr) *err = "quant profile: " + what;
-    return false;
-  };
-
-  // The seal covers everything before the final "crc32 <n>" line.
-  const std::size_t crc_pos = text.rfind("crc32 ");
-  if (crc_pos == std::string::npos ||
-      (crc_pos != 0 && text[crc_pos - 1] != '\n')) {
-    return bad("missing crc32 line");
-  }
-  const std::string crc_line = text.substr(crc_pos);
-  char* end = nullptr;
-  const unsigned long long stored =
-      std::strtoull(crc_line.c_str() + 6, &end, 10);
-  if (end == crc_line.c_str() + 6 ||
-      (end != nullptr && *end != '\n' && *end != '\0')) {
-    return bad("malformed crc32 line");
-  }
-  const std::string body = text.substr(0, crc_pos);
-  if (crc32(body.data(), body.size()) !=
-      static_cast<std::uint32_t>(stored)) {
-    return bad("checksum mismatch (corrupt or hand-edited profile)");
-  }
-
-  QuantProfile p;
-  bool saw_magic = false, saw_model = false;
-  std::size_t pos = 0;
-  while (pos < body.size()) {
-    std::size_t nl = body.find('\n', pos);
-    if (nl == std::string::npos) nl = body.size();
-    const std::string line = body.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    if (!saw_magic) {
-      if (line != "snnskip-quant-profile-v1") return bad("bad magic line");
-      saw_magic = true;
-    } else if (line.rfind("model ", 0) == 0) {
-      p.model = line.substr(6);
-      saw_model = true;
-    } else if (line.rfind("op ", 0) == 0) {
-      const std::size_t sp = line.find(' ', 3);
-      if (sp == std::string::npos) return bad("malformed op line");
-      char* vend = nullptr;
-      const std::string vtxt = line.substr(3, sp - 3);
-      const float v = std::strtof(vtxt.c_str(), &vend);
-      if (vend == vtxt.c_str() || *vend != '\0') {
-        return bad("malformed op amax value");
-      }
-      const std::string name = line.substr(sp + 1);
-      if (name.empty()) return bad("op line missing name");
-      p.op_amax.emplace_back(name, v);
-    } else {
-      return bad("unknown line '" + line + "'");
-    }
-  }
-  if (!saw_magic) return bad("empty profile");
-  if (!saw_model) return bad("missing model line");
-  *out = std::move(p);
-  return true;
 }
 
 }  // namespace snnskip::infer

@@ -11,12 +11,9 @@
 // over a sample batch with dense dispatch forced (threshold 0) so every
 // op's assembled input — including sunk-projection
 // materializations — is actually formed and observable, and records the
-// per-op absmax via the engine's calibration sink.
-//
-// Profiles serialize to a CRC-sealed text format (same discipline as
-// tensor/kernel_config.h's tuning profiles): a canonical body plus a
-// trailing crc32 line; parse recomputes the CRC and rejects corrupt or
-// hand-edited files. Float values are hexfloat so round-trips are exact.
+// per-op absmax via the engine's calibration sink. The profile lives in
+// memory only: serve calibrates each int8 model when it loads it
+// (serve/model_registry.cpp), so nothing writes or reads a profile file.
 
 #include <string>
 #include <utility>
@@ -47,13 +44,5 @@ struct QuantProfile {
 /// dense path is bit-stable across levels by the simd_ops contract).
 QuantProfile calibrate_quant(const PlanPtr& fp32_plan,
                              const std::vector<std::vector<Tensor>>& sequences);
-
-/// CRC-sealed canonical text form (ends with a "crc32 <n>" line).
-std::string serialize_quant_profile(const QuantProfile& p);
-
-/// Parse + CRC-verify. Returns false (with a reason in *err) on format
-/// or checksum mismatch; *out is untouched on failure.
-bool parse_quant_profile(const std::string& text, QuantProfile* out,
-                         std::string* err);
 
 }  // namespace snnskip::infer

@@ -21,8 +21,8 @@ struct EnergyModel {
 
   /// SNN inference energy: macs/step * rate * T accumulates.
   /// `firing_rate` is nonzeros / elements — the same sparsity definition
-  /// FiringRateRecorder and SparseExec report, so measured densities can
-  /// be plugged in directly.
+  /// as FiringRateRecorder and the dispatch.nnz / dispatch.elements
+  /// telemetry counters, so measured densities can be plugged in directly.
   double snn_energy_pj(std::int64_t macs_per_step, double firing_rate,
                        std::int64_t timesteps) const;
 };

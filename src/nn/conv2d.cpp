@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "parallel/parallel_for.h"
-#include "telemetry/retained.h"
 #include "telemetry/telemetry.h"
 #include "tensor/gemm.h"
 #include "tensor/spike_kernels.h"
@@ -54,20 +53,13 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   Tensor out(Shape{n, out_c_, g.out_h(), g.out_w()});
 
   const std::int64_t row_len = in_c_ * s[2] * s[3];
-  bool sparse = false;
-  if (SparseExec::enabled()) {
-    const std::int64_t nnz = count_nonzero(x.data(), x.numel());
-    sparse = static_cast<double>(nnz) <
-             static_cast<double>(SparseExec::threshold()) *
-                 static_cast<double>(x.numel());
-    SparseExec::note(static_cast<double>(nnz),
-                     static_cast<double>(x.numel()), sparse);
-  }
-
-  SNNSKIP_SPAN(sparse ? "conv.fwd.sparse" : "conv.fwd.dense", name_);
-  if (sparse) {
-    csr_.build(x.data(), n, row_len);
-    spike_conv2d_forward(g, csr_, weight_.value.data(),
+  // In train mode the dispatch also keeps x for backward: as the events
+  // when the event kernels run (the event-driven dW is bit-identical to
+  // gemm_nt), densely otherwise.
+  const SpikeCsr* events = dispatch_.forward(x, train);
+  SNNSKIP_SPAN(events ? "conv.fwd.sparse" : "conv.fwd.dense", name_);
+  if (events) {
+    spike_conv2d_forward(g, *events, weight_.value.data(),
                          has_bias_ ? bias_.value.data() : nullptr, out_c_,
                          out.data(), Workspace::tls());
   } else {
@@ -87,62 +79,28 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
       }
     }
   }
-  if (train) {
-    Ctx ctx;
-    ctx.in_shape = s;
-    // Keep the packed events instead of the dense input whenever the
-    // sparse forward ran them (and the backward gate allows using them) —
-    // the event-driven dW is bit-identical to gemm_nt, and the retained
-    // footprint drops from N*C*H*W floats to the event list.
-    ctx.sparse = sparse && SparseExec::bwd_enabled();
-    if (ctx.sparse) {
-      ctx.input_csr = std::move(csr_);
-      ctx.bytes = ctx.input_csr.retained_bytes();
-    } else {
-      ctx.input = x;
-      ctx.bytes = x.numel() * static_cast<std::int64_t>(sizeof(float));
-    }
-    RetainedActivations::add(ctx.bytes);
-    saved_.push_back(std::move(ctx));
-  }
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  assert(!saved_.empty() && "Conv2d::backward without matching forward");
-  Ctx ctx = std::move(saved_.back());
-  saved_.pop_back();
-  RetainedActivations::sub(ctx.bytes);
-
-  const Shape& in_s = ctx.in_shape;
+  const SavedInput ctx = dispatch_.pop();
+  const Shape& in_s = ctx.shape;
   const std::int64_t n = in_s[0];
   const ConvGeometry g{in_s[1], in_s[2], in_s[3], kernel_, stride_, pad_};
   const std::int64_t cr = g.col_rows(), cc = g.col_cols();
   assert(grad_out.shape()[0] == n && grad_out.shape()[1] == out_c_);
 
-  // dX dispatch on the gradient's density — the surrogate active set. The
-  // LIF/PLIF layer above publishes its exact nonzero count; a mismatched
-  // or missing hint falls back to one streaming scan.
-  bool sparse_dx = false;
-  if (input_grad_needed_ && SparseExec::bwd_enabled()) {
-    std::int64_t gnnz =
-        GradDensityHint::take(grad_out.data(), grad_out.numel());
-    if (gnnz < 0) gnnz = count_nonzero(grad_out.data(), grad_out.numel());
-    sparse_dx = static_cast<double>(gnnz) <
-                static_cast<double>(SparseExec::threshold()) *
-                    static_cast<double>(grad_out.numel());
-    SparseExec::note_bwd(static_cast<double>(gnnz),
-                         static_cast<double>(grad_out.numel()), sparse_dx);
-  }
-
-  SNNSKIP_SPAN(ctx.sparse || sparse_dx ? "conv.bwd.sparse" : "conv.bwd.dense",
+  // dX dispatch on the gradient's density — the surrogate active set.
+  const SpikeCsr* grad_events =
+      input_grad_needed_ ? dispatch_.backward(grad_out) : nullptr;
+  SNNSKIP_SPAN(ctx.sparse || grad_events ? "conv.bwd.sparse" : "conv.bwd.dense",
                name_);
   Workspace& ws = Workspace::tls();
 
   if (ctx.sparse) {
     // dW straight from the forward events (bit-identical to the gemm_nt
     // accumulation, see spike_kernels.h).
-    spike_conv2d_backward_weight(g, ctx.input_csr, grad_out.data(), out_c_,
+    spike_conv2d_backward_weight(g, ctx.csr, grad_out.data(), out_c_,
                                  weight_.grad.data(), ws);
   } else {
     auto scope = ws.scope();
@@ -151,7 +109,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       const float* go = grad_out.data() + img * out_c_ * cc;
       // Recompute this image's columns from the saved input — im2col is a
       // pure gather, so the values match the forward pass bit-for-bit.
-      im2col(g, ctx.input.data() + img * in_s[1] * in_s[2] * in_s[3],
+      im2col(g, ctx.dense.data() + img * in_s[1] * in_s[2] * in_s[3],
              col_ptr);
       // dW(O, CKK) += gO(O, HoWo) * cols(CKK, HoWo)^T
       gemm_nt(out_c_, cr, cc, 1.f, go, col_ptr, 1.f, weight_.grad.data());
@@ -182,9 +140,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
   Tensor grad_in(in_s);
   if (input_grad_needed_) {
-    if (sparse_dx) {
-      grad_csr_.build(grad_out.data(), n, out_c_ * cc);
-      spike_conv2d_backward_input(g, grad_csr_, weight_.value.data(), out_c_,
+    if (grad_events) {
+      spike_conv2d_backward_input(g, *grad_events, weight_.value.data(), out_c_,
                                   grad_in.data(), ws);
     } else {
       auto scope = ws.scope();
@@ -202,10 +159,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-void Conv2d::reset_state() {
-  for (const Ctx& c : saved_) RetainedActivations::sub(c.bytes);
-  saved_.clear();
-}
+void Conv2d::reset_state() { dispatch_.reset(); }
 
 std::vector<Parameter*> Conv2d::parameters() {
   if (has_bias_) return {&weight_, &bias_};

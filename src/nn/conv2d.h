@@ -3,25 +3,26 @@
 // both directions.
 //
 // Weight layout OIHW: (out_channels, in_channels, kernel, kernel).
-// Forward scans the input's density: binary/sparse spike tensors below the
-// SparseExec threshold skip im2col entirely and scatter weight rows per
-// active spike (tensor/spike_kernels.h); denser inputs take the im2col +
-// GEMM path with the column buffer carved from the Workspace arena, so the
+// Forward asks the training layers' one dispatch (nn/sparse_dispatch.h):
+// binary/sparse spike tensors below the SparseExec threshold skip im2col
+// entirely and scatter weight rows per active spike
+// (tensor/spike_kernels.h); denser inputs take the im2col + GEMM path
+// with the column buffer carved from the Workspace arena, so the
 // per-timestep loop never touches the heap in steady state.
 //
-// Backward (ISSUE 4): when the sparse forward fired (and SNNSKIP_SPARSE_BWD
-// allows), the Ctx keeps the forward SpikeCsr instead of the dense input —
-// dW comes straight from the packed events (work ∝ nnz·K²·O) and the
-// retained-activation footprint drops from N·C·H·W floats to the event
-// list. Dense contexts keep the input and recompute im2col into the arena
-// (K*K less retained memory than saving columns). dX dispatches on the
-// density of grad_out — the surrogate active set published by the LIF
-// layer above — choosing an event-driven scatter or gemm_tn + col2im.
-// Both sparse paths reproduce the dense accumulation order bit-for-bit.
+// Backward: when the sparse forward ran, the saved input is the forward
+// SpikeCsr instead of the dense tensor — dW comes straight from the
+// packed events (work ∝ nnz·K²·O) and the retained-activation footprint
+// drops from N·C·H·W floats to the event list. Dense saves keep the input
+// and recompute im2col into the arena (K*K less retained memory than
+// saving columns). dX asks the same dispatch on grad_out's density
+// (exact nonzero count) and takes an event-driven scatter or gemm_tn +
+// col2im. Both sparse paths reproduce the dense accumulation order
+// bit-for-bit.
 
 #include "nn/layer.h"
+#include "nn/sparse_dispatch.h"
 #include "tensor/im2col.h"
-#include "tensor/spike_csr.h"
 #include "util/rng.h"
 
 namespace snnskip {
@@ -58,24 +59,13 @@ class Conv2d final : public Layer {
   bool input_grad_needed() const { return input_grad_needed_; }
 
  private:
-  struct Ctx {
-    Tensor input;        // dense fallback; empty when `sparse`
-    SpikeCsr input_csr;  // forward event packing when `sparse`
-    Shape in_shape;
-    bool sparse = false;
-    std::int64_t bytes = 0;  // retained-activation accounting
-  };
-
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
   bool has_bias_;
   bool input_grad_needed_ = true;
   std::string name_;
   Parameter weight_;
   Parameter bias_;
-  std::vector<Ctx> saved_;
-  SpikeCsr csr_;       // forward event-list scratch (moved into Ctx when
-                       // the sparse path fires in train mode)
-  SpikeCsr grad_csr_;  // backward event-list scratch, capacity reused
+  SparseDispatch dispatch_;
 };
 
 }  // namespace snnskip

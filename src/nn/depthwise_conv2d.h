@@ -3,16 +3,17 @@
 // MobileNetV2's inverted-residual block. Implemented with direct loops —
 // the per-channel kernels are tiny, so im2col overhead isn't worth it.
 // Sparse spike inputs below the SparseExec density threshold take an
-// event-driven scatter path (K*K taps per active spike). Sparse forward
-// contexts keep the SpikeCsr instead of the dense input (ISSUE 4): dW is
-// driven by the packed events, while dX and the bias gradient come from a
+// event-driven scatter path (K*K taps per active spike); the choice is
+// the training layers' one dispatch (nn/sparse_dispatch.h). A sparse
+// forward saves the SpikeCsr instead of the dense input: dW is driven by
+// the packed events, while dX and the bias gradient come from a
 // grad_out-driven loop identical to the dense one — the dense backward
-// already skips zero output gradients, so it needs no separate dispatch.
+// already skips zero output gradients, so it needs no dX dispatch.
 //
 // Weight layout: (channels, 1, kernel, kernel).
 
 #include "nn/layer.h"
-#include "tensor/spike_csr.h"
+#include "nn/sparse_dispatch.h"
 #include "util/rng.h"
 
 namespace snnskip {
@@ -40,24 +41,12 @@ class DepthwiseConv2d final : public Layer {
   std::int64_t pad() const { return pad_; }
 
  private:
-  void save_ctx(const Tensor& x, bool sparse);
-
-  struct Ctx {
-    Tensor input;        // dense fallback; empty when `sparse`
-    SpikeCsr input_csr;  // forward event packing when `sparse`
-    Shape in_shape;
-    bool sparse = false;
-    std::int64_t bytes = 0;  // retained-activation accounting
-  };
-
   std::int64_t c_, kernel_, stride_, pad_;
   bool has_bias_;
   std::string name_;
   Parameter weight_;
   Parameter bias_;
-  std::vector<Ctx> saved_;
-  SpikeCsr csr_;  // forward event-list scratch (moved into Ctx when the
-                  // sparse path fires in train mode)
+  SparseDispatch dispatch_;
 };
 
 }  // namespace snnskip

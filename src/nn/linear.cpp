@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "telemetry/retained.h"
 #include "telemetry/telemetry.h"
 #include "tensor/gemm.h"
 #include "tensor/spike_kernels.h"
@@ -38,22 +37,12 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   const std::int64_t n = s[0];
   Tensor out(Shape{n, out_f_});
 
-  bool sparse = false;
-  if (SparseExec::enabled()) {
-    const std::int64_t nnz = count_nonzero(x.data(), x.numel());
-    sparse = static_cast<double>(nnz) <
-             static_cast<double>(SparseExec::threshold()) *
-                 static_cast<double>(x.numel());
-    SparseExec::note(static_cast<double>(nnz),
-                     static_cast<double>(x.numel()), sparse);
-  }
-
-  SNNSKIP_SPAN(sparse ? "linear.fwd.sparse" : "linear.fwd.dense", name_);
-  if (sparse) {
+  const SpikeCsr* events = dispatch_.forward(x, train);
+  SNNSKIP_SPAN(events ? "linear.fwd.sparse" : "linear.fwd.dense", name_);
+  if (events) {
     // Event-driven path: per active input feature, one axpy of the
     // corresponding (transposed) weight column.
-    csr_.build(x.data(), n, in_f_);
-    spike_linear_forward(csr_, weight_.value.data(),
+    spike_linear_forward(*events, weight_.value.data(),
                          has_bias_ ? bias_.value.data() : nullptr, out_f_,
                          out.data(), Workspace::tls());
   } else {
@@ -69,54 +58,25 @@ Tensor Linear::forward(const Tensor& x, bool train) {
       }
     }
   }
-  if (train) {
-    Ctx ctx;
-    ctx.n = n;
-    ctx.sparse = sparse && SparseExec::bwd_enabled();
-    if (ctx.sparse) {
-      ctx.input_csr = std::move(csr_);
-      ctx.bytes = ctx.input_csr.retained_bytes();
-    } else {
-      ctx.input = x;
-      ctx.bytes = x.numel() * static_cast<std::int64_t>(sizeof(float));
-    }
-    RetainedActivations::add(ctx.bytes);
-    saved_.push_back(std::move(ctx));
-  }
   return out;
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  assert(!saved_.empty());
-  Ctx ctx = std::move(saved_.back());
-  saved_.pop_back();
-  RetainedActivations::sub(ctx.bytes);
-
-  const std::int64_t n = ctx.n;
+  const SavedInput ctx = dispatch_.pop();
+  const std::int64_t n = ctx.shape[0];
   assert(grad_out.shape()[0] == n && grad_out.shape()[1] == out_f_);
 
-  bool sparse_dx = false;
-  if (SparseExec::bwd_enabled()) {
-    std::int64_t gnnz =
-        GradDensityHint::take(grad_out.data(), grad_out.numel());
-    if (gnnz < 0) gnnz = count_nonzero(grad_out.data(), grad_out.numel());
-    sparse_dx = static_cast<double>(gnnz) <
-                static_cast<double>(SparseExec::threshold()) *
-                    static_cast<double>(grad_out.numel());
-    SparseExec::note_bwd(static_cast<double>(gnnz),
-                         static_cast<double>(grad_out.numel()), sparse_dx);
-  }
-
+  const SpikeCsr* grad_events = dispatch_.backward(grad_out);
   SNNSKIP_SPAN(
-      ctx.sparse || sparse_dx ? "linear.bwd.sparse" : "linear.bwd.dense",
+      ctx.sparse || grad_events ? "linear.bwd.sparse" : "linear.bwd.dense",
       name_);
 
   if (ctx.sparse) {
-    spike_linear_backward_weight(ctx.input_csr, grad_out.data(), out_f_,
+    spike_linear_backward_weight(ctx.csr, grad_out.data(), out_f_,
                                  weight_.grad.data(), Workspace::tls());
   } else {
     // dW(O, I) += gO(N, O)^T * x(N, I)
-    gemm_tn(out_f_, in_f_, n, 1.f, grad_out.data(), ctx.input.data(), 1.f,
+    gemm_tn(out_f_, in_f_, n, 1.f, grad_out.data(), ctx.dense.data(), 1.f,
             weight_.grad.data());
   }
   if (has_bias_) {
@@ -128,9 +88,8 @@ Tensor Linear::backward(const Tensor& grad_out) {
     }
   }
   Tensor grad_in(Shape{n, in_f_});
-  if (sparse_dx) {
-    grad_csr_.build(grad_out.data(), n, out_f_);
-    spike_linear_backward_input(grad_csr_, weight_.value.data(), in_f_,
+  if (grad_events) {
+    spike_linear_backward_input(*grad_events, weight_.value.data(), in_f_,
                                 grad_in.data());
   } else {
     // dX(N, I) = gO(N, O) * W(O, I)
@@ -140,10 +99,7 @@ Tensor Linear::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-void Linear::reset_state() {
-  for (const Ctx& c : saved_) RetainedActivations::sub(c.bytes);
-  saved_.clear();
-}
+void Linear::reset_state() { dispatch_.reset(); }
 
 std::vector<Parameter*> Linear::parameters() {
   if (has_bias_) return {&weight_, &bias_};

@@ -2,13 +2,14 @@
 // Fully connected layer. Input (N, in_features), weight (out, in).
 // Sparse spike inputs below the SparseExec density threshold take an
 // event-driven path (one weight-column axpy per active feature) instead of
-// the dense GEMM. Backward mirrors it (ISSUE 4): sparse forward contexts
-// keep the SpikeCsr instead of the dense input and drive dW from events;
-// dX dispatches on grad_out's density (the surrogate active set) between
-// an event scatter and the dense GEMM — both bit-identical to dense.
+// the dense GEMM; the choice is the training layers' one dispatch
+// (nn/sparse_dispatch.h). Backward mirrors it: a sparse forward saves the
+// SpikeCsr instead of the dense input and drives dW from events; dX asks
+// the same dispatch on grad_out's density, choosing an event scatter or
+// the dense GEMM — both bit-identical to dense.
 
 #include "nn/layer.h"
-#include "tensor/spike_csr.h"
+#include "nn/sparse_dispatch.h"
 #include "util/rng.h"
 
 namespace snnskip {
@@ -33,23 +34,12 @@ class Linear final : public Layer {
   Parameter& bias() { return bias_; }
 
  private:
-  struct Ctx {
-    Tensor input;        // dense fallback; empty when `sparse`
-    SpikeCsr input_csr;  // forward event packing when `sparse`
-    std::int64_t n = 0;  // batch rows
-    bool sparse = false;
-    std::int64_t bytes = 0;  // retained-activation accounting
-  };
-
   std::int64_t in_f_, out_f_;
   bool has_bias_;
   std::string name_;
   Parameter weight_;
   Parameter bias_;
-  std::vector<Ctx> saved_;
-  SpikeCsr csr_;       // forward event-list scratch (moved into Ctx when
-                       // the sparse path fires in train mode)
-  SpikeCsr grad_csr_;  // backward event-list scratch, capacity reused
+  SparseDispatch dispatch_;
 };
 
 /// Collapse (N, C, H, W) to (N, C*H*W); pure reshape with exact backward.

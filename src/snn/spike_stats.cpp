@@ -11,44 +11,19 @@ void FiringRateRecorder::record(const std::string& layer, double spikes,
   total_steps_ += neuron_steps;
 }
 
-void FiringRateRecorder::record_density(const std::string& layer, double nnz,
-                                        double elements) {
-  auto& acc = density_per_layer_[layer];
-  acc.spikes += nnz;
-  acc.steps += elements;
-  total_nnz_ += nnz;
-  total_elements_ += elements;
-}
-
 void FiringRateRecorder::reset() {
   per_layer_.clear();
-  density_per_layer_.clear();
   total_spikes_ = 0.0;
   total_steps_ = 0.0;
-  total_nnz_ = 0.0;
-  total_elements_ = 0.0;
 }
 
 double FiringRateRecorder::overall_rate() const {
   return total_steps_ > 0.0 ? total_spikes_ / total_steps_ : 0.0;
 }
 
-double FiringRateRecorder::average_density() const {
-  return total_elements_ > 0.0 ? total_nnz_ / total_elements_
-                               : overall_rate();
-}
-
 std::map<std::string, double> FiringRateRecorder::per_layer_rates() const {
   std::map<std::string, double> out;
   for (const auto& [name, acc] : per_layer_) {
-    out[name] = acc.steps > 0.0 ? acc.spikes / acc.steps : 0.0;
-  }
-  return out;
-}
-
-std::map<std::string, double> FiringRateRecorder::per_layer_density() const {
-  std::map<std::string, double> out;
-  for (const auto& [name, acc] : density_per_layer_) {
     out[name] = acc.steps > 0.0 ? acc.spikes / acc.steps : 0.0;
   }
   return out;

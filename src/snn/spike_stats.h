@@ -1,5 +1,5 @@
 #pragma once
-// Firing-rate and density accounting.
+// Firing-rate accounting.
 //
 // The paper reports the "average firing rate": the fraction of neurons that
 // emit a spike per timestep, averaged over neurons, timesteps and the
@@ -7,10 +7,10 @@
 // layer can be pointed at a shared recorder; the runner enables recording
 // during evaluation only, so training speed is unaffected.
 //
-// One sparsity definition, three consumers: "density" is always
-// nonzeros / elements over the tensors a layer actually consumed. The LIF
-// firing rate, the achieved input density seen by the sparse kernels
-// (SparseExec::stats().density()), and the `firing_rate` argument of
+// One sparsity definition: "density" is always nonzeros / elements over
+// the tensors a layer actually consumed. The LIF firing rate, the input
+// density behind the sparse-kernel dispatch (the dispatch.nnz /
+// dispatch.elements telemetry counters) and the `firing_rate` argument of
 // EnergyModel::snn_energy_pj all use this same ratio, so benchmark output
 // and energy numbers are directly comparable.
 
@@ -25,27 +25,13 @@ class FiringRateRecorder {
   /// Accumulate `spikes` spikes observed across `neurons` neuron-timesteps.
   void record(const std::string& layer, double spikes, double neuron_steps);
 
-  /// Accumulate the density actually observed at a consumer's input:
-  /// `nnz` nonzero entries out of `elements`. Fed from the sparse-kernel
-  /// dispatch stats (SparseExec) by runners and benchmarks.
-  void record_density(const std::string& layer, double nnz, double elements);
-
   void reset();
 
   /// Overall firing rate: total spikes / total neuron-timesteps.
   double overall_rate() const;
 
-  /// Average achieved input density: total nnz / total elements — the
-  /// sparsity the event-driven kernels actually exploited. Falls back to
-  /// overall_rate() when no density samples were recorded, since both use
-  /// the same nonzeros-per-element definition.
-  double average_density() const;
-
   /// Per-layer rates, keyed by layer name.
   std::map<std::string, double> per_layer_rates() const;
-
-  /// Per-layer achieved input densities, keyed by layer name.
-  std::map<std::string, double> per_layer_density() const;
 
   double total_spikes() const { return total_spikes_; }
   double total_neuron_steps() const { return total_steps_; }
@@ -56,11 +42,8 @@ class FiringRateRecorder {
     double steps = 0.0;
   };
   std::map<std::string, Acc> per_layer_;
-  std::map<std::string, Acc> density_per_layer_;  // spikes=nnz, steps=elems
   double total_spikes_ = 0.0;
   double total_steps_ = 0.0;
-  double total_nnz_ = 0.0;
-  double total_elements_ = 0.0;
 };
 
 }  // namespace snnskip

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -31,7 +32,11 @@ std::string fmt_float(float v) {
 // check is immune to whitespace/field-order edits only if they do not
 // change the semantic fields; any change that does flips the CRC.
 std::string profile_body(const TuningProfile& p) {
-  const simd::GemmTile tile = simd::kGemmTiles[p.config.gemm_tile];
+  // An illegal tile index serializes as 0x0, which parse rejects.
+  const bool legal_tile =
+      p.config.gemm_tile >= 0 && p.config.gemm_tile < simd::kNumGemmTiles;
+  const simd::GemmTile tile =
+      legal_tile ? simd::kGemmTiles[p.config.gemm_tile] : simd::GemmTile{};
   std::string s = "{\n";
   s += "  \"format\": \"";
   s += kFormat;
@@ -161,7 +166,7 @@ bool parse_tuning_profile(const std::string& text, TuningProfile* out,
       p.config.shards < 1) {
     return fail("non-positive schedule constant");
   }
-  if (!(p.config.sparse_threshold > 0.f && p.config.sparse_threshold <= 1.f) ||
+  if (!(p.config.sparse_threshold >= 0.f && p.config.sparse_threshold <= 1.f) ||
       !(p.config.infer_threshold >= 0.f && p.config.infer_threshold <= 1.f)) {
     return fail("threshold out of range");
   }
@@ -218,7 +223,7 @@ Resolved load_resolved() {
   r.cfg.sparse_threshold = static_cast<float>(
       env::get_double("SNNSKIP_SPARSE_THRESHOLD",
                       static_cast<double>(r.cfg.sparse_threshold),
-                      /*lo=*/1e-9, /*hi=*/1.0));
+                      /*lo=*/0.0, /*hi=*/1.0));
   r.cfg.infer_threshold = static_cast<float>(env::get_double(
       "SNNSKIP_INFER_THRESHOLD", static_cast<double>(r.cfg.infer_threshold),
       /*lo=*/0.0, /*hi=*/1.0));
@@ -230,13 +235,26 @@ std::string g_profile_id = "default";  // written once under g_load_once
 std::string g_simd_hint = "auto";
 std::once_flag g_load_once;
 
+// Readers keep plain references to the active config without refcounting,
+// so every config ever installed stays alive, and reachable, for the life
+// of the process: std::deque never moves its elements, and the deque is
+// never destroyed, so a reader running during static destruction is safe
+// too. Installs happen a bounded number of times (startup, tests, tuner
+// sweeps).
+void install(const KernelConfig& c) {
+  static std::mutex mu;
+  static std::deque<KernelConfig>& installed = *new std::deque<KernelConfig>;
+  std::lock_guard<std::mutex> lock(mu);
+  installed.push_back(c);
+  g_cfg.store(&installed.back(), std::memory_order_release);
+}
+
 void ensure_loaded() {
   std::call_once(g_load_once, [] {
     Resolved r = load_resolved();
     g_profile_id = r.profile_id;
     g_simd_hint = r.simd_hint;
-    // Intentionally leaked: readers hold the pointer without refcounting.
-    g_cfg.store(new KernelConfig(r.cfg), std::memory_order_release);
+    install(r.cfg);
   });
 }
 
@@ -266,16 +284,14 @@ void set_kernel_config(const KernelConfig& cfg) {
   }
   if (c.gemm_kc < 1) c.gemm_kc = defaults.gemm_kc;
   if (c.transpose_tile < 1) c.transpose_tile = defaults.transpose_tile;
-  if (!(c.sparse_threshold > 0.f && c.sparse_threshold <= 1.f)) {
+  if (!(c.sparse_threshold >= 0.f && c.sparse_threshold <= 1.f)) {
     c.sparse_threshold = defaults.sparse_threshold;
   }
   if (!(c.infer_threshold >= 0.f && c.infer_threshold <= 1.f)) {
     c.infer_threshold = defaults.infer_threshold;
   }
   if (c.shards < 1) c.shards = defaults.shards;
-  // Leaked like the loader's config: set_kernel_config is called a bounded
-  // number of times (tests, tuner sweeps), and readers never refcount.
-  g_cfg.store(new KernelConfig(c), std::memory_order_release);
+  install(c);
 }
 
 const std::string& kernel_config_profile_id() {

@@ -42,7 +42,8 @@ struct KernelConfig {
   int gemm_kc = 128;
   /// Cache-blocked transpose tile edge.
   int transpose_tile = 32;
-  /// Density cutoff for the training-graph sparse dispatch (SparseExec).
+  /// Density cutoff for the training-graph sparse dispatch (SparseExec);
+  /// 0 selects the dense path everywhere.
   float sparse_threshold = 0.25f;
   /// Density cutoff for the inference engine dispatch (ExecOptions
   /// default).

@@ -6,8 +6,8 @@
 // grid. SpikeCsr scans a (rows, row_len) view — rows are batch images for
 // convolutions, batch rows for Linear — and packs each row's nonzero
 // positions and values into one contiguous index/value array with a CSR
-// row-pointer table. The scan doubles as the sparsity detector: density()
-// and binary() drive the sparse-vs-dense dispatch decision.
+// row-pointer table. Layers build one only after the dispatch
+// (SparseExec::dispatch) has chosen the event kernels.
 //
 // All storage is member-owned and cleared without shrinking, so rebuilding
 // every timestep reuses capacity instead of reallocating.

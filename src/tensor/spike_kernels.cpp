@@ -1,22 +1,16 @@
 #include "tensor/spike_kernels.h"
 
 #include <atomic>
-#include <mutex>
 
 #include "telemetry/telemetry.h"
 #include "tensor/epilogue.h"
 #include "tensor/kernel_config.h"
 #include "tensor/simd_ops.h"
 #include "tensor/spike_kernels_impl.h"
-#include "util/runtime_env.h"
 
 namespace snnskip {
 
 namespace {
-
-std::atomic<bool> g_enabled{env::get_bool("SNNSKIP_SPARSE", true)};
-
-std::atomic<bool> g_bwd_enabled{env::get_bool("SNNSKIP_SPARSE_BWD", true)};
 
 // -1 = "not explicitly set": threshold() then reads the resolved kernel
 // config (defaults <- tuning profile <- SNNSKIP_SPARSE_THRESHOLD), lazily
@@ -24,98 +18,32 @@ std::atomic<bool> g_bwd_enabled{env::get_bool("SNNSKIP_SPARSE_BWD", true)};
 // explicit value that wins over the config from then on.
 std::atomic<float> g_threshold{-1.f};
 
-std::mutex g_stats_mutex;
-SparseExec::Stats g_stats;
-SparseExec::Stats g_bwd_stats;
-
-struct HintSlot {
-  const float* ptr = nullptr;
-  std::int64_t numel = 0;
-  std::int64_t nnz = 0;
-  bool valid = false;
-};
-thread_local HintSlot g_hint;
-
 }  // namespace
 
-bool SparseExec::enabled() { return g_enabled.load(std::memory_order_relaxed); }
 float SparseExec::threshold() {
   const float t = g_threshold.load(std::memory_order_relaxed);
   return t >= 0.f ? t : kernel_config().sparse_threshold;
-}
-void SparseExec::set_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
 }
 void SparseExec::set_threshold(float t) {
   g_threshold.store(t, std::memory_order_relaxed);
 }
 
-bool SparseExec::bwd_enabled() {
-  return enabled() && g_bwd_enabled.load(std::memory_order_relaxed);
-}
-void SparseExec::set_bwd_enabled(bool on) {
-  g_bwd_enabled.store(on, std::memory_order_relaxed);
-}
-
-SparseExec::Stats SparseExec::stats() {
-  std::lock_guard<std::mutex> lock(g_stats_mutex);
-  return g_stats;
-}
-
-void SparseExec::reset_stats() {
-  std::lock_guard<std::mutex> lock(g_stats_mutex);
-  g_stats = Stats{};
-  g_bwd_stats = Stats{};
-}
-
-SparseExec::Stats SparseExec::bwd_stats() {
-  std::lock_guard<std::mutex> lock(g_stats_mutex);
-  return g_bwd_stats;
-}
-
-void SparseExec::note_bwd(double nnz, double elements, bool took_sparse_path) {
-  Telemetry::count(took_sparse_path ? "dispatch.bwd.sparse"
-                                    : "dispatch.bwd.dense");
-  Telemetry::count("dispatch.bwd.nnz", nnz);
-  Telemetry::count("dispatch.bwd.elements", elements);
-  std::lock_guard<std::mutex> lock(g_stats_mutex);
-  g_bwd_stats.nnz += nnz;
-  g_bwd_stats.elements += elements;
-  if (took_sparse_path) {
-    ++g_bwd_stats.sparse_calls;
+bool SparseExec::dispatch(const float* data, std::int64_t n, bool backward) {
+  const std::int64_t nnz = count_nonzero(data, n);
+  const bool sparse = static_cast<double>(nnz) <
+                      static_cast<double>(threshold()) * static_cast<double>(n);
+  // No-ops while telemetry is off; traces carry the decisions next to the
+  // per-layer spans.
+  if (backward) {
+    Telemetry::count(sparse ? "dispatch.bwd.sparse" : "dispatch.bwd.dense");
+    Telemetry::count("dispatch.bwd.nnz", static_cast<double>(nnz));
+    Telemetry::count("dispatch.bwd.elements", static_cast<double>(n));
   } else {
-    ++g_bwd_stats.dense_calls;
+    Telemetry::count(sparse ? "dispatch.sparse" : "dispatch.dense");
+    Telemetry::count("dispatch.nnz", static_cast<double>(nnz));
+    Telemetry::count("dispatch.elements", static_cast<double>(n));
   }
-}
-
-void GradDensityHint::publish(const float* data, std::int64_t numel,
-                              std::int64_t nnz) {
-  g_hint = HintSlot{data, numel, nnz, true};
-}
-
-std::int64_t GradDensityHint::take(const float* data, std::int64_t numel) {
-  if (!g_hint.valid || g_hint.ptr != data || g_hint.numel != numel) return -1;
-  g_hint.valid = false;
-  return g_hint.nnz;
-}
-
-void GradDensityHint::clear() { g_hint.valid = false; }
-
-void SparseExec::note(double nnz, double elements, bool took_sparse_path) {
-  // Mirror every dispatch decision into the telemetry counters (no-ops
-  // while telemetry is off) so traces carry sparse-vs-dense counts next to
-  // the per-layer spans.
-  Telemetry::count(took_sparse_path ? "dispatch.sparse" : "dispatch.dense");
-  Telemetry::count("dispatch.nnz", nnz);
-  Telemetry::count("dispatch.elements", elements);
-  std::lock_guard<std::mutex> lock(g_stats_mutex);
-  g_stats.nnz += nnz;
-  g_stats.elements += elements;
-  if (took_sparse_path) {
-    ++g_stats.sparse_calls;
-  } else {
-    ++g_stats.dense_calls;
-  }
+  return sparse;
 }
 
 // ---- Dispatch tables -------------------------------------------------------

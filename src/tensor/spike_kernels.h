@@ -15,13 +15,13 @@
 //   depthwise  K*K scalar taps into the channel's own output plane
 //
 // The BPTT backward uses the same event lists twice:
-//   dW         the forward input's SpikeCsr (saved in the layer Ctx, which
-//              also replaces the dense retained input) drives the weight
+//   dW         the forward input's SpikeCsr (kept in the layer's SavedInput
+//              in place of the dense input) drives the weight
 //              gradient — work ∝ nnz * K*K * O instead of O * CKK * HoWo
 //   dX         the surrogate active set: Boxcar sigma' is exactly zero
 //              outside its window, so LIF/PLIF gradients are themselves
-//              sparse; a value-carrying gradient CSR drives an
-//              event-driven scatter instead of gemm_tn + col2im
+//              sparse; a value-carrying CSR of the output gradient
+//              drives an event-driven scatter instead of gemm_tn + col2im
 //
 // Every backward kernel reproduces the dense path's per-output-element
 // accumulation order exactly (increasing image, then increasing reduction
@@ -31,13 +31,13 @@
 // start at +0 and +0 + (-0) == +0 under round-to-nearest, so a signed
 // zero can never propagate a difference.
 //
-// Dispatch: layers scan the input with SpikeCsr and take this path only
-// when SparseExec::enabled() and density < SparseExec::threshold();
-// the backward side is additionally gated by SparseExec::bwd_enabled()
-// (SNNSKIP_SPARSE_BWD). Everything else (first encoder layer, BN outputs,
-// dense gradients) falls back to the dense GEMM path unchanged. Scratch
-// comes from the Workspace arena — steady-state timesteps allocate
-// nothing.
+// Dispatch: the training layers (nn/sparse_dispatch.h) ask
+// SparseExec::dispatch() once per forward input and, for dX, once per
+// output gradient; the event kernels run when the exact nonzero count is
+// below SparseExec::threshold() of the tensor. Everything else (first
+// encoder layer, BN outputs, dense gradients) takes the dense GEMM path
+// unchanged. Scratch comes from the Workspace arena — steady-state
+// timesteps allocate nothing.
 
 #include <cstdint>
 
@@ -47,61 +47,22 @@
 
 namespace snnskip {
 
-/// Runtime switches for the sparse path. Defaults come from the
-/// environment once at startup: SNNSKIP_SPARSE=0 disables it,
-/// SNNSKIP_SPARSE_THRESHOLD=<frac> moves the density cutoff (default
-/// 0.25). Setters exist for tests and benchmarks.
+/// The training layers' sparse-vs-dense dispatch policy. The threshold
+/// comes from the kernel config (default 0.25, SNNSKIP_SPARSE_THRESHOLD,
+/// tuning profile) unless set_threshold() pins one; 0 selects the dense
+/// path everywhere, 1 the event kernels wherever the input is not fully
+/// dense.
 class SparseExec {
  public:
-  static bool enabled();
   static float threshold();
-  static void set_enabled(bool on);
   static void set_threshold(float t);
 
-  /// Backward-pass gate: true when both the master switch and the
-  /// SNNSKIP_SPARSE_BWD escape hatch (default on) allow the event-driven
-  /// dW/dX kernels. Layers only save CSR contexts while this holds.
-  static bool bwd_enabled();
-  static void set_bwd_enabled(bool on);
-
-  /// Aggregate sparsity actually observed at sparse-eligible layer inputs.
-  /// density() here is the same spikes-per-element definition used by
-  /// FiringRateRecorder and EnergyModel::snn_energy_pj.
-  struct Stats {
-    double nnz = 0.0;
-    double elements = 0.0;
-    std::uint64_t sparse_calls = 0;
-    std::uint64_t dense_calls = 0;
-    double density() const { return elements > 0.0 ? nnz / elements : 0.0; }
-  };
-  static Stats stats();
-  static void reset_stats();
-  /// Called by the layers on every eligible forward.
-  static void note(double nnz, double elements, bool took_sparse_path);
-
-  /// Backward-dispatch twin of stats()/note(): achieved gradient density
-  /// and sparse-vs-dense dX dispatch counts (reset by reset_stats()).
-  static Stats bwd_stats();
-  static void note_bwd(double nnz, double elements, bool took_sparse_path);
-};
-
-/// Handoff of the surrogate active set from a neuron backward to the layer
-/// below it. LIF/PLIF count the nonzeros of the dL/dx tensor they emit
-/// (the Boxcar window makes most entries exactly zero) and publish
-/// (data pointer, numel, nnz); the consuming layer's backward takes the
-/// hint instead of re-scanning. The hint is advisory: consumers verify
-/// pointer AND numel, fall back to count_nonzero on mismatch, and always
-/// rebuild the value CSR from the actual gradient tensor — a stale hint
-/// (the producer's tensor was freed and its address recycled) can at worst
-/// mis-estimate density and pick the slower dispatch, never corrupt a
-/// gradient. Thread-local, so pool workers training candidates in
-/// parallel never cross wires.
-class GradDensityHint {
- public:
-  static void publish(const float* data, std::int64_t numel, std::int64_t nnz);
-  /// Consume the hint if it matches this tensor; -1 when absent/mismatched.
-  static std::int64_t take(const float* data, std::int64_t numel);
-  static void clear();
+  /// The sparse-vs-dense choice: counts the nonzeros of `data` (n
+  /// entries), returns true when they are fewer than threshold() * n, and
+  /// adds the decision to the dispatch.{sparse,dense,nnz,elements}
+  /// telemetry counters, or to their dispatch.bwd.* twins for an output
+  /// gradient (`backward`). Takes no lock while telemetry is off.
+  static bool dispatch(const float* data, std::int64_t n, bool backward);
 };
 
 /// Full-tensor nonzero count — the cheap sparsity scan behind the
@@ -120,12 +81,6 @@ void transpose_panel(const float* src, std::int64_t rows, std::int64_t cols,
 /// once, so this too is order-free and exact.
 void transpose_add_panel(const float* src, std::int64_t rows,
                          std::int64_t cols, float* dst);
-
-/// True when the packed input should take the event-driven path.
-inline bool use_sparse_path(const SpikeCsr& csr) {
-  return SparseExec::enabled() &&
-         csr.density() < static_cast<double>(SparseExec::threshold());
-}
 
 /// Event-driven Conv2d forward. `csr` packs the input as (N images,
 /// C*H*W); `weight` is OIHW; `bias` may be null; `out` is (N, O, Ho, Wo).

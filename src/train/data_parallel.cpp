@@ -83,7 +83,8 @@ DataParallelEngine::DataParallelEngine(Network& primary,
     Network rep = cfg.replica_factory();
     const auto rp = rep.parameters();
     const auto rb = rep.buffers();
-    bool ok = rp.size() == prim_params.size() && rb.size() == prim_buffers.size();
+    bool ok =
+        rp.size() == prim_params.size() && rb.size() == prim_buffers.size();
     for (std::size_t i = 0; ok && i < rp.size(); ++i) {
       ok = rp[i]->value.shape() == prim_params[i]->value.shape();
     }
@@ -138,20 +139,10 @@ void DataParallelEngine::run_shard(std::int64_t s,
   rep.reset_state();
   Encoder& enc = *encoders_[static_cast<std::size_t>(s)];
   enc.reset();
-  Tensor output_sum;
-  for (std::int64_t t = 0; t < timesteps_; ++t) {
-    Tensor in = enc.encode(shard.x, t);
-    Tensor out = rep.forward(in, /*train=*/true);
-    if (t == 0) {
-      output_sum = std::move(out);
-    } else {
-      output_sum.add_(out);
-    }
-  }
+  const Tensor output_sum =
+      forward_steps(rep, enc, shard.x, timesteps_, /*train=*/true);
   const StepLoss sl = readout_loss(loss_, output_sum, shard.y, timesteps_);
-  for (std::int64_t t = timesteps_; t-- > 0;) {
-    (void)rep.backward(sl.grad_per_step);
-  }
+  backward_steps(rep, sl.grad_per_step, timesteps_);
   rep.reset_state();
 
   // Scale this shard's contribution BEFORE the tree reduction so the

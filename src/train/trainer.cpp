@@ -8,7 +8,6 @@
 #include "fault/inject.h"
 #include "nn/loss.h"
 #include "telemetry/telemetry.h"
-#include "tensor/spike_kernels.h"
 #include "train/data_parallel.h"
 
 namespace snnskip {
@@ -77,6 +76,27 @@ StepLoss readout_loss(LossKind kind, const Tensor& output_sum,
   return sl;
 }
 
+Tensor forward_steps(Network& net, Encoder& enc, const Tensor& x,
+                     std::int64_t timesteps, bool train) {
+  Tensor output_sum;
+  for (std::int64_t t = 0; t < timesteps; ++t) {
+    Tensor out = net.forward(enc.encode(x, t), train);
+    if (t == 0) {
+      output_sum = std::move(out);
+    } else {
+      output_sum.add_(out);
+    }
+  }
+  return output_sum;
+}
+
+void backward_steps(Network& net, const Tensor& grad_per_step,
+                    std::int64_t timesteps) {
+  for (std::int64_t t = timesteps; t-- > 0;) {
+    (void)net.backward(grad_per_step);
+  }
+}
+
 double train_batch(Network& net, Encoder& enc, const Batch& batch,
                    std::int64_t timesteps, Optimizer& opt, float grad_clip,
                    LossKind loss_kind, double* grad_norm_out) {
@@ -89,23 +109,13 @@ double train_batch(Network& net, Encoder& enc, const Batch& batch,
   Tensor output_sum;
   {
     SNNSKIP_SPAN("train", "batch.forward");
-    for (std::int64_t t = 0; t < timesteps; ++t) {
-      Tensor in = enc.encode(batch.x, t);
-      Tensor out = net.forward(in, /*train=*/true);
-      if (t == 0) {
-        output_sum = std::move(out);
-      } else {
-        output_sum.add_(out);
-      }
-    }
+    output_sum = forward_steps(net, enc, batch.x, timesteps, /*train=*/true);
   }
 
   const StepLoss sl = readout_loss(loss_kind, output_sum, batch.y, timesteps);
   {
     SNNSKIP_SPAN("train", "batch.backward");
-    for (std::int64_t t = timesteps; t-- > 0;) {
-      (void)net.backward(sl.grad_per_step);
-    }
+    backward_steps(net, sl.grad_per_step, timesteps);
   }
   {
     SNNSKIP_SPAN("train", "batch.step");
@@ -122,7 +132,6 @@ EvalResult evaluate(Network& net, NeuronMode mode, const Dataset& ds,
                     const TrainConfig& cfg, FiringRateRecorder* recorder) {
   SNNSKIP_SPAN("train", "evaluate");
   EncodingPlan plan = make_encoding_plan(ds, mode, cfg);
-  const SparseExec::Stats sparse_before = SparseExec::stats();
   if (recorder != nullptr) {
     recorder->reset();
     net.set_recorder(recorder);
@@ -137,16 +146,8 @@ EvalResult evaluate(Network& net, NeuronMode mode, const Dataset& ds,
     net.reset_state();
     plan.encoder->reset();
     Telemetry::count("train.timesteps", static_cast<double>(plan.timesteps));
-    Tensor output_sum;
-    for (std::int64_t t = 0; t < plan.timesteps; ++t) {
-      Tensor in = plan.encoder->encode(batch.x, t);
-      Tensor out = net.forward(in, /*train=*/false);
-      if (t == 0) {
-        output_sum = std::move(out);
-      } else {
-        output_sum.add_(out);
-      }
-    }
+    const Tensor output_sum = forward_steps(net, *plan.encoder, batch.x,
+                                            plan.timesteps, /*train=*/false);
     const StepLoss sl =
         readout_loss(cfg.loss, output_sum, batch.y, plan.timesteps);
     loss_acc += sl.result.loss;
@@ -161,15 +162,6 @@ EvalResult evaluate(Network& net, NeuronMode mode, const Dataset& ds,
       total ? static_cast<double>(correct) / static_cast<double>(total) : 0.0;
   res.loss = batches ? loss_acc / static_cast<double>(batches) : 0.0;
   if (recorder != nullptr) {
-    // Achieved input density at sparse-eligible layers over this eval —
-    // same nonzeros-per-element definition as the firing rate, so energy
-    // accounting and benchmark output agree on what "sparsity" means.
-    const SparseExec::Stats sparse_after = SparseExec::stats();
-    const double d_nnz = sparse_after.nnz - sparse_before.nnz;
-    const double d_elems = sparse_after.elements - sparse_before.elements;
-    if (d_elems > 0.0) {
-      recorder->record_density("sparse_eligible_inputs", d_nnz, d_elems);
-    }
     res.firing_rate = recorder->overall_rate();
     net.set_recorder(nullptr);
   }

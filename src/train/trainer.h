@@ -116,6 +116,18 @@ StepLoss readout_loss(LossKind kind, const Tensor& output_sum,
                       const std::vector<std::int64_t>& targets,
                       std::int64_t timesteps);
 
+/// The T-step unroll shared by train_batch, the evaluation loop and the
+/// data-parallel shard tasks: encodes step t of `x`, runs the forward and
+/// returns the sum of the head outputs over the `timesteps` steps. The
+/// caller resets the network and encoder first.
+Tensor forward_steps(Network& net, Encoder& enc, const Tensor& x,
+                     std::int64_t timesteps, bool train);
+
+/// BPTT over the same unroll: `timesteps` backward calls in reverse step
+/// order, each fed the uniform per-step gradient.
+void backward_steps(Network& net, const Tensor& grad_per_step,
+                    std::int64_t timesteps);
+
 /// One gradient step on a batch; returns the batch loss. Exposed for tests.
 /// `grad_norm_out`, when non-null, receives the pre-clip global gradient
 /// norm (the health monitor's divergence signal).

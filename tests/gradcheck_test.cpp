@@ -49,19 +49,9 @@ INSTANTIATE_TEST_SUITE_P(
 // through the whole finite-difference sweep.
 
 struct ForceSparse {
-  bool enabled = SparseExec::enabled();
   float threshold = SparseExec::threshold();
-  bool bwd = SparseExec::bwd_enabled();
-  ForceSparse() {
-    SparseExec::set_enabled(true);
-    SparseExec::set_bwd_enabled(true);
-    SparseExec::set_threshold(1.f);
-  }
-  ~ForceSparse() {
-    SparseExec::set_enabled(enabled);
-    SparseExec::set_threshold(threshold);
-    SparseExec::set_bwd_enabled(bwd);
-  }
+  ForceSparse() { SparseExec::set_threshold(1.f); }
+  ~ForceSparse() { SparseExec::set_threshold(threshold); }
 };
 
 TEST(ConvGradCheckSparse, SpikeInputEventPath) {

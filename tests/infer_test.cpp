@@ -36,21 +36,14 @@ using infer::ExecOptions;
 using infer::Plan;
 
 // Saves and restores the training graph's process-wide SparseExec
-// switches around each test so forced configurations never leak into
+// threshold around each test so forced configurations never leak into
 // other suites. Engines under test pass explicit ExecOptions instead.
 class InferTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    sparse_on_ = SparseExec::enabled();
-    sparse_thr_ = SparseExec::threshold();
-  }
-  void TearDown() override {
-    SparseExec::set_enabled(sparse_on_);
-    SparseExec::set_threshold(sparse_thr_);
-  }
+  void SetUp() override { sparse_thr_ = SparseExec::threshold(); }
+  void TearDown() override { SparseExec::set_threshold(sparse_thr_); }
 
  private:
-  bool sparse_on_ = true;
   float sparse_thr_ = 0.25f;
 };
 
@@ -213,7 +206,7 @@ TEST_F(InferTest, NoFoldDensePlanIsBitwiseEqualToTraining) {
   // fold_bn = false keeps the training layout: the engine's dense path
   // runs the identical im2col + GEMM, BN-eval expressions, and LIF update,
   // so with both sides forced dense the outputs must agree exactly.
-  SparseExec::set_enabled(false);  // training-graph side stays dense
+  SparseExec::set_threshold(0.f);  // training-graph side stays dense
   for (const std::string model :
        {"single_block", "resnet18s", "densenet121s", "mobilenetv2s"}) {
     ModelConfig cfg = small_cfg();
@@ -240,7 +233,6 @@ TEST_F(InferTest, NoFoldPackedPlanIsBitwiseEqualToSparseTraining) {
   // (threshold 1), a no-fold plan visits the same events in the same
   // order and replays the training arithmetic — exact agreement across
   // every family's join types.
-  SparseExec::set_enabled(true);
   SparseExec::set_threshold(1.f);
   for (const std::string model : {"single_block", "single_block-chain",
                                   "resnet18s", "densenet121s",

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "nn/activations.h"
 #include "nn/batchnorm_tt.h"
@@ -13,25 +15,22 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/pooling.h"
+#include "telemetry/telemetry.h"
 #include "tensor/spike_kernels.h"
 #include "tensor/workspace.h"
 
 namespace snnskip {
 namespace {
 
-// Restores the sparse-dispatch configuration on scope exit so tests can
-// force either path without leaking state into later tests.
+// Restores the sparse-dispatch threshold on scope exit so tests can force
+// either path (1 = event kernels, 0 = dense) without leaking state into
+// later tests.
 class SparseExecGuard {
  public:
-  SparseExecGuard()
-      : enabled_(SparseExec::enabled()), threshold_(SparseExec::threshold()) {}
-  ~SparseExecGuard() {
-    SparseExec::set_enabled(enabled_);
-    SparseExec::set_threshold(threshold_);
-  }
+  SparseExecGuard() : threshold_(SparseExec::threshold()) {}
+  ~SparseExecGuard() { SparseExec::set_threshold(threshold_); }
 
  private:
-  bool enabled_;
   float threshold_;
 };
 
@@ -359,7 +358,7 @@ TEST(Optimizer, ZeroGradClears) {
 // Random binary spike tensors across the density sweep must produce the
 // same forward outputs whether the event-driven path or the dense GEMM
 // path runs. The sweep forces the sparse dispatch with threshold=1.0 and
-// compares against the same layer with the dispatch disabled.
+// compares against the same layer at threshold 0 (dense everywhere).
 
 class SparsePathDensity : public ::testing::TestWithParam<double> {};
 
@@ -370,10 +369,9 @@ TEST_P(SparsePathDensity, Conv2dMatchesDense) {
   Conv2d conv(4, 6, 3, 1, 1, true, rng);
   Tensor x = Tensor::bernoulli(Shape{2, 4, 7, 7}, rng, density);
 
-  SparseExec::set_enabled(true);
   SparseExec::set_threshold(1.f);
   Tensor sparse = conv.forward(x, false);
-  SparseExec::set_enabled(false);
+  SparseExec::set_threshold(0.f);
   Tensor dense = conv.forward(x, false);
   EXPECT_LT(Tensor::max_abs_diff(sparse, dense), 1e-5f);
 }
@@ -385,10 +383,9 @@ TEST_P(SparsePathDensity, LinearMatchesDense) {
   Linear lin(12, 9, true, rng);
   Tensor x = Tensor::bernoulli(Shape{5, 12}, rng, density);
 
-  SparseExec::set_enabled(true);
   SparseExec::set_threshold(1.f);
   Tensor sparse = lin.forward(x, false);
-  SparseExec::set_enabled(false);
+  SparseExec::set_threshold(0.f);
   Tensor dense = lin.forward(x, false);
   EXPECT_LT(Tensor::max_abs_diff(sparse, dense), 1e-5f);
 }
@@ -400,10 +397,9 @@ TEST_P(SparsePathDensity, DepthwiseMatchesDense) {
   DepthwiseConv2d conv(5, 3, 2, 1, true, rng);
   Tensor x = Tensor::bernoulli(Shape{2, 5, 8, 8}, rng, density);
 
-  SparseExec::set_enabled(true);
   SparseExec::set_threshold(1.f);
   Tensor sparse = conv.forward(x, false);
-  SparseExec::set_enabled(false);
+  SparseExec::set_threshold(0.f);
   Tensor dense = conv.forward(x, false);
   EXPECT_LT(Tensor::max_abs_diff(sparse, dense), 1e-5f);
 }
@@ -423,12 +419,11 @@ TEST(SparsePath, Conv2dTrainBackwardMatchesDensePath) {
   Tensor x = Tensor::bernoulli(Shape{2, 3, 6, 6}, data_rng, 0.1f);
   Tensor go = Tensor::randn(Shape{2, 4, 6, 6}, data_rng);
 
-  SparseExec::set_enabled(true);
   SparseExec::set_threshold(1.f);
   (void)conv_s.forward(x, true);
   Tensor gi_s = conv_s.backward(go);
 
-  SparseExec::set_enabled(false);
+  SparseExec::set_threshold(0.f);
   (void)conv_d.forward(x, true);
   Tensor gi_d = conv_d.backward(go);
 
@@ -441,22 +436,25 @@ TEST(SparsePath, Conv2dTrainBackwardMatchesDensePath) {
 
 TEST(SparsePath, DispatchRespectsThreshold) {
   SparseExecGuard guard;
-  SparseExec::set_enabled(true);
   SparseExec::set_threshold(0.25f);
-  SparseExec::reset_stats();
+  Telemetry::reset();
+  Telemetry::set_enabled(true);
   Rng rng(906);
   Conv2d conv(4, 4, 3, 1, 1, false, rng);
   Tensor sparse_x = Tensor::bernoulli(Shape{1, 4, 8, 8}, rng, 0.05f);
   Tensor dense_x = Tensor::full(Shape{1, 4, 8, 8}, 1.f);
   (void)conv.forward(sparse_x, false);
   (void)conv.forward(dense_x, false);
-  const SparseExec::Stats st = SparseExec::stats();
-  EXPECT_EQ(st.sparse_calls, 1u);
-  EXPECT_EQ(st.dense_calls, 1u);
-  // Achieved density pools both inputs — same nnz/elements definition as
-  // FiringRateRecorder::average_density().
-  EXPECT_GT(st.density(), 0.4);
-  EXPECT_LT(st.density(), 0.6);
+  std::map<std::string, double> c = Telemetry::counters();
+  Telemetry::set_enabled(false);
+  Telemetry::reset();
+  EXPECT_EQ(c["dispatch.sparse"], 1.0);
+  EXPECT_EQ(c["dispatch.dense"], 1.0);
+  // Achieved density pools both inputs — the same nnz/elements definition
+  // as the firing rate.
+  const double density = c["dispatch.nnz"] / c["dispatch.elements"];
+  EXPECT_GT(density, 0.4);
+  EXPECT_LT(density, 0.6);
 }
 
 TEST(SparsePath, EvalSteadyStateStopsAllocating) {
@@ -464,7 +462,7 @@ TEST(SparsePath, EvalSteadyStateStopsAllocating) {
   // repeated eval-mode forwards perform no further heap allocations for
   // scratch (the im2col buffer used to be a fresh Tensor per call).
   SparseExecGuard guard;
-  SparseExec::set_enabled(false);  // dense path exercises the cols buffer
+  SparseExec::set_threshold(0.f);  // dense path exercises the cols buffer
   Rng rng(907);
   Conv2d conv(8, 8, 3, 1, 1, false, rng);
   Tensor x = Tensor::randn(Shape{2, 8, 10, 10}, rng);

@@ -2,7 +2,7 @@
 // quantized kernel layer (per-channel round-trip, int32 accumulator
 // headroom at the kernels' maximum reduction depth, scalar-vs-AVX2 bit
 // identity, packed event kernels vs dense GEMM references) and the
-// CRC-sealed QuantProfile calibration format. Plan-level int8 behavior
+// QuantProfile calibration pass. Plan-level int8 behavior
 // (ADD-join rescale, packed-vs-dense parity, weight shrink) lives in
 // infer_test; serve-side self-calibration in serve_test.
 
@@ -338,41 +338,6 @@ TEST_F(QuantTest, CalibrationCoversWeightOpsAndRejectsInt8Plans) {
   qopts.quant = &prof;
   const infer::PlanPtr q = infer::compile(net, in, qopts);
   EXPECT_THROW(infer::calibrate_quant(q, seqs), std::invalid_argument);
-}
-
-TEST_F(QuantTest, ProfileSerializeParseRoundTripAndCorruptionRejection) {
-  infer::QuantProfile p;
-  p.model = "resnet18s-w8";
-  // Awkward values: subnormal-adjacent, repeating-fraction, exact power
-  // of two — hexfloat must round-trip each bit-exactly.
-  p.op_amax = {{"stem", 1.f}, {"block0.conv1", 0.1f},
-               {"head", 3.1415927f}, {"tiny", 1e-30f}};
-  const std::string text = infer::serialize_quant_profile(p);
-  EXPECT_NE(text.find("snnskip-quant-profile-v1"), std::string::npos);
-  EXPECT_NE(text.find("crc32 "), std::string::npos);
-
-  infer::QuantProfile out;
-  std::string err;
-  ASSERT_TRUE(infer::parse_quant_profile(text, &out, &err)) << err;
-  EXPECT_EQ(out.model, p.model);
-  ASSERT_EQ(out.op_amax.size(), p.op_amax.size());
-  for (std::size_t i = 0; i < p.op_amax.size(); ++i) {
-    EXPECT_EQ(out.op_amax[i].first, p.op_amax[i].first);
-    EXPECT_EQ(out.op_amax[i].second, p.op_amax[i].second);  // bit-exact
-  }
-
-  // One flipped body byte must fail the seal, not silently change a range.
-  std::string corrupt = text;
-  const std::size_t at = corrupt.find("head");
-  ASSERT_NE(at, std::string::npos);
-  corrupt[at] = 'H';
-  EXPECT_FALSE(infer::parse_quant_profile(corrupt, &out, &err));
-  EXPECT_NE(err.find("checksum"), std::string::npos) << err;
-
-  // A truncated file (seal line lost) is rejected too.
-  const std::string truncated = text.substr(0, text.rfind("crc32 "));
-  EXPECT_FALSE(infer::parse_quant_profile(truncated, &out, &err));
-  EXPECT_FALSE(infer::parse_quant_profile("", &out, &err));
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 //   - LIF/PLIF-produced surrogate gradients through a conv for all three
 //     surrogates, including the Boxcar |u| == w window boundary and a
 //     refractory LIF, with backward-dispatch telemetry assertions
-//   - the GradDensityHint handoff and its mismatch fallback
+//   - dX dispatch reads the gradient it is handed, never a count left
+//     behind by a freed tensor at the same address
 //   - RetainedActivations accounting (CSR contexts shrink retained bytes,
 //     backward/reset return to baseline)
 //   - set_input_grad_needed(false): dX skipped (zeros), dW still exact
@@ -17,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "nn/conv2d.h"
@@ -26,24 +29,36 @@
 #include "snn/lif.h"
 #include "snn/plif.h"
 #include "telemetry/retained.h"
+#include "telemetry/telemetry.h"
 #include "tensor/spike_kernels.h"
 #include "util/rng.h"
 
 namespace snnskip {
 namespace {
 
-// Save/restore the SparseExec switches around each test.
+// Save/restore the SparseExec threshold around each test.
 struct SparseGuard {
-  bool enabled = SparseExec::enabled();
   float threshold = SparseExec::threshold();
-  bool bwd = SparseExec::bwd_enabled();
-  ~SparseGuard() {
-    SparseExec::set_enabled(enabled);
-    SparseExec::set_threshold(threshold);
-    SparseExec::set_bwd_enabled(bwd);
-    GradDensityHint::clear();
+  ~SparseGuard() { SparseExec::set_threshold(threshold); }
+};
+
+// Dispatch counters start from zero; telemetry is off again afterwards.
+struct CounterGuard {
+  CounterGuard() {
+    Telemetry::reset();
+    Telemetry::set_enabled(true);
+  }
+  ~CounterGuard() {
+    Telemetry::set_enabled(false);
+    Telemetry::reset();
   }
 };
+
+double counter(const char* name) {
+  const std::map<std::string, double> c = Telemetry::counters();
+  const auto it = c.find(name);
+  return it == c.end() ? 0.0 : it->second;
+}
 
 struct ChunkGuard {
   explicit ChunkGuard(std::size_t k) { set_parallel_chunk_override(k); }
@@ -88,9 +103,10 @@ void expect_bitwise_equal(const Grads& a, const Grads& b) {
 }
 
 Grads dense_reference(Layer& layer, const Tensor& x, const Tensor& g) {
-  SparseExec::set_enabled(false);
+  const float threshold = SparseExec::threshold();
+  SparseExec::set_threshold(0.f);  // dense everywhere
   Grads dense = run_step(layer, x, g);
-  SparseExec::set_enabled(true);
+  SparseExec::set_threshold(threshold);
   return dense;
 }
 
@@ -107,8 +123,6 @@ class ConvSparseBwd : public ::testing::TestWithParam<ConvCase> {};
 TEST_P(ConvSparseBwd, MatchesDenseBitForBit) {
   const ConvCase c = GetParam();
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(101);
@@ -135,8 +149,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ConvSparseBwd, InvariantUnderChunkPartitions) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(103);
@@ -158,8 +170,6 @@ TEST(ConvSparseBwd, InvariantUnderChunkPartitions) {
 
 TEST(ConvSparseBwd, SkippedInputGradIsZeroAndWeightGradExact) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(105);
@@ -181,8 +191,6 @@ TEST(ConvSparseBwd, SkippedInputGradIsZeroAndWeightGradExact) {
 
 TEST(LinearSparseBwd, MatchesDenseBitForBit) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(107);
@@ -201,8 +209,6 @@ TEST(LinearSparseBwd, MatchesDenseBitForBit) {
 
 TEST(LinearSparseBwd, InvariantUnderChunkPartitions) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(109);
@@ -224,8 +230,6 @@ TEST(LinearSparseBwd, InvariantUnderChunkPartitions) {
 
 TEST(DepthwiseSparseBwd, MatchesDenseBitForBit) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(111);
@@ -255,8 +259,6 @@ template <typename Neuron>
 void check_neuron_driven_conv(const LifConfig& cfg, float in_rate,
                               bool expect_sparse_dx, int timesteps = 1) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(113);
@@ -269,8 +271,8 @@ void check_neuron_driven_conv(const LifConfig& cfg, float in_rate,
     g_tops.push_back(Tensor::randn(conv.output_shape(xs[0].shape()), rng));
   }
 
-  // Live sparse run: the neuron publishes its active-set hint on each
-  // timestep's backward, the conv consumes it right away.
+  // Live sparse run: each timestep's surrogate gradient goes straight
+  // from the neuron's backward into the conv's.
   conv.reset_state();
   neuron.reset_state();
   for (Parameter* p : conv.parameters()) p->zero_grad();
@@ -278,7 +280,7 @@ void check_neuron_driven_conv(const LifConfig& cfg, float in_rate,
     (void)neuron.forward(conv.forward(xs[t], /*train=*/true),
                          /*train=*/true);
   }
-  SparseExec::reset_stats();
+  CounterGuard counters;
   std::vector<Tensor> g_convs(timesteps);
   std::vector<Tensor> sparse_dx(timesteps);
   std::int64_t true_nnz = 0;
@@ -288,21 +290,21 @@ void check_neuron_driven_conv(const LifConfig& cfg, float in_rate,
     sparse_dx[t] = conv.backward(g_convs[t]);
   }
   Tensor sparse_dw = conv.weight().grad;
-  const auto stats = SparseExec::bwd_stats();
-  EXPECT_EQ(stats.sparse_calls + stats.dense_calls,
-            static_cast<std::uint64_t>(timesteps));
+  const double sparse_calls = counter("dispatch.bwd.sparse");
+  const double dense_calls = counter("dispatch.bwd.dense");
+  EXPECT_EQ(sparse_calls + dense_calls, static_cast<double>(timesteps));
   if (expect_sparse_dx) {
-    EXPECT_GE(stats.sparse_calls, 1u);
+    EXPECT_GE(sparse_calls, 1.0);
   } else {
-    EXPECT_EQ(stats.dense_calls, static_cast<std::uint64_t>(timesteps));
+    EXPECT_EQ(dense_calls, static_cast<double>(timesteps));
   }
-  // The published hints were exact: telemetry saw the true nonzero count.
-  EXPECT_EQ(stats.nnz, static_cast<double>(true_nnz));
+  // The dispatch saw the true nonzero count.
+  EXPECT_EQ(counter("dispatch.bwd.nnz"), static_cast<double>(true_nnz));
 
   // Dense replay with the captured per-timestep gradients (the conv's
   // backward math never reads its own forward output, so feeding the same
   // gradients must reproduce dW and every dX bit-for-bit).
-  SparseExec::set_enabled(false);
+  SparseExec::set_threshold(0.f);
   conv.reset_state();
   for (Parameter* p : conv.parameters()) p->zero_grad();
   for (int t = 0; t < timesteps; ++t) {
@@ -387,26 +389,55 @@ TEST(BoxcarBoundary, WindowEdgeIsInsideTheActiveSet) {
   lif.reset_state();
 }
 
-// --- GradDensityHint --------------------------------------------------------
+// --- stale gradient counts ---------------------------------------------------
 
-TEST(GradDensityHintTest, MatchConsumesMismatchFallsBack) {
-  GradDensityHint::clear();
-  Tensor t(Shape{8});
-  GradDensityHint::publish(t.data(), t.numel(), 3);
-  // Wrong numel: no match, and the hint survives for the right consumer.
-  EXPECT_EQ(GradDensityHint::take(t.data(), 4), -1);
-  EXPECT_EQ(GradDensityHint::take(t.data(), t.numel()), 3);
-  // Consumed: a second take must re-scan.
-  EXPECT_EQ(GradDensityHint::take(t.data(), t.numel()), -1);
-  GradDensityHint::clear();
+TEST(StaleGradCount, DenseGradOnRecycledStorageDispatchesDense) {
+  // A neuron's surrogate gradient is dropped unconsumed (in the models a
+  // BatchNormTT sits between neuron and conv), and the next gradient the
+  // allocator places at the same address is a dense tensor of the same
+  // shape. Its dX dispatch must count that tensor, not the dropped one's
+  // active set.
+  SparseGuard guard;
+  SparseExec::set_threshold(0.25f);
+
+  Rng rng(125);
+  Linear lin(8, 32, false, rng);
+  (void)lin.forward(Tensor::bernoulli(Shape{8, 8}, rng, 0.1f),
+                    /*train=*/true);
+
+  LifConfig cfg;
+  cfg.surrogate.kind = SurrogateKind::Boxcar;
+  cfg.surrogate.scale = 2.f;  // window |u| <= 0.5
+  Lif lif(cfg);
+  // Zero input: u = -threshold, far outside the window, so the surrogate
+  // gradient (and its active-set count) is all zero.
+  (void)lif.forward(Tensor(Shape{8, 32}), /*train=*/true);
+
+  CounterGuard counters;
+  const float* dropped = nullptr;
+  {
+    const Tensor stale = lif.backward(Tensor::full(Shape{8, 32}, 1.f));
+    ASSERT_EQ(count_nonzero(stale.data(), stale.numel()), 0);
+    dropped = stale.data();
+  }
+  const Tensor g = Tensor::full(Shape{8, 32}, 1.f);
+  if (g.data() != dropped) {
+    lif.reset_state();
+    lin.reset_state();
+    GTEST_SKIP() << "the allocator did not reuse the dropped gradient's "
+                    "storage";
+  }
+  (void)lin.backward(g);
+  EXPECT_EQ(counter("dispatch.bwd.nnz"), static_cast<double>(g.numel()));
+  EXPECT_EQ(counter("dispatch.bwd.dense"), 1.0);
+  EXPECT_EQ(counter("dispatch.bwd.sparse"), 0.0);
+  lif.reset_state();
 }
 
 // --- RetainedActivations ----------------------------------------------------
 
 TEST(RetainedActivationsTest, SparseContextsShrinkAndBalance) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(117);
@@ -428,7 +459,7 @@ TEST(RetainedActivationsTest, SparseContextsShrinkAndBalance) {
   EXPECT_EQ(RetainedActivations::current(), base);
 
   // Dense forward retains the full tensor; reset_state releases it.
-  SparseExec::set_enabled(false);
+  SparseExec::set_threshold(0.f);
   (void)conv.forward(x, /*train=*/true);
   EXPECT_EQ(RetainedActivations::current() - base, dense_bytes);
   conv.reset_state();
@@ -450,8 +481,6 @@ TEST(RetainedActivationsTest, NeuronContextsBalanceAcrossTimesteps) {
 
 TEST(SparseBwdStats, CountsDispatchAndDensity) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(121);
@@ -460,23 +489,15 @@ TEST(SparseBwdStats, CountsDispatchAndDensity) {
   Tensor g_sparse = sparse_signal(Shape{3, 8}, rng, 0.1f);
   Tensor g_dense = Tensor::randn(Shape{3, 8}, rng);
 
-  SparseExec::reset_stats();
+  CounterGuard counters;
   (void)run_step(lin, x, g_sparse);
   (void)run_step(lin, x, g_dense);
-  const auto stats = SparseExec::bwd_stats();
-  EXPECT_EQ(stats.sparse_calls, 1u);
-  EXPECT_EQ(stats.dense_calls, 1u);
-  EXPECT_EQ(stats.elements, static_cast<double>(2 * g_dense.numel()));
-  EXPECT_GT(stats.nnz, 0.0);
-  EXPECT_LT(stats.density(), 1.0);
-
-  // The gate is an escape hatch: with SNNSKIP_SPARSE_BWD off, nothing is
-  // counted and nothing dispatches sparse.
-  SparseExec::set_bwd_enabled(false);
-  SparseExec::reset_stats();
-  (void)run_step(lin, x, g_sparse);
-  EXPECT_EQ(SparseExec::bwd_stats().sparse_calls, 0u);
-  EXPECT_EQ(SparseExec::bwd_stats().dense_calls, 0u);
+  EXPECT_EQ(counter("dispatch.bwd.sparse"), 1.0);
+  EXPECT_EQ(counter("dispatch.bwd.dense"), 1.0);
+  const double elements = counter("dispatch.bwd.elements");
+  EXPECT_EQ(elements, static_cast<double>(2 * g_dense.numel()));
+  EXPECT_GT(counter("dispatch.bwd.nnz"), 0.0);
+  EXPECT_LT(counter("dispatch.bwd.nnz") / elements, 1.0);
 }
 
 // --- sparse dX under finite differences -------------------------------------
@@ -487,8 +508,6 @@ TEST(SparseBwdStats, CountsDispatchAndDensity) {
 // differentiates.
 TEST(SparseBwdFiniteDiff, ConvInputGradSparsePath) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(1.f);  // always sparse, any density
 
   Rng rng(123);

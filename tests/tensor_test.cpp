@@ -475,12 +475,17 @@ TEST(SparseExec, CountNonzeroAndToggle) {
   const float data[6] = {0.f, 1.f, 0.f, 0.f, 3.f, 0.f};
   EXPECT_EQ(count_nonzero(data, 6), 2);
 
-  const bool was = SparseExec::enabled();
-  SparseExec::set_enabled(false);
-  EXPECT_FALSE(SparseExec::enabled());
-  SparseExec::set_enabled(was);
-  EXPECT_GT(SparseExec::threshold(), 0.f);
-  EXPECT_LE(SparseExec::threshold(), 1.f);
+  const float was = SparseExec::threshold();
+  EXPECT_GT(was, 0.f);
+  EXPECT_LE(was, 1.f);
+  // The threshold is the one switch: 1 takes the event kernels for any
+  // input that is not fully dense, 0 the dense path for every input.
+  SparseExec::set_threshold(1.f);
+  EXPECT_TRUE(SparseExec::dispatch(data, 6, /*backward=*/false));
+  SparseExec::set_threshold(0.f);
+  EXPECT_EQ(SparseExec::threshold(), 0.f);
+  EXPECT_FALSE(SparseExec::dispatch(data, 6, /*backward=*/false));
+  SparseExec::set_threshold(was);
 }
 
 // Dense reference conv via im2col + gemm, for the event-driven kernel.
