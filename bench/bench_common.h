@@ -16,7 +16,6 @@
 
 #include "data/dataset.h"
 #include "tensor/cpu_features.h"
-#include "tensor/kernel_config.h"
 #include "train/trainer.h"
 #include "util/cli.h"
 #include "util/json_writer.h"
@@ -28,13 +27,11 @@ namespace snnskip::benchcfg {
 // include it and use `snnskip::JsonArrayWriter` directly.
 
 /// Host/dispatch provenance, stamped into every benchmark row: the active
-/// SIMD level and tuning profile change what the numbers mean, so
-/// scripts/check_bench_regression.py keys rows on "simd" and refuses to
-/// compare across different "tune_profile" ids.
+/// SIMD level changes what the numbers mean, so
+/// scripts/check_bench_regression.py keys rows on "simd".
 inline void provenance_fields(JsonArrayWriter& json) {
   json.field("simd", to_string(active_simd()));
   json.field("cpu", cpu_signature());
-  json.field("tune_profile", kernel_config_profile_id());
 }
 
 inline std::size_t scaled(std::size_t base, double scale) {

@@ -132,7 +132,6 @@ int run(int argc, char** argv) {
     // row is not a dispatch level, so "simd" carries the row's own tag.
     json.field("simd", level_tag);
     json.field("cpu", cpu_signature());
-    json.field("tune_profile", kernel_config_profile_id());
     json.end_row();
   };
 

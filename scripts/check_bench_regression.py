@@ -16,14 +16,10 @@ A configuration FAILS when its fresh speedup falls below
 keyed by the active SIMD level and numeric precision on top of each
 bench's own fields (pre-SIMD baselines imply "scalar"; pre-quantization
 baselines imply "fp32"), so scalar rows only ever gate against scalar
-rows, int8 rows against int8 rows, and tuned-vs-tuned comparisons stay
-apples-to-apples. Baseline rows whose SIMD level the fresh run never
-produced (e.g. an avx2 baseline re-checked on a non-AVX2 host) are
-[simd-unavailable] and informational. Rows measured under a DIFFERENT tuning profile id than
-the fresh run ([profile-skew]) are never compared at all: a tuned
-profile moves the schedule constants, so the comparison would gate
-tuned numbers against untuned ones. Rows whose
-baseline speedup is below --min-speedup (default 1.5x) are informational
+rows and int8 rows against int8 rows. Baseline rows whose SIMD level the
+fresh run never produced (e.g. an avx2 baseline re-checked on a non-AVX2
+host) are [simd-unavailable] and informational. Rows whose baseline
+speedup is below --min-speedup (default 1.5x) are informational
 only: near-threshold and fallback rows are noise-dominated, and a
 "regression" from 1.1x to 0.9x is not a kernel problem. Rows that carry a
 `hardware_threads` field are additionally gated on the host actually
@@ -39,8 +35,8 @@ The last stdout line is a one-line JSON summary, e.g.
   {"status": "pass", "gated": 12, "info_only": 8, "regressions": 0}
 so CI steps can consume the result without parsing the human report; the
 exit code is 0 on pass, 1 on any regression or harness failure.
-[simd-unavailable] and [profile-skew] advisories go to stderr so they
-can never displace the JSON line for consumers tailing stdout.
+[simd-unavailable] advisories go to stderr so they can never displace
+the JSON line for consumers tailing stdout.
 
 Usage:
     scripts/check_bench_regression.py [build-dir] [--tolerance 0.25]
@@ -159,16 +155,6 @@ def check(spec, baseline_path, fresh, tolerance, min_speedup, counts):
                       file=sys.stderr)
                 continue
             failures.append(f"{name} {key}: missing from fresh run")
-            continue
-        base_profile = base_row.get("tune_profile", "default")
-        fresh_profile = fresh[key].get("tune_profile", "default")
-        if base_profile != fresh_profile:
-            # Different tuning profiles mean different schedule constants:
-            # refuse the comparison rather than gate tuned against untuned.
-            counts["info_only"] += 1
-            print(f"  {name:20s} {label:28s} [profile-skew: baseline "
-                  f"'{base_profile}' vs fresh '{fresh_profile}']",
-                  file=sys.stderr)
             continue
         base = base_row[metric]
         new = fresh[key][metric]

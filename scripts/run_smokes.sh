@@ -19,13 +19,18 @@ if [[ ! -d "${BUILD_DIR}/bench" ]]; then
   exit 1
 fi
 
-for bin in micro_spike_conv micro_spike_bptt micro_data_parallel micro_infer serve_load telemetry_smoke; do
+for bin in micro_gemm micro_spike_conv micro_spike_bptt micro_data_parallel micro_infer serve_load telemetry_smoke; do
   if [[ ! -x "${BUILD_DIR}/bench/${bin}" ]]; then
     echo "error: ${BUILD_DIR}/bench/${bin} not built (stale tree? re-run cmake --build ${BUILD_DIR} -j)" >&2
     exit 1
   fi
 done
 
+echo "== micro_gemm smoke (scalar-vs-AVX2 bitwise cross-check) =="
+"${BUILD_DIR}/bench/micro_gemm" --smoke 1 \
+  --out "${BUILD_DIR}/bench/BENCH_gemm_smoke.json"
+
+echo
 echo "== micro_spike_conv smoke (sparse-vs-dense cross-check) =="
 "${BUILD_DIR}/bench/micro_spike_conv" --smoke 1 \
   --out "${BUILD_DIR}/bench/BENCH_spike_conv_smoke.json"

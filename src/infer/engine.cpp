@@ -8,11 +8,11 @@
 #include "tensor/epilogue.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
-#include "tensor/kernel_config.h"
 #include "tensor/quant_kernels.h"
 #include "tensor/spike_kernels.h"
 #include "tensor/spike_packed.h"
 #include "telemetry/telemetry.h"
+#include "util/runtime_env.h"
 
 namespace snnskip::infer {
 
@@ -160,8 +160,11 @@ const std::int32_t* chrow_of(const TermPlan& t) {
 }  // namespace
 
 ExecOptions ExecOptions::defaults() {
+  static const float env_threshold = static_cast<float>(
+      env::get_double("SNNSKIP_INFER_THRESHOLD", ExecOptions{}.threshold,
+                      /*lo=*/0.0, /*hi=*/1.0));
   ExecOptions o;
-  o.threshold = kernel_config().infer_threshold;
+  o.threshold = env_threshold;
   return o;
 }
 

@@ -36,8 +36,7 @@
 // Engine snapshots an ExecOptions at construction and never consults
 // process-global state afterwards, so concurrent engines with different
 // options (multi-tenant serving) cannot perturb each other. The
-// environment only seeds the process-wide *default*, through the kernel
-// config (tensor/kernel_config.h):
+// environment only seeds the process-wide *default*, read once:
 //   SNNSKIP_INFER_THRESHOLD=<frac>  default density cutoff for the packed
 //                                   path (0.25, valid range [0, 1])
 
@@ -52,8 +51,8 @@
 namespace snnskip::infer {
 
 /// Per-engine dispatch configuration. `ExecOptions{}` gives the compiled-in
-/// default; `ExecOptions::defaults()` gives the process-wide default (the
-/// kernel config's infer_threshold), which is what `Engine(plan)` uses.
+/// default; `ExecOptions::defaults()` gives the process-wide default
+/// (SNNSKIP_INFER_THRESHOLD), which is what `Engine(plan)` uses.
 struct ExecOptions {
   /// Input density below which an op runs on the packed event kernels,
   /// in [0, 1]; 0 forces dense dispatch everywhere.

@@ -19,7 +19,7 @@ namespace snnskip {
 /// Grain control: ranges smaller than this run inline on the caller.
 inline constexpr std::size_t kParallelForMinGrain = 1024;
 
-/// Test/tuning override: when nonzero, parallel_for partitions every range
+/// Test override: when nonzero, parallel_for partitions every range
 /// into exactly min(k, n) chunks, bypassing the grain and pool-size
 /// heuristics. The sparse/dense gradient-equivalence tests use this to
 /// exercise 1/2/4-way partitions on any machine (the kernels' bit-for-bit

@@ -124,6 +124,10 @@ ModelSpec ModelSpec::from_manifest(const std::string& path) {
         spec.calib_steps = std::stoll(value);
       } else if (key == "threshold") {
         spec.exec.threshold = std::stof(value);
+        // A density cutoff lives in [0, 1]; NaN fails both comparisons.
+        if (!(spec.exec.threshold >= 0.f && spec.exec.threshold <= 1.f)) {
+          throw std::out_of_range(key);
+        }
       } else {
         bad("unknown key '" + key + "'");
       }

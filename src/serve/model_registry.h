@@ -81,9 +81,10 @@ struct ModelSpec {
   /// Parse a `key value` manifest (one pair per line; '#' comments).
   /// Keys: name family width in_channels num_classes timesteps theta
   /// neuron (lif|plif) seed checkpoint warm_bn_steps batch in_h in_w
-  /// fold_bn precision (fp32|int8) calib_steps threshold. Relative
-  /// checkpoint paths resolve against the manifest's directory. Throws
-  /// std::runtime_error on unreadable files or unknown keys.
+  /// fold_bn precision (fp32|int8) calib_steps threshold ([0, 1]).
+  /// Relative checkpoint paths resolve against the manifest's directory.
+  /// Throws std::runtime_error on unreadable files, unknown keys or
+  /// unparsable or out-of-range values.
   static ModelSpec from_manifest(const std::string& path);
 };
 

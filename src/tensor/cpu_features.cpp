@@ -12,14 +12,6 @@
 
 namespace snnskip {
 
-namespace detail {
-// Defined in kernel_config.cpp: makes sure the tuning profile (if any) has
-// been parsed, and returns its "simd" field ("auto" when absent/rejected).
-// Declared here instead of a header because it is an implementation
-// handshake between the two translation units, not API.
-const std::string& tuned_simd_hint();
-}  // namespace detail
-
 const char* to_string(SimdLevel level) {
   switch (level) {
     case SimdLevel::Scalar: return "scalar";
@@ -108,40 +100,29 @@ namespace {
 std::atomic<int> g_active{-1};  // -1 = not resolved yet
 std::once_flag g_resolve_once;
 
-SimdLevel clamp_to_supported(SimdLevel want, const std::string& origin) {
-  const SimdLevel max = max_simd_level();
-  if (static_cast<int>(want) <= static_cast<int>(max)) return want;
-  SNNSKIP_LOG(Warn) << "SNNSKIP_SIMD: requested '" << to_string(want)
-                    << "' (" << origin << ") but this "
-                    << (simd_avx2_compiled() ? "CPU" : "build")
-                    << " supports at most '" << to_string(max)
-                    << "'; falling back";
-  return max;
-}
-
 void resolve_active() {
-  // Policy: an explicit SNNSKIP_SIMD wins; otherwise the tuning profile's
-  // "simd" field; otherwise auto. "auto" picks Avx2 when available and
+  // Policy: an explicit SNNSKIP_SIMD wins, clamped to what this CPU and
+  // build support; otherwise auto. "auto" picks Avx2 when available and
   // never Avx2Fma — fused accumulation changes last-ulp rounding, so it
   // stays an explicit opt-in (header comment).
-  const std::string env = env::get_string("SNNSKIP_SIMD", "");
-  std::string choice = env;
-  std::string origin = "environment";
-  if (choice.empty() || choice == "auto") {
-    choice = detail::tuned_simd_hint();
-    origin = "tuning profile";
-  }
-  SimdLevel level;
-  if (choice.empty() || choice == "auto") {
-    level = max_simd_level() >= SimdLevel::Avx2 ? SimdLevel::Avx2
-                                                : SimdLevel::Scalar;
-  } else if (parse_simd_level(choice, &level)) {
-    level = clamp_to_supported(level, origin);
-  } else {
+  const SimdLevel auto_level = max_simd_level() >= SimdLevel::Avx2
+                                   ? SimdLevel::Avx2
+                                   : SimdLevel::Scalar;
+  const std::string choice = env::get_string("SNNSKIP_SIMD", "");
+  SimdLevel level = auto_level;
+  if (parse_simd_level(choice, &level)) {
+    const SimdLevel max = max_simd_level();
+    if (static_cast<int>(level) > static_cast<int>(max)) {
+      SNNSKIP_LOG(Warn) << "SNNSKIP_SIMD: requested '" << to_string(level)
+                        << "' but this "
+                        << (simd_avx2_compiled() ? "CPU" : "build")
+                        << " supports at most '" << to_string(max)
+                        << "'; falling back";
+      level = max;
+    }
+  } else if (!choice.empty() && choice != "auto") {
     SNNSKIP_LOG(Warn) << "SNNSKIP_SIMD: unrecognized value '" << choice
-                      << "' (" << origin << "); using auto";
-    level = max_simd_level() >= SimdLevel::Avx2 ? SimdLevel::Avx2
-                                                : SimdLevel::Scalar;
+                      << "'; using auto";
   }
   g_active.store(static_cast<int>(level), std::memory_order_release);
 }

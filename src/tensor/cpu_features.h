@@ -12,9 +12,9 @@
 //   Avx2Fma  AVX2 with fused multiply-add. FMA single-rounds a*b+c, so
 //            results differ from scalar in the last ulp; it is therefore
 //            NEVER selected automatically — only an explicit
-//            SNNSKIP_SIMD=avx2fma (or tuning profile) opts in, and the
-//            deterministic training contracts (DESIGN.md §5e/§5f) are
-//            documented as scalar/avx2-only.
+//            SNNSKIP_SIMD=avx2fma opts in, and the deterministic training
+//            contracts (DESIGN.md §5e/§5f) are documented as
+//            scalar/avx2-only.
 //
 // Selection happens once: SNNSKIP_SIMD=auto|scalar|avx2|avx2fma is
 // intersected with what the CPU supports (CPUID) and what the build
@@ -22,7 +22,7 @@
 // when the toolchain accepts -mavx2 -mfma). "auto" resolves to Avx2 when
 // available, never Avx2Fma. Per-kernel function-pointer tables index on
 // the resolved level (see simd_ops.h); set_active_simd() exists for tests
-// and the autotuner.
+// and benchmarks.
 
 #include <string>
 
@@ -49,15 +49,14 @@ bool simd_avx2_compiled();
 SimdLevel max_simd_level();
 
 /// The level the dispatch tables use, resolved once on first use from
-/// SNNSKIP_SIMD (or the tuning profile's "simd" field when the variable is
-/// unset), clamped to max_simd_level(). auto -> Avx2 when available.
+/// SNNSKIP_SIMD, clamped to max_simd_level(). auto -> Avx2 when available.
 SimdLevel active_simd();
 
 /// Force a level (clamped to max_simd_level()); returns what was applied.
-/// Used by tests and the autotuner; takes effect on the next kernel call.
+/// Used by tests and benchmarks; takes effect on the next kernel call.
 SimdLevel set_active_simd(SimdLevel level);
 
-/// Stable identity of this machine for keying tuning profiles: the CPUID
+/// Stable identity of this machine, stamped into benchmark rows: the CPUID
 /// brand string plus the feature bits that change kernel selection, e.g.
 /// "Intel(R) Xeon(R) CPU @ 2.10GHz|avx2=1|fma=1".
 std::string cpu_signature();

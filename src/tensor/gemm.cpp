@@ -1,7 +1,6 @@
 #include "tensor/gemm.h"
 
 #include "tensor/gemm_impl.h"
-#include "tensor/kernel_config.h"
 #include "tensor/simd_ops.h"
 #include "telemetry/telemetry.h"
 
@@ -15,22 +14,10 @@ using gemm_impl::gemm_nt_entry;
 using gemm_impl::gemm_tn_entry;
 }  // namespace
 
-// Scalar table: one driver instantiation per legal register tile (the
-// entries must line up with kGemmTiles).
 const GemmKernels* gemm_kernels_scalar() {
-  static const GemmKernels k = {
-      {&gemm_nn_entry<4, 16, false, false>,
-       &gemm_nn_entry<6, 16, false, false>,
-       &gemm_nn_entry<8, 8, false, false>,
-       &gemm_nn_entry<4, 8, false, false>,
-       &gemm_nn_entry<6, 8, false, false>},
-      {&gemm_tn_entry<4, 16, false, false>,
-       &gemm_tn_entry<6, 16, false, false>,
-       &gemm_tn_entry<8, 8, false, false>,
-       &gemm_tn_entry<4, 8, false, false>,
-       &gemm_tn_entry<6, 8, false, false>},
-      &gemm_nt_entry<false, false>,
-  };
+  static const GemmKernels k = {&gemm_nn_entry<false, false>,
+                                &gemm_tn_entry<false, false>,
+                                &gemm_nt_entry<false, false>};
   return &k;
 }
 
@@ -48,17 +35,13 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   // Aggregate-only: gemm runs at per-image granularity inside the timestep
   // loop, so per-call trace events would dwarf the rest of the trace.
   SNNSKIP_SPAN_AGG("gemm", "gemm");
-  const KernelConfig& cfg = kernel_config();
-  simd::gemm_kernels_for(active_simd())->nn[cfg.gemm_tile](
-      m, n, k, alpha, a, b, beta, c, cfg.gemm_kc);
+  simd::gemm_kernels_for(active_simd())->nn(m, n, k, alpha, a, b, beta, c);
 }
 
 void gemm_tn(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, const float* b, float beta, float* c) {
   SNNSKIP_SPAN_AGG("gemm", "gemm_tn");
-  const KernelConfig& cfg = kernel_config();
-  simd::gemm_kernels_for(active_simd())->tn[cfg.gemm_tile](
-      m, n, k, alpha, a, b, beta, c, cfg.gemm_kc);
+  simd::gemm_kernels_for(active_simd())->tn(m, n, k, alpha, a, b, beta, c);
 }
 
 void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,

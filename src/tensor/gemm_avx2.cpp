@@ -25,36 +25,16 @@ using gemm_impl::gemm_tn_entry;
 }  // namespace
 
 const GemmKernels* gemm_kernels_avx2() {
-  static const GemmKernels k = {
-      {&gemm_nn_entry<4, 16, true, false>,
-       &gemm_nn_entry<6, 16, true, false>,
-       &gemm_nn_entry<8, 8, true, false>,
-       &gemm_nn_entry<4, 8, true, false>,
-       &gemm_nn_entry<6, 8, true, false>},
-      {&gemm_tn_entry<4, 16, true, false>,
-       &gemm_tn_entry<6, 16, true, false>,
-       &gemm_tn_entry<8, 8, true, false>,
-       &gemm_tn_entry<4, 8, true, false>,
-       &gemm_tn_entry<6, 8, true, false>},
-      &gemm_nt_entry<true, false>,
-  };
+  static const GemmKernels k = {&gemm_nn_entry<true, false>,
+                                &gemm_tn_entry<true, false>,
+                                &gemm_nt_entry<true, false>};
   return &k;
 }
 
 const GemmKernels* gemm_kernels_avx2fma() {
-  static const GemmKernels k = {
-      {&gemm_nn_entry<4, 16, true, true>,
-       &gemm_nn_entry<6, 16, true, true>,
-       &gemm_nn_entry<8, 8, true, true>,
-       &gemm_nn_entry<4, 8, true, true>,
-       &gemm_nn_entry<6, 8, true, true>},
-      {&gemm_tn_entry<4, 16, true, true>,
-       &gemm_tn_entry<6, 16, true, true>,
-       &gemm_tn_entry<8, 8, true, true>,
-       &gemm_tn_entry<4, 8, true, true>,
-       &gemm_tn_entry<6, 8, true, true>},
-      &gemm_nt_entry<true, true>,
-  };
+  static const GemmKernels k = {&gemm_nn_entry<true, true>,
+                                &gemm_tn_entry<true, true>,
+                                &gemm_nt_entry<true, true>};
   return &k;
 }
 

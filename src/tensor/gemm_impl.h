@@ -4,22 +4,15 @@
 // re-instantiates them with UseAvx2=true under -mavx2 -mfma
 // -ffp-contract=off.
 //
-// Bit-identity argument (extends DESIGN.md §5e): for a fixed (Mr, Nr)
-// register tile, every output element accumulates exactly the products the
-// scalar kernel forms, in the same ascending-p order — the AVX2 microkernel
-// merely evaluates Nr independent per-element chains per instruction, and
-// with fp-contract off each lane performs the identical unfused
-// multiply-then-add. The K panel length (kc) only moves panel boundaries;
-// each element's product sequence is unchanged, so every kc is bit-equal.
-// The Fused variants use FMA (one rounding per a*b+c) and are therefore
-// NOT bit-identical to scalar — they back the opt-in Avx2Fma level only.
-//
-// Tile choice caveat: the all-zero spike-skip tests Mr rows at a time, so
-// changing Mr regroups which zero terms are skipped. Skipping a zero term
-// is exact whenever the accumulator cannot hold -0 — true for every
-// beta=0 call and for the training paths' +0-initialized accumulators
-// (DESIGN.md §5e) — so all legal tiles agree bitwise there; scalar-vs-AVX2
-// toggles always compare equal because both sides share one tile config.
+// Bit-identity argument (extends DESIGN.md §5e): every output element
+// accumulates exactly the products the scalar kernel forms, in the same
+// ascending-p order — the AVX2 microkernel merely evaluates kNr
+// independent per-element chains per instruction, and with fp-contract off
+// each lane performs the identical unfused multiply-then-add. The K panel
+// length only moves panel boundaries; each element's product sequence is
+// unchanged, so any panel length is bit-equal. The Fused variants use FMA
+// (one rounding per a*b+c) and are therefore NOT bit-identical to scalar —
+// they back the opt-in Avx2Fma level only.
 
 #include <algorithm>
 #include <cstdint>
@@ -140,39 +133,43 @@ inline void scale_rows(std::int64_t n, float beta, float* c, std::int64_t i0,
   }
 }
 
-// Shared driver for gemm / gemm_tn: parallelize over Mr-row blocks, then
-// sweep kc-length K panels x Nr-column tiles with the register microkernel.
-template <int Mr, int Nr, bool UseAvx2, bool Fused, typename ARow>
+// Shared driver for gemm / gemm_tn: parallelize over kMr-row blocks, then
+// sweep kKc-length K panels x kNr-column tiles with the register
+// microkernel. The 4x16 tile keeps 4*2 accumulators + 2 B vectors + 1
+// broadcast within the 16 YMM registers.
+template <bool UseAvx2, bool Fused, typename ARow>
 void drive(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-           ARow&& arow, const float* b, float beta, float* c,
-           std::int64_t kc) {
-  const std::int64_t row_blocks = (m + Mr - 1) / Mr;
+           ARow&& arow, const float* b, float beta, float* c) {
+  constexpr int kMr = 4;
+  constexpr int kNr = 16;
+  constexpr std::int64_t kKc = 128;
+  const std::int64_t row_blocks = (m + kMr - 1) / kMr;
   parallel_for_range(0, static_cast<std::size_t>(row_blocks),
                      [&](std::size_t b0, std::size_t b1) {
     for (std::size_t blk = b0; blk < b1; ++blk) {
-      const std::int64_t i0 = static_cast<std::int64_t>(blk) * Mr;
-      const std::int64_t mr = std::min<std::int64_t>(Mr, m - i0);
+      const std::int64_t i0 = static_cast<std::int64_t>(blk) * kMr;
+      const std::int64_t mr = std::min<std::int64_t>(kMr, m - i0);
       scale_rows(n, beta, c, i0, mr);
-      for (std::int64_t kk = 0; kk < k; kk += kc) {
-        const std::int64_t kend = std::min(k, kk + kc);
+      for (std::int64_t kk = 0; kk < k; kk += kKc) {
+        const std::int64_t kend = std::min(k, kk + kKc);
         std::int64_t j0 = 0;
-        if (mr == Mr) {
-          for (; j0 + Nr <= n; j0 += Nr) {
+        if (mr == kMr) {
+          for (; j0 + kNr <= n; j0 += kNr) {
 #if defined(__AVX2__)
             if constexpr (UseAvx2) {
-              micro_avx2<Mr, Nr / 8, Fused>(n, j0, alpha, arow, b, kk, kend,
-                                            c, i0);
+              micro_avx2<kMr, kNr / 8, Fused>(n, j0, alpha, arow, b, kk,
+                                              kend, c, i0);
             } else {
-              micro_scalar<Mr, Nr>(n, j0, alpha, arow, b, kk, kend, c, i0);
+              micro_scalar<kMr, kNr>(n, j0, alpha, arow, b, kk, kend, c, i0);
             }
 #else
             static_assert(!UseAvx2,
                           "AVX2 instantiation in a non-AVX2 translation unit");
-            micro_scalar<Mr, Nr>(n, j0, alpha, arow, b, kk, kend, c, i0);
+            micro_scalar<kMr, kNr>(n, j0, alpha, arow, b, kk, kend, c, i0);
 #endif
           }
         }
-        if (j0 < n || mr < Mr) {
+        if (j0 < n || mr < kMr) {
           micro_edge(n, j0, n - j0, alpha, arow, b, kk, kend, c, i0, mr);
         }
       }
@@ -182,25 +179,25 @@ void drive(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 
 // Table entry points: bind the A-access lambdas so the dispatch tables
 // hold plain function pointers.
-template <int Mr, int Nr, bool UseAvx2, bool Fused>
+template <bool UseAvx2, bool Fused>
 void gemm_nn_entry(std::int64_t m, std::int64_t n, std::int64_t k,
                    float alpha, const float* a, const float* b, float beta,
-                   float* c, std::int64_t kc) {
-  drive<Mr, Nr, UseAvx2, Fused>(
+                   float* c) {
+  drive<UseAvx2, Fused>(
       m, n, k, alpha,
       [a, k](std::int64_t p, std::int64_t i) { return a[i * k + p]; }, b,
-      beta, c, kc);
+      beta, c);
 }
 
-template <int Mr, int Nr, bool UseAvx2, bool Fused>
+template <bool UseAvx2, bool Fused>
 void gemm_tn_entry(std::int64_t m, std::int64_t n, std::int64_t k,
                    float alpha, const float* a, const float* b, float beta,
-                   float* c, std::int64_t kc) {
+                   float* c) {
   // A is stored (K, M); logical op is A^T(M,K) * B(K,N).
-  drive<Mr, Nr, UseAvx2, Fused>(
+  drive<UseAvx2, Fused>(
       m, n, k, alpha,
       [a, m](std::int64_t p, std::int64_t i) { return a[p * m + i]; }, b,
-      beta, c, kc);
+      beta, c);
 }
 
 // gemm_nt: row-times-row dot products, both operands contiguous in K.

@@ -2,7 +2,7 @@
 // Internal per-kernel function-pointer tables behind the runtime SIMD
 // dispatch (ISSUE 9). Public code never includes this; the public entry
 // points in gemm.h / spike_kernels.h / spike_packed.h / epilogue.h pick a
-// table from active_simd() + kernel_config() and jump through it.
+// table from active_simd() and jump through it.
 //
 // Layout: one table per SimdLevel per subsystem. The AVX2 tables are
 // defined in the -mavx2 -mfma translation units (gemm_avx2.cpp,
@@ -20,47 +20,16 @@ namespace snnskip::simd {
 
 // ---- GEMM ------------------------------------------------------------------
 
-/// Legal register tiles for the GEMM microkernel. Nr is a multiple of 8 so
-/// every tile has an AVX2 twin; Mr*Nr/8 + Nr/8 + 1 stays within 16 YMM
-/// registers. Index 0 is the historic default.
-struct GemmTile {
-  int mr;
-  int nr;
-};
-inline constexpr GemmTile kGemmTiles[] = {
-    {4, 16}, {6, 16}, {8, 8}, {4, 8}, {6, 8}};
-inline constexpr int kNumGemmTiles =
-    static_cast<int>(sizeof(kGemmTiles) / sizeof(kGemmTiles[0]));
-
-/// Index of (mr, nr) in kGemmTiles, or -1.
-inline int gemm_tile_index(int mr, int nr) {
-  for (int i = 0; i < kNumGemmTiles; ++i) {
-    if (kGemmTiles[i].mr == mr && kGemmTiles[i].nr == nr) return i;
-  }
-  return -1;
-}
-
-/// Legal GEMM K-panel lengths (cache blocks) the tuner may pick.
-inline constexpr int kGemmKcChoices[] = {64, 128, 256, 512};
-inline constexpr int kNumGemmKcChoices =
-    static_cast<int>(sizeof(kGemmKcChoices) / sizeof(kGemmKcChoices[0]));
-
-/// Legal transpose tile edges.
-inline constexpr int kTransposeTileChoices[] = {16, 32, 64, 128};
-inline constexpr int kNumTransposeTileChoices = static_cast<int>(
-    sizeof(kTransposeTileChoices) / sizeof(kTransposeTileChoices[0]));
-
-using GemmDriverFn = void (*)(std::int64_t m, std::int64_t n, std::int64_t k,
-                              float alpha, const float* a, const float* b,
-                              float beta, float* c, std::int64_t kc);
-using GemmNtFn = void (*)(std::int64_t m, std::int64_t n, std::int64_t k,
-                          float alpha, const float* a, const float* b,
-                          float beta, float* c);
+/// C = alpha * op(A) * op(B) + beta * C. The register tile and K panel
+/// are compile-time constants of the drivers in gemm_impl.h.
+using GemmFn = void (*)(std::int64_t m, std::int64_t n, std::int64_t k,
+                        float alpha, const float* a, const float* b,
+                        float beta, float* c);
 
 struct GemmKernels {
-  GemmDriverFn nn[kNumGemmTiles];
-  GemmDriverFn tn[kNumGemmTiles];
-  GemmNtFn nt;
+  GemmFn nn;
+  GemmFn tn;
+  GemmFn nt;
 };
 
 const GemmKernels* gemm_kernels_scalar();
@@ -97,10 +66,8 @@ struct SpikeKernels {
                                 float*);
   void (*depthwise_backward_weight)(const ConvGeometry&, const SpikeCsr&,
                                     const float*, float*);
-  void (*transpose)(const float*, std::int64_t, std::int64_t, float*,
-                    std::int64_t tile);
-  void (*transpose_add)(const float*, std::int64_t, std::int64_t, float*,
-                        std::int64_t tile);
+  void (*transpose)(const float*, std::int64_t, std::int64_t, float*);
+  void (*transpose_add)(const float*, std::int64_t, std::int64_t, float*);
   std::int64_t (*count_nonzero)(const float*, std::int64_t);
   std::int64_t (*packed_conv2d_term)(const ConvGeometry&, std::int64_t,
                                      const std::uint64_t*,

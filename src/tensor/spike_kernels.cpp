@@ -4,25 +4,27 @@
 
 #include "telemetry/telemetry.h"
 #include "tensor/epilogue.h"
-#include "tensor/kernel_config.h"
 #include "tensor/simd_ops.h"
 #include "tensor/spike_kernels_impl.h"
+#include "util/runtime_env.h"
 
 namespace snnskip {
 
 namespace {
 
-// -1 = "not explicitly set": threshold() then reads the resolved kernel
-// config (defaults <- tuning profile <- SNNSKIP_SPARSE_THRESHOLD), lazily
-// so static init never races the config load. set_threshold() pins an
-// explicit value that wins over the config from then on.
+// -1 = "not explicitly set": threshold() then falls back to
+// SNNSKIP_SPARSE_THRESHOLD (default 0.25), read once on first use.
+// set_threshold() pins an explicit value that wins from then on.
 std::atomic<float> g_threshold{-1.f};
 
 }  // namespace
 
 float SparseExec::threshold() {
   const float t = g_threshold.load(std::memory_order_relaxed);
-  return t >= 0.f ? t : kernel_config().sparse_threshold;
+  if (t >= 0.f) return t;
+  static const float env_threshold = static_cast<float>(env::get_double(
+      "SNNSKIP_SPARSE_THRESHOLD", 0.25, /*lo=*/0.0, /*hi=*/1.0));
+  return env_threshold;
 }
 void SparseExec::set_threshold(float t) {
   g_threshold.store(t, std::memory_order_relaxed);
@@ -64,7 +66,7 @@ const SpikeKernels* spike_kernels_avx2fma() { return spike_kernels_scalar(); }
 
 }  // namespace simd
 
-// ---- Public entry points (resolve table + schedule constants per call) -----
+// ---- Public entry points (resolve the table per call) ----------------------
 
 std::int64_t count_nonzero(const float* data, std::int64_t n) {
   return simd::spike_ops().count_nonzero(data, n);
@@ -72,14 +74,12 @@ std::int64_t count_nonzero(const float* data, std::int64_t n) {
 
 void transpose_panel(const float* src, std::int64_t rows, std::int64_t cols,
                      float* dst) {
-  simd::spike_ops().transpose(src, rows, cols, dst,
-                              kernel_config().transpose_tile);
+  simd::spike_ops().transpose(src, rows, cols, dst);
 }
 
 void transpose_add_panel(const float* src, std::int64_t rows,
                          std::int64_t cols, float* dst) {
-  simd::spike_ops().transpose_add(src, rows, cols, dst,
-                                  kernel_config().transpose_tile);
+  simd::spike_ops().transpose_add(src, rows, cols, dst);
 }
 
 void spike_conv2d_forward(const ConvGeometry& g, const SpikeCsr& csr,

@@ -47,11 +47,10 @@
 
 namespace snnskip {
 
-/// The training layers' sparse-vs-dense dispatch policy. The threshold
-/// comes from the kernel config (default 0.25, SNNSKIP_SPARSE_THRESHOLD,
-/// tuning profile) unless set_threshold() pins one; 0 selects the dense
-/// path everywhere, 1 the event kernels wherever the input is not fully
-/// dense.
+/// The training layers' sparse-vs-dense dispatch policy. The threshold is
+/// SNNSKIP_SPARSE_THRESHOLD (default 0.25, read once) unless
+/// set_threshold() pins one; 0 selects the dense path everywhere, 1 the
+/// event kernels wherever the input is not fully dense.
 class SparseExec {
  public:
   static float threshold();
@@ -70,10 +69,9 @@ class SparseExec {
 /// kernel it gates).
 std::int64_t count_nonzero(const float* data, std::int64_t n);
 
-/// Cache-blocked transpose: dst(c, r) = src(r, c) for src of (rows, cols).
-/// Tile edge comes from the kernel config (SNNSKIP_TUNE_PROFILE); the 8x8
-/// AVX2 block kernel engages per the active SIMD level. Exact copies —
-/// bit-identical across tile sizes and SIMD levels.
+/// Cache-blocked transpose: dst(c, r) = src(r, c) for src of (rows, cols),
+/// in 32x32 tiles; the 8x8 AVX2 block kernel engages per the active SIMD
+/// level. Exact copies — bit-identical across tile sizes and SIMD levels.
 void transpose_panel(const float* src, std::int64_t rows, std::int64_t cols,
                      float* dst);
 

@@ -23,7 +23,6 @@
 
 #include "parallel/parallel_for.h"
 #include "tensor/im2col.h"
-#include "tensor/kernel_config.h"
 #include "tensor/simd_ops.h"
 #include "tensor/spike_csr.h"
 #include "tensor/workspace.h"
@@ -143,17 +142,18 @@ inline void transpose_8x8_avx2(const float* src, std::int64_t scols,
 /// Cache-blocked transpose: dst(c, r) = src(r, c) (Add=false) or
 /// dst(c, r) += src(r, c) (Add=true) for src of (rows, cols). The naive
 /// loop strides one full row per write and misses on every store once the
-/// panel outgrows L2 (e.g. a 512x2304 conv weight); `tile`-edge tiles keep
-/// both sides inside a handful of cache lines. Each element is touched
-/// exactly once, so tiling (and the 8x8 vector block) is order-free and
-/// exact for any tile size.
+/// panel outgrows L2 (e.g. a 512x2304 conv weight); 32x32 tiles keep both
+/// sides inside a handful of cache lines. Each element is touched exactly
+/// once, so tiling (and the 8x8 vector block) is order-free and exact for
+/// any tile size.
 template <bool V, bool Add>
 void transpose_tiled(const float* src, std::int64_t rows, std::int64_t cols,
-                     float* dst, std::int64_t tile) {
-  for (std::int64_t r0 = 0; r0 < rows; r0 += tile) {
-    const std::int64_t r1 = rows < r0 + tile ? rows : r0 + tile;
-    for (std::int64_t c0 = 0; c0 < cols; c0 += tile) {
-      const std::int64_t c1 = cols < c0 + tile ? cols : c0 + tile;
+                     float* dst) {
+  constexpr std::int64_t kTile = 32;
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::int64_t r1 = rows < r0 + kTile ? rows : r0 + kTile;
+    for (std::int64_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::int64_t c1 = cols < c0 + kTile ? cols : c0 + kTile;
       std::int64_t r = r0;
 #if defined(__AVX2__)
       if constexpr (V) {
@@ -222,14 +222,13 @@ void conv2d_forward(const ConvGeometry& g, const SpikeCsr& csr,
   const std::int64_t hw = g.in_h * g.in_w;
   const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
   const std::int64_t o_c = out_c;
-  const std::int64_t tile = kernel_config().transpose_tile;
 
   auto scope = ws.scope();
   // Weight transposed to ((c,ky,kx), o) so the per-spike accumulation is a
   // unit-stride axpy of length O. Rebuilt per call: O(O*CKK) — negligible
   // next to the conv itself and immune to weight-update staleness.
   float* wt = scope.floats(static_cast<std::size_t>(ckk * o_c));
-  transpose_tiled<V, false>(weight, o_c, ckk, wt, tile);
+  transpose_tiled<V, false>(weight, o_c, ckk, wt);
   // Output accumulated transposed as (HoWo, O), then flipped back once.
   float* outt = scope.floats(static_cast<std::size_t>(howo * o_c));
 
@@ -266,7 +265,7 @@ void conv2d_forward(const ConvGeometry& g, const SpikeCsr& csr,
     // Flip (HoWo, O) back to (O, HoWo) and add the bias — exact copies
     // plus the same single add per element the row-wise loop performed.
     float* oimg = out + img * o_c * howo;
-    transpose_tiled<V, false>(outt, howo, o_c, oimg, tile);
+    transpose_tiled<V, false>(outt, howo, o_c, oimg);
     for (std::int64_t o = 0; o < o_c; ++o) {
       add_scalar<V>(howo, bias != nullptr ? bias[o] : 0.f, oimg + o * howo);
     }
@@ -278,10 +277,9 @@ void linear_forward(const SpikeCsr& csr, const float* weight,
                     const float* bias, std::int64_t out_f, float* out,
                     Workspace& ws) {
   const std::int64_t in_f = csr.row_len();
-  const std::int64_t tile = kernel_config().transpose_tile;
   auto scope = ws.scope();
   float* wt = scope.floats(static_cast<std::size_t>(in_f * out_f));
-  transpose_tiled<V, false>(weight, out_f, in_f, wt, tile);
+  transpose_tiled<V, false>(weight, out_f, in_f, wt);
   for (std::int64_t i = 0; i < csr.rows(); ++i) {
     float* orow = out + i * out_f;
     if (bias != nullptr) {
@@ -355,7 +353,6 @@ void conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
   const std::int64_t hw = g.in_h * g.in_w;
   const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
   const std::int64_t o_c = out_c;
-  const std::int64_t tile = kernel_config().transpose_tile;
 
   auto scope = ws.scope();
   // grad_out transposed to (HoWo, O) once per image so the per-event tap
@@ -363,8 +360,7 @@ void conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
   float* got = scope.floats(static_cast<std::size_t>(howo * o_c));
 
   for (std::int64_t img = 0; img < csr.rows(); ++img) {
-    transpose_tiled<V, false>(grad_out + img * o_c * howo, o_c, howo, got,
-                              tile);
+    transpose_tiled<V, false>(grad_out + img * o_c * howo, o_c, howo, got);
     const std::int32_t* idx = csr.row_indices(img);
     const float* val = csr.row_values(img);
     const std::int64_t cnt = csr.row_nnz(img);
@@ -404,8 +400,7 @@ void conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
               }
             }
           }
-          transpose_tiled<V, true>(dwt, ckk, ow, grad_weight + ob * ckk,
-                                   tile);
+          transpose_tiled<V, true>(dwt, ckk, ow, grad_weight + ob * ckk);
         });
   }
 }
@@ -515,14 +510,13 @@ void linear_backward_weight(const SpikeCsr& csr, const float* grad_out,
                             std::int64_t out_f, float* grad_weight,
                             Workspace& ws) {
   const std::int64_t in_f = csr.row_len();
-  const std::int64_t tile = kernel_config().transpose_tile;
   auto scope = ws.scope();
   // Accumulate through a transposed (in_f, out_f) view so each event is a
   // unit-stride axpy of length O. gemm_tn accumulates directly onto C in
   // ascending batch-row order; the transposes are element-exact copies, so
   // accumulating onto the transposed copy in the same row order matches.
   float* wgt = scope.floats(static_cast<std::size_t>(in_f * out_f));
-  transpose_tiled<V, false>(grad_weight, out_f, in_f, wgt, tile);
+  transpose_tiled<V, false>(grad_weight, out_f, in_f, wgt);
   const std::int64_t rows = csr.rows();
   parallel_for_range(
       0, static_cast<std::size_t>(out_f), [&](std::size_t b, std::size_t e) {
@@ -539,7 +533,7 @@ void linear_backward_weight(const SpikeCsr& csr, const float* grad_out,
           }
         }
       });
-  transpose_tiled<V, false>(wgt, in_f, out_f, grad_weight, tile);
+  transpose_tiled<V, false>(wgt, in_f, out_f, grad_weight);
 }
 
 template <bool V, bool F>

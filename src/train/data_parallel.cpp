@@ -8,7 +8,6 @@
 
 #include "parallel/thread_pool.h"
 #include "telemetry/telemetry.h"
-#include "tensor/kernel_config.h"
 #include "util/runtime_env.h"
 
 namespace snnskip {
@@ -31,13 +30,10 @@ Tensor slice_batch_rows(const Tensor& x, std::int64_t b, std::int64_t e) {
 }  // namespace
 
 std::int64_t DataParallelEngine::resolve_shards(const DataParallelConfig& cfg) {
-  // Explicit config wins; otherwise the kernel config (tuning profile) may
-  // move the shard count off kDataParallelDefaultShards. NOTE: the shard
-  // count fixes the gradient reduction tree, so different shard counts are
-  // different (each internally deterministic) numerical schedules.
-  if (cfg.shards > 0) return cfg.shards;
-  const int tuned = kernel_config().shards;
-  return tuned > 0 ? tuned : kDataParallelDefaultShards;
+  // NOTE: the shard count fixes the gradient reduction tree, so different
+  // shard counts are different (each internally deterministic) numerical
+  // schedules.
+  return cfg.shards > 0 ? cfg.shards : kDataParallelDefaultShards;
 }
 
 std::int64_t DataParallelEngine::resolve_workers(

@@ -2,12 +2,11 @@
 // Atomic replace of a file under its final name.
 //
 // Used by every writer that commits a whole file at once (checkpoints,
-// train/checkpoint.h; tuning profiles, tune/tune.h). The bytes go to
-// `<path>.tmp` beside the target, are fsync'd, and the temp file is
-// renamed over the target; then the parent directory is fsync'd, because
-// the rename is a directory-entry change that a crash could otherwise
-// still lose. A crash at any point leaves either the old file or the new
-// one, never a torn mixture.
+// train/checkpoint.h). The bytes go to `<path>.tmp` beside the target,
+// are fsync'd, and the temp file is renamed over the target; then the
+// parent directory is fsync'd, because the rename is a directory-entry
+// change that a crash could otherwise still lose. A crash at any point
+// leaves either the old file or the new one, never a torn mixture.
 
 #include <cstdio>
 #include <functional>

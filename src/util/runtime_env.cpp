@@ -38,7 +38,8 @@ double get_double(const char* name, double def) {
 
 double get_double(const char* name, double def, double lo, double hi) {
   const double v = get_double(name, def);
-  if (v < lo || v > hi) return def;
+  // Written so that NaN, which fails every comparison, falls back too.
+  if (!(v >= lo && v <= hi)) return def;
   return v;
 }
 

@@ -27,8 +27,9 @@ bool get_bool(const char* name, bool def);
 std::string get_string(const char* name, const std::string& def);
 
 /// Numeric getters fall back to `def` on unset or unparsable values; when
-/// [lo, hi] is given, out-of-range values also fall back (never clamp —
-/// a typo'd threshold should not silently become a different policy).
+/// [lo, hi] is given, out-of-range values and NaN also fall back (never
+/// clamp — a typo'd threshold should not silently become a different
+/// policy).
 double get_double(const char* name, double def);
 double get_double(const char* name, double def, double lo, double hi);
 std::int64_t get_int(const char* name, std::int64_t def);

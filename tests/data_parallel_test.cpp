@@ -19,7 +19,6 @@
 #include "core/parallel_evaluator.h"
 #include "data/synthetic_dvs_cifar.h"
 #include "models/zoo.h"
-#include "tensor/kernel_config.h"
 #include "train/data_parallel.h"
 #include "train/evaluate.h"
 #include "train/trainer.h"
@@ -124,20 +123,11 @@ TEST(DataParallelConfigResolve, WorkersComeFromEnvWhenUnset) {
   explicit_cfg.workers = 2;  // explicit config wins over the env
   EXPECT_EQ(DataParallelEngine::resolve_workers(explicit_cfg), 2);
   unsetenv("SNNSKIP_WORKERS");
-  // Shard resolution: explicit config > tuned kernel config > builtin
-  // default. Pin the kernel config so a loaded SNNSKIP_TUNE_PROFILE in
-  // the test environment cannot skew the default-path assertions.
-  const KernelConfig saved = kernel_config();
-  set_kernel_config(KernelConfig{});
-  EXPECT_EQ(DataParallelEngine::resolve_shards({}), kDataParallelDefaultShards);
-  KernelConfig tuned = saved;
-  tuned.shards = 2;
-  set_kernel_config(tuned);
-  EXPECT_EQ(DataParallelEngine::resolve_shards({}), 2);
+  // Shard resolution: the explicit config, else the fixed default of 8.
+  EXPECT_EQ(DataParallelEngine::resolve_shards({}), 8);
   DataParallelConfig pinned;
-  pinned.shards = 16;  // explicit config still wins over the profile
+  pinned.shards = 16;
   EXPECT_EQ(DataParallelEngine::resolve_shards(pinned), 16);
-  set_kernel_config(saved);
 }
 
 // --- encoder shard streams ---------------------------------------------------

@@ -288,6 +288,21 @@ TEST(ModelRegistryTest, ManifestParsing) {
     out << "packed false\n";
   }
   EXPECT_THROW(ModelSpec::from_manifest(path), std::runtime_error);
+  // The dispatch threshold is a density in [0, 1].
+  for (const char* bad : {"nan", "7"}) {
+    {
+      std::ofstream out(path);
+      out << "threshold " << bad << "\n";
+    }
+    try {
+      ModelSpec::from_manifest(path);
+      ADD_FAILURE() << "threshold " << bad << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("out-of-range value"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -20,8 +20,6 @@
 #include "tensor/cpu_features.h"
 #include "tensor/epilogue.h"
 #include "tensor/gemm.h"
-#include "tensor/kernel_config.h"
-#include "tensor/simd_ops.h"
 #include "tensor/spike_csr.h"
 #include "tensor/spike_kernels.h"
 #include "tensor/spike_packed.h"
@@ -38,21 +36,14 @@ bool avx2_available() { return simd_avx2_compiled() && cpu_has_avx2(); }
     GTEST_SKIP() << "AVX2 not compiled in or not supported by host";   \
   }
 
-/// Restore the process-wide SIMD level and kernel config after each test.
+/// Restore the process-wide SIMD level after each test.
 class SimdTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    saved_level_ = active_simd();
-    saved_cfg_ = kernel_config();
-  }
-  void TearDown() override {
-    set_active_simd(saved_level_);
-    set_kernel_config(saved_cfg_);
-  }
+  void SetUp() override { saved_level_ = active_simd(); }
+  void TearDown() override { set_active_simd(saved_level_); }
 
  private:
   SimdLevel saved_level_ = SimdLevel::Scalar;
-  KernelConfig saved_cfg_{};
 };
 
 std::vector<float> randu(std::int64_t n, std::uint64_t seed,
@@ -82,7 +73,7 @@ struct GemmCase {
 };
 
 // Odd shapes: below one tile, straddling tile edges, tails in every
-// dimension, and one K larger than the smallest kc choice.
+// dimension, and one K (131) that crosses the 128-long K panel.
 const GemmCase kGemmCases[] = {
     {1, 1, 1},  {3, 5, 7},   {7, 17, 9},   {8, 8, 8},
     {6, 16, 4}, {13, 31, 33}, {5, 16, 64}, {33, 47, 131},
@@ -91,6 +82,8 @@ const GemmCase kGemmCases[] = {
 class GemmBitIdentity : public SimdTest,
                         public ::testing::WithParamInterface<int> {};
 
+// Each shape runs gemm, gemm_tn and gemm_nt through both their full 4x16
+// register tiles and their edge tiles.
 TEST_P(GemmBitIdentity, AllKernelsAllTiles) {
   SKIP_WITHOUT_AVX2();
   const GemmCase gc = kGemmCases[GetParam()];
@@ -100,36 +93,22 @@ TEST_P(GemmBitIdentity, AllKernelsAllTiles) {
   const auto bt = randu(gc.n * gc.k, 4);   // (n, k) operand for gemm_nt
   const auto c0 = randu(gc.m * gc.n, 5);
 
-  for (int tile = 0; tile < simd::kNumGemmTiles; ++tile) {
-    for (int kc : {64, 128}) {
-      KernelConfig cfg = kernel_config();
-      cfg.gemm_tile = tile;
-      cfg.gemm_kc = kc;
-      set_kernel_config(cfg);
-
-      auto run = [&](SimdLevel lvl, std::vector<float>* nn,
-                     std::vector<float>* tn, std::vector<float>* nt) {
-        ASSERT_EQ(set_active_simd(lvl), lvl);
-        *nn = c0;
-        gemm(gc.m, gc.n, gc.k, 1.1f, a.data(), b.data(), 0.7f, nn->data());
-        *tn = c0;
-        gemm_tn(gc.m, gc.n, gc.k, 0.9f, at.data(), b.data(), 0.3f,
-                tn->data());
-        *nt = c0;
-        gemm_nt(gc.m, gc.n, gc.k, 1.3f, a.data(), bt.data(), 1.f,
-                nt->data());
-      };
-      std::vector<float> s_nn, s_tn, s_nt, v_nn, v_tn, v_nt;
-      run(SimdLevel::Scalar, &s_nn, &s_tn, &s_nt);
-      run(SimdLevel::Avx2, &v_nn, &v_tn, &v_nt);
-      EXPECT_TRUE(bitwise_equal(s_nn, v_nn))
-          << "gemm tile=" << tile << " kc=" << kc;
-      EXPECT_TRUE(bitwise_equal(s_tn, v_tn))
-          << "gemm_tn tile=" << tile << " kc=" << kc;
-      EXPECT_TRUE(bitwise_equal(s_nt, v_nt))
-          << "gemm_nt tile=" << tile << " kc=" << kc;
-    }
-  }
+  auto run = [&](SimdLevel lvl, std::vector<float>* nn,
+                 std::vector<float>* tn, std::vector<float>* nt) {
+    ASSERT_EQ(set_active_simd(lvl), lvl);
+    *nn = c0;
+    gemm(gc.m, gc.n, gc.k, 1.1f, a.data(), b.data(), 0.7f, nn->data());
+    *tn = c0;
+    gemm_tn(gc.m, gc.n, gc.k, 0.9f, at.data(), b.data(), 0.3f, tn->data());
+    *nt = c0;
+    gemm_nt(gc.m, gc.n, gc.k, 1.3f, a.data(), bt.data(), 1.f, nt->data());
+  };
+  std::vector<float> s_nn, s_tn, s_nt, v_nn, v_tn, v_nt;
+  run(SimdLevel::Scalar, &s_nn, &s_tn, &s_nt);
+  run(SimdLevel::Avx2, &v_nn, &v_tn, &v_nt);
+  EXPECT_TRUE(bitwise_equal(s_nn, v_nn)) << "gemm";
+  EXPECT_TRUE(bitwise_equal(s_tn, v_tn)) << "gemm_tn";
+  EXPECT_TRUE(bitwise_equal(s_nt, v_nt)) << "gemm_nt";
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmBitIdentity,
@@ -168,8 +147,8 @@ void naive_transpose(const std::vector<float>& src, std::int64_t rows,
 }
 
 TEST_F(SimdTest, TransposeEdgeTilesExact) {
-  // Correctness at every tile size over shapes that are NOT multiples of
-  // any tile edge (1x1, sub-tile, straddling, plus an 8-multiple).
+  // Correctness over shapes that are NOT multiples of the 32 tile edge
+  // (1x1, sub-tile, straddling, plus an 8-multiple).
   const std::int64_t shapes[][2] = {{1, 1},  {3, 70},  {33, 17},
                                     {31, 65}, {40, 104}, {129, 7}};
   for (const auto& s : shapes) {
@@ -177,22 +156,16 @@ TEST_F(SimdTest, TransposeEdgeTilesExact) {
     const auto src = randu(rows * cols, 21);
     std::vector<float> want;
     naive_transpose(src, rows, cols, &want);
-    for (int tile : {16, 32, 64, 128}) {
-      KernelConfig cfg = kernel_config();
-      cfg.transpose_tile = tile;
-      set_kernel_config(cfg);
-      std::vector<float> got(want.size(), 0.f);
-      transpose_panel(src.data(), rows, cols, got.data());
-      EXPECT_TRUE(bitwise_equal(want, got))
-          << rows << "x" << cols << " tile=" << tile;
-      // transpose_add on a non-zero destination.
-      std::vector<float> acc = randu(rows * cols, 22);
-      std::vector<float> acc_want = acc;
-      for (std::size_t i = 0; i < want.size(); ++i) acc_want[i] += want[i];
-      transpose_add_panel(src.data(), rows, cols, acc.data());
-      EXPECT_TRUE(bitwise_equal(acc_want, acc))
-          << "add " << rows << "x" << cols << " tile=" << tile;
-    }
+    std::vector<float> got(want.size(), 0.f);
+    transpose_panel(src.data(), rows, cols, got.data());
+    EXPECT_TRUE(bitwise_equal(want, got)) << rows << "x" << cols;
+    // transpose_add on a non-zero destination.
+    std::vector<float> acc = randu(rows * cols, 22);
+    std::vector<float> acc_want = acc;
+    for (std::size_t i = 0; i < want.size(); ++i) acc_want[i] += want[i];
+    transpose_add_panel(src.data(), rows, cols, acc.data());
+    EXPECT_TRUE(bitwise_equal(acc_want, acc))
+        << "add " << rows << "x" << cols;
   }
 }
 
@@ -200,18 +173,13 @@ TEST_F(SimdTest, TransposeScalarVsAvx2Bitwise) {
   SKIP_WITHOUT_AVX2();
   const std::int64_t rows = 83, cols = 59;
   const auto src = randu(rows * cols, 23);
-  for (int tile : {16, 32}) {
-    KernelConfig cfg = kernel_config();
-    cfg.transpose_tile = tile;
-    set_kernel_config(cfg);
-    std::vector<float> s(static_cast<std::size_t>(rows * cols), 0.f);
-    std::vector<float> v = s;
-    ASSERT_EQ(set_active_simd(SimdLevel::Scalar), SimdLevel::Scalar);
-    transpose_panel(src.data(), rows, cols, s.data());
-    ASSERT_EQ(set_active_simd(SimdLevel::Avx2), SimdLevel::Avx2);
-    transpose_panel(src.data(), rows, cols, v.data());
-    EXPECT_TRUE(bitwise_equal(s, v)) << "tile=" << tile;
-  }
+  std::vector<float> s(static_cast<std::size_t>(rows * cols), 0.f);
+  std::vector<float> v = s;
+  ASSERT_EQ(set_active_simd(SimdLevel::Scalar), SimdLevel::Scalar);
+  transpose_panel(src.data(), rows, cols, s.data());
+  ASSERT_EQ(set_active_simd(SimdLevel::Avx2), SimdLevel::Avx2);
+  transpose_panel(src.data(), rows, cols, v.data());
+  EXPECT_TRUE(bitwise_equal(s, v));
 }
 
 // ---- Event-driven spike kernels --------------------------------------------

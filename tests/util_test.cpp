@@ -1,16 +1,20 @@
 // Unit tests for src/util: RNG determinism and statistics, logging level
-// parsing, CSV escaping, CLI parsing, duration formatting.
+// parsing, CSV escaping, CLI parsing, duration formatting, environment
+// parsing.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
+#include <utility>
 
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/runtime_env.h"
 #include "util/timer.h"
 
 namespace snnskip {
@@ -227,6 +231,21 @@ TEST(Timer, ElapsedIsMonotonic) {
   const double b = t.elapsed_s();
   EXPECT_GE(b, a);
   EXPECT_GE(a, 0.0);
+}
+
+TEST(RuntimeEnv, RangedDoubleFallsBackOutsideRangeAndOnNan) {
+  const char* name = "SNNSKIP_UTIL_TEST_RANGED";
+  for (const char* bad : {"nan", "inf", "-0.5", "2"}) {
+    setenv(name, bad, 1);
+    EXPECT_EQ(env::get_double(name, 0.25, 0.0, 1.0), 0.25) << bad;
+  }
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0}, {"0.4", 0.4}, {"1", 1.0}};
+  for (const auto& [text, want] : good) {
+    setenv(name, text, 1);
+    EXPECT_EQ(env::get_double(name, 0.25, 0.0, 1.0), want) << text;
+  }
+  unsetenv(name);
 }
 
 TEST(Splitmix, KnownSequenceIsStable) {
