@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <future>
 
 #include "parallel/thread_pool.h"
@@ -10,6 +11,28 @@ namespace snnskip {
 
 namespace {
 std::atomic<std::size_t> g_chunk_override{0};
+
+// Runs the caller's own chunk, then waits for every pooled chunk before
+// rethrowing the first exception (the caller's, else the lowest chunk's).
+// The pooled tasks borrow the caller's callable, so none may still be
+// running when an exception unwinds the frame that owns it.
+template <typename F>
+void run_then_join(F&& own_chunk, std::vector<std::future<void>>& futures) {
+  std::exception_ptr first;
+  try {
+    own_chunk();
+  } catch (...) {
+    first = std::current_exception();
+  }
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
+}
 }  // namespace
 
 void set_parallel_chunk_override(std::size_t k) {
@@ -65,8 +88,7 @@ void parallel_for_range(
     if (b >= e) break;
     futures.push_back(pool.submit([&body, b, e] { body(b, e); }));
   }
-  body(begin, std::min(end, begin + chunk));
-  for (auto& f : futures) f.get();  // rethrows worker exceptions
+  run_then_join([&] { body(begin, std::min(end, begin + chunk)); }, futures);
 }
 
 double parallel_reduce_sum(std::size_t begin, std::size_t end,
@@ -105,8 +127,7 @@ double parallel_reduce_sum(std::size_t begin, std::size_t end,
     for (std::size_t c = 1; c < chunks; ++c) {
       futures.push_back(pool.submit([&run_chunk, c] { run_chunk(c); }));
     }
-    run_chunk(0);
-    for (auto& fut : futures) fut.get();
+    run_then_join([&] { run_chunk(0); }, futures);
   }
 
   // Merge in fixed chunk order => bitwise-deterministic result.

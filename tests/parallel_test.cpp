@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <string>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -166,6 +168,35 @@ TEST(ParallelFor, ExceptionInBodyPropagates) {
                            if (b == 0) throw std::runtime_error("body");
                          }),
       std::runtime_error);
+}
+
+TEST(ParallelFor, ThrowingChunkWaitsForPooledChunks) {
+  // The caller's chunk throws while a pooled chunk is still running. The
+  // pooled chunks borrow the body, so the exception may only leave
+  // parallel_for_range once every one of them has returned.
+  set_parallel_chunk_override(4);
+  std::atomic<int> started{0};
+  std::atomic<int> running{0};
+  EXPECT_THROW(
+      parallel_for_range(0, 4,
+                         [&](std::size_t b, std::size_t) {
+                           if (b == 0) {
+                             for (int i = 0; i < 10000 && started == 0; ++i) {
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(1));
+                             }
+                             throw std::runtime_error("chunk 0");
+                           }
+                           ++running;
+                           ++started;
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(50));
+                           --running;
+                         }),
+      std::runtime_error);
+  set_parallel_chunk_override(0);
+  EXPECT_GT(started.load(), 0);
+  EXPECT_EQ(running.load(), 0);
 }
 
 // --- nested-submit deadlock guard -------------------------------------------
