@@ -14,8 +14,8 @@
 // Unlike the forward-path bench (1e-4 tolerance), the backward kernels
 // promise BIT-FOR-BIT equality with the dense gemm path, so every
 // configuration cross-checks dW and dX with max_abs_diff == 0. The ctest
-// smoke variant (--smoke 1) keeps one tiny config so tier-1 runs exercise
-// this exactness check without paying for the timing sweep.
+// smoke variant (--smoke 1) keeps three tiny configs so tier-1 runs
+// exercise this exactness check without paying for the timing sweep.
 //
 // Usage: micro_spike_bptt [--smoke 1] [--out BENCH_spike_bptt.json]
 //                         [--min-ms 50]
@@ -92,7 +92,9 @@ int run(int argc, char** argv) {
   std::vector<ConvShape> shapes;
   std::vector<double> rates;
   if (smoke) {
-    shapes = {{16, 8}};
+    // 2x2 and 1x1 outputs reach the dense path's batched small-output
+    // lowering.
+    shapes = {{16, 8}, {32, 2}, {64, 1}};
     rates = {0.05, 0.50};
   } else {
     shapes = {{64, 32}, {128, 16}, {256, 8}};

@@ -55,12 +55,14 @@ int run(int argc, char** argv) {
   const double min_ms = args.get_double("min-ms", smoke ? 2.0 : 50.0);
   const std::string out_path = args.get("out", "BENCH_spike_conv.json");
 
-  // ResNet-18S stage shapes on 32x32 inputs; the smoke variant keeps one
-  // tiny config so it finishes in well under a second.
+  // ResNet-18S stage shapes on 32x32 inputs; the smoke variant keeps three
+  // tiny configs so it finishes in well under a second.
   std::vector<ConvShape> shapes;
   std::vector<double> rates;
   if (smoke) {
-    shapes = {{16, 8}};
+    // 2x2 and 1x1 outputs reach the dense path's batched small-output
+    // lowering.
+    shapes = {{16, 8}, {32, 2}, {64, 1}};
     rates = {0.05, 1.0};
   } else {
     shapes = {{64, 32}, {128, 16}, {256, 8}};

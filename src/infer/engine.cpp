@@ -61,7 +61,7 @@ struct Fp32 {
                         float* cols, float* out) {
     const ConvGeometry& g = op.geom;
     const std::int64_t p = g.out_h() * g.out_w();
-    if (p < 16) {
+    if (p < kGemmTileCols) {
       im2row(g, img, cols);
       gemm_nt(op.out_c, p, g.col_rows(), rows(op, wi), cols, out);
     } else {

@@ -64,18 +64,41 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
                          out.data(), Workspace::tls());
   } else {
     auto scope = Workspace::tls().scope();
-    float* col_ptr = scope.floats(static_cast<std::size_t>(cr * cc));
-    for (std::int64_t img = 0; img < n; ++img) {
-      im2col(g, x.data() + img * row_len, col_ptr);
-      // out_img(O, HoWo) = W(O, CKK) * cols(CKK, HoWo)
-      gemm(out_c_, cc, cr, 1.f, weight_.value.data(), col_ptr, 0.f,
-           out.data() + img * out_c_ * cc);
-      if (has_bias_) {
-        float* o = out.data() + img * out_c_ * cc;
-        for (std::int64_t ch = 0; ch < out_c_; ++ch) {
-          const float b = bias_.value[static_cast<std::size_t>(ch)];
-          for (std::int64_t p = 0; p < cc; ++p) o[ch * cc + p] += b;
+    float* o = out.data();
+    if (cc < kGemmTileCols) {
+      // Small output (see header): one GEMM over all P = N*HoWo patches,
+      // out(P, O) = rows(P, CKK) * W^T(CKK, O). At HoWo == 1 that already
+      // is the (N, O) output, otherwise each image's (HoWo, O) block is
+      // transposed into place.
+      const std::int64_t p = n * cc;
+      float* rows = scope.floats(static_cast<std::size_t>(p * cr));
+      float* wt = scope.floats(static_cast<std::size_t>(cr * out_c_));
+      for (std::int64_t img = 0; img < n; ++img) {
+        im2row(g, x.data() + img * row_len, rows + img * cc * cr);
+      }
+      transpose_panel(weight_.value.data(), out_c_, cr, wt);
+      float* pc =
+          cc == 1 ? o : scope.floats(static_cast<std::size_t>(p * out_c_));
+      gemm(p, out_c_, cr, 1.f, rows, wt, 0.f, pc);
+      if (cc > 1) {
+        for (std::int64_t img = 0; img < n; ++img) {
+          transpose_panel(pc + img * cc * out_c_, cc, out_c_,
+                          o + img * out_c_ * cc);
         }
+      }
+    } else {
+      float* col_ptr = scope.floats(static_cast<std::size_t>(cr * cc));
+      for (std::int64_t img = 0; img < n; ++img) {
+        im2col(g, x.data() + img * row_len, col_ptr);
+        // out_img(O, HoWo) = W(O, CKK) * cols(CKK, HoWo)
+        gemm(out_c_, cc, cr, 1.f, weight_.value.data(), col_ptr, 0.f,
+             o + img * out_c_ * cc);
+      }
+    }
+    if (has_bias_) {
+      for (std::int64_t plane = 0; plane < n * out_c_; ++plane) {
+        const float b = bias_.value[static_cast<std::size_t>(plane % out_c_)];
+        for (std::int64_t q = 0; q < cc; ++q) o[plane * cc + q] += b;
       }
     }
   }
@@ -88,6 +111,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t n = in_s[0];
   const ConvGeometry g{in_s[1], in_s[2], in_s[3], kernel_, stride_, pad_};
   const std::int64_t cr = g.col_rows(), cc = g.col_cols();
+  const std::int64_t in_img = in_s[1] * in_s[2] * in_s[3];
+  const bool batched = cc < kGemmTileCols;  // small output, see header
   assert(grad_out.shape()[0] == n && grad_out.shape()[1] == out_c_);
 
   // dX dispatch on the gradient's density — the surrogate active set.
@@ -102,6 +127,17 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     // accumulation, see spike_kernels.h).
     spike_conv2d_backward_weight(g, ctx.csr, grad_out.data(), out_c_,
                                  weight_.grad.data(), ws);
+  } else if (batched && cc == 1) {
+    // Each image's dW partial is a single product here, so one gemm_tn over
+    // K = N images (beta 1) adds them in image order, as the per-image
+    // gemm_nt below does. dW(O, CKK) += gO(N, O)^T * rows(N, CKK)
+    auto scope = ws.scope();
+    float* rows = scope.floats(static_cast<std::size_t>(n * cr));
+    for (std::int64_t img = 0; img < n; ++img) {
+      im2row(g, ctx.dense.data() + img * in_img, rows + img * cr);
+    }
+    gemm_tn(out_c_, cr, n, 1.f, grad_out.data(), rows, 1.f,
+            weight_.grad.data());
   } else {
     auto scope = ws.scope();
     float* col_ptr = scope.floats(static_cast<std::size_t>(cr * cc));
@@ -109,8 +145,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       const float* go = grad_out.data() + img * out_c_ * cc;
       // Recompute this image's columns from the saved input — im2col is a
       // pure gather, so the values match the forward pass bit-for-bit.
-      im2col(g, ctx.dense.data() + img * in_s[1] * in_s[2] * in_s[3],
-             col_ptr);
+      im2col(g, ctx.dense.data() + img * in_img, col_ptr);
       // dW(O, CKK) += gO(O, HoWo) * cols(CKK, HoWo)^T
       gemm_nt(out_c_, cr, cc, 1.f, go, col_ptr, 1.f, weight_.grad.data());
     }
@@ -143,6 +178,25 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     if (grad_events) {
       spike_conv2d_backward_input(g, *grad_events, weight_.value.data(), out_c_,
                                   grad_in.data(), ws);
+    } else if (batched) {
+      // drows(P, CKK) = gO^T(P, O) * W(O, CKK); at HoWo == 1 the (N, O, 1)
+      // gradient already is gO^T.
+      auto scope = ws.scope();
+      const std::int64_t p = n * cc;
+      const float* got = grad_out.data();
+      if (cc > 1) {
+        float* t = scope.floats(static_cast<std::size_t>(p * out_c_));
+        for (std::int64_t img = 0; img < n; ++img) {
+          transpose_panel(grad_out.data() + img * out_c_ * cc, out_c_, cc,
+                          t + img * cc * out_c_);
+        }
+        got = t;
+      }
+      float* drows = scope.floats(static_cast<std::size_t>(p * cr));
+      gemm(p, cr, out_c_, 1.f, got, weight_.value.data(), 0.f, drows);
+      for (std::int64_t img = 0; img < n; ++img) {
+        row2im(g, drows + img * cc * cr, grad_in.data() + img * in_img);
+      }
     } else {
       auto scope = ws.scope();
       float* grad_cols = scope.floats(static_cast<std::size_t>(cr * cc));
@@ -151,8 +205,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         // dcols(CKK, HoWo) = W(O, CKK)^T * gO(O, HoWo)
         gemm_tn(cr, cc, out_c_, 1.f, weight_.value.data(), go, 0.f,
                 grad_cols);
-        col2im(g, grad_cols,
-               grad_in.data() + img * in_s[1] * in_s[2] * in_s[3]);
+        col2im(g, grad_cols, grad_in.data() + img * in_img);
       }
     }
   }

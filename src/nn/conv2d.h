@@ -19,6 +19,15 @@
 // (exact nonzero count) and takes an event-driven scatter or gemm_tn +
 // col2im. Both sparse paths reproduce the dense accumulation order
 // bit-for-bit.
+//
+// Small outputs: below kGemmTileCols (16) output pixels per image, a
+// per-image GEMM would run only gemm's scalar edge loop, so the dense path
+// runs one GEMM per call over all P = N*HoWo patch rows (im2row): forward
+// out(P, O) = rows(P, CKK) * W^T, dX rows'(P, CKK) = gO^T(P, O) * W
+// scattered back per image by row2im (col2im's add order), and at HoWo == 1
+// dW as one gemm_tn over K = N images. Each output element keeps its
+// products and their order, so the answers are bitwise those of the
+// per-image lowering.
 
 #include "nn/layer.h"
 #include "nn/sparse_dispatch.h"

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "fault/inject.h"
@@ -28,6 +29,26 @@ bool parse_bool(const std::string& v) {
     t.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   }
   return !(t == "0" || t == "false" || t == "off" || t == "no");
+}
+
+/// A whole manifest number. std::sto* read the longest numeric prefix
+/// ("8abc" reads as 8) and std::stoull wraps a minus ("-1" reads as
+/// 2^64 - 1), so a value not consumed whole, or a negative unsigned one,
+/// throws std::invalid_argument like any other unparsable value.
+template <typename T>
+T parse_number(const std::string& s) {
+  std::size_t end = 0;
+  T v{};
+  if constexpr (std::is_floating_point_v<T>) {
+    v = std::stof(s, &end);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    if (s.front() == '-') throw std::invalid_argument(s);
+    v = std::stoull(s, &end);
+  } else {
+    v = std::stoll(s, &end);
+  }
+  if (end != s.size()) throw std::invalid_argument(s);
+  return v;
 }
 
 std::string dirname_of(const std::string& path) {
@@ -84,17 +105,17 @@ ModelSpec ModelSpec::from_manifest(const std::string& path) {
       } else if (key == "family") {
         spec.family = value;
       } else if (key == "width") {
-        spec.config.width = std::stoll(value);
+        spec.config.width = parse_number<std::int64_t>(value);
       } else if (key == "in_channels") {
-        spec.config.in_channels = std::stoll(value);
+        spec.config.in_channels = parse_number<std::int64_t>(value);
       } else if (key == "num_classes") {
-        spec.config.num_classes = std::stoll(value);
+        spec.config.num_classes = parse_number<std::int64_t>(value);
       } else if (key == "timesteps") {
-        spec.config.max_timesteps = std::stoll(value);
+        spec.config.max_timesteps = parse_number<std::int64_t>(value);
       } else if (key == "seed") {
-        spec.config.seed = std::stoull(value);
+        spec.config.seed = parse_number<std::uint64_t>(value);
       } else if (key == "theta") {
-        spec.config.lif.threshold = std::stof(value);
+        spec.config.lif.threshold = parse_number<float>(value);
       } else if (key == "neuron") {
         if (value == "lif") {
           spec.config.neuron = NeuronKind::Lif;
@@ -107,13 +128,13 @@ ModelSpec ModelSpec::from_manifest(const std::string& path) {
         spec.checkpoint =
             value.front() == '/' ? value : dirname_of(path) + "/" + value;
       } else if (key == "warm_bn_steps") {
-        spec.warm_bn_steps = std::stoll(value);
+        spec.warm_bn_steps = parse_number<std::int64_t>(value);
       } else if (key == "batch") {
-        spec.batch = std::stoll(value);
+        spec.batch = parse_number<std::int64_t>(value);
       } else if (key == "in_h") {
-        spec.in_h = std::stoll(value);
+        spec.in_h = parse_number<std::int64_t>(value);
       } else if (key == "in_w") {
-        spec.in_w = std::stoll(value);
+        spec.in_w = parse_number<std::int64_t>(value);
       } else if (key == "fold_bn") {
         spec.compile.fold_bn = parse_bool(value);
       } else if (key == "precision") {
@@ -121,9 +142,9 @@ ModelSpec ModelSpec::from_manifest(const std::string& path) {
           bad("unknown precision '" + value + "' (fp32|int8)");
         }
       } else if (key == "calib_steps") {
-        spec.calib_steps = std::stoll(value);
+        spec.calib_steps = parse_number<std::int64_t>(value);
       } else if (key == "threshold") {
-        spec.exec.threshold = std::stof(value);
+        spec.exec.threshold = parse_number<float>(value);
         // A density cutoff lives in [0, 1]; NaN fails both comparisons.
         if (!(spec.exec.threshold >= 0.f && spec.exec.threshold <= 1.f)) {
           throw std::out_of_range(key);

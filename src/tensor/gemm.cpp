@@ -32,8 +32,9 @@ const GemmKernels* gemm_kernels_avx2fma() { return gemm_kernels_scalar(); }
 
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
           const float* a, const float* b, float beta, float* c) {
-  // Aggregate-only: gemm runs at per-image granularity inside the timestep
-  // loop, so per-call trace events would dwarf the rest of the trace.
+  // Aggregate-only: gemm runs per image (per layer call for small conv
+  // outputs) every timestep, so per-call trace events would dwarf the
+  // rest of the trace.
   SNNSKIP_SPAN_AGG("gemm", "gemm");
   simd::gemm_kernels_for(active_simd())->nn(m, n, k, alpha, a, b, beta, c);
 }

@@ -14,6 +14,11 @@
 
 namespace snnskip {
 
+/// Column width of gemm/gemm_tn's register tile. A product with fewer
+/// output columns runs entirely in the scalar edge loop, so callers with
+/// narrow outputs (deep conv stages) lower to a different operand layout.
+inline constexpr std::int64_t kGemmTileCols = 16;
+
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
           const float* a, const float* b, float beta, float* c);
 

@@ -22,6 +22,7 @@
 #endif
 
 #include "parallel/parallel_for.h"
+#include "tensor/gemm.h"
 
 namespace snnskip::gemm_impl {
 
@@ -141,7 +142,7 @@ template <bool UseAvx2, bool Fused, typename ARow>
 void drive(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
            ARow&& arow, const float* b, float beta, float* c) {
   constexpr int kMr = 4;
-  constexpr int kNr = 16;
+  constexpr int kNr = static_cast<int>(kGemmTileCols);
   constexpr std::int64_t kKc = 128;
   const std::int64_t row_blocks = (m + kMr - 1) / kMr;
   parallel_for_range(0, static_cast<std::size_t>(row_blocks),

@@ -6,7 +6,8 @@
 // field into a column of the matrix `cols` with layout
 //   (C * K * K, Ho * Wo)
 // so that conv = weight(C_out, C*K*K) x cols. col2im is the exact adjoint
-// (scatter-add), used for the input-gradient in the backward pass.
+// (scatter-add), used for the input-gradient in the backward pass. im2row
+// and row2im are the same pair on the transposed, patch-major layout.
 
 #include <cstdint>
 
@@ -26,15 +27,21 @@ struct ConvGeometry {
 void im2col(const ConvGeometry& g, const float* img, float* cols);
 
 /// Transposed unroll: `rows` has layout (col_cols x col_rows) — one
-/// contiguous receptive-field patch per output pixel. Pairs with gemm_nt
-/// (weight rows x patch rows, both streaming contiguously), which stays in
-/// its register tile even when the output is only a handful of pixels —
-/// the regime where gemm's 16-column microkernel degrades to scalar edge
-/// loops. Same element values as im2col, just the (row, pixel) transpose.
+/// contiguous receptive-field patch per output pixel. It serves outputs of
+/// only a handful of pixels, where gemm's 16-column microkernel degrades
+/// to scalar edge loops: the inference engine pairs it with gemm_nt
+/// (weight rows x patch rows), and the training Conv2d stacks every
+/// image's patch rows into one gemm against the transposed weight. Same
+/// element values as im2col, just the (row, pixel) transpose.
 void im2row(const ConvGeometry& g, const float* img, float* rows);
 
 /// Adjoint of im2col: accumulate `cols` back into `img` (must be zeroed by
 /// the caller if a fresh gradient is wanted).
 void col2im(const ConvGeometry& g, const float* cols, float* img);
+
+/// Adjoint of im2row: accumulate patch-major `rows` (col_cols x col_rows)
+/// back into `img`, adding to each pixel in col2im's order, so the two are
+/// bitwise equal on the same values.
+void row2im(const ConvGeometry& g, const float* rows, float* img);
 
 }  // namespace snnskip

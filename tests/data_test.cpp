@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "data/dataloader.h"
@@ -107,6 +108,43 @@ TEST(SyntheticDvsCifar, EventsAreSparseButPresent) {
   frac /= 10.0;
   EXPECT_GT(frac, 0.005);  // motion generates events
   EXPECT_LT(frac, 0.6);    // but they stay sparse
+}
+
+// FNV-1a over the first samples of every split (event bits and labels)
+// of the 8x8, T = 4 event data at data seed 12.
+std::uint64_t dvs_cifar_hash() {
+  SyntheticConfig cfg;
+  cfg.height = 8;
+  cfg.width = 8;
+  cfg.timesteps = 4;
+  cfg.train_size = 200;
+  cfg.val_size = 256;
+  cfg.test_size = 2048;
+  cfg.seed = 12;
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::uint32_t word) {
+    for (int b = 0; b < 4; ++b) {
+      h = (h ^ ((word >> (8 * b)) & 0xFFu)) * 1099511628211ULL;
+    }
+  };
+  for (Split split : {Split::Train, Split::Val, Split::Test}) {
+    const SyntheticDvsCifar ds(cfg, split);
+    for (std::size_t i = 0; i < 16; ++i) {
+      const Sample s = ds.get(i);
+      for (std::int64_t j = 0; j < s.x.numel(); ++j) {
+        std::uint32_t bits;
+        std::memcpy(&bits, s.x.data() + j, sizeof bits);
+        mix(bits);
+      }
+      mix(static_cast<std::uint32_t>(s.y));
+    }
+  }
+  return h;
+}
+
+TEST(SyntheticDvsCifar, SamplesArePinned) {
+  // Generator speed-ups must leave every event bit where it was.
+  EXPECT_EQ(dvs_cifar_hash(), 16925286424514088283ULL);
 }
 
 TEST(SyntheticDvsGesture, ElevenClasses) {

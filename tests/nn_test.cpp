@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -15,6 +16,8 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/pooling.h"
+#include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "telemetry/telemetry.h"
 #include "tensor/spike_kernels.h"
 #include "tensor/workspace.h"
@@ -89,6 +92,82 @@ TEST(Conv2d, EvalForwardSavesNoContext) {
   Tensor g = Tensor::randn(Shape{1, 1, 4, 4}, rng);
   EXPECT_NO_THROW(conv.backward(g));
 }
+
+// Outputs below the GEMM tile width run the dense path as one GEMM over
+// the whole batch. It must agree to the last bit with one image at a time
+// (dW and db accumulated in image order onto the gradient an earlier
+// timestep left) and, forward, with the per-image im2col + gemm lowering.
+struct SmallOutputCase {
+  std::int64_t hw, stride;  // 3x3 kernel, pad 1
+  std::int64_t n;
+};
+
+class Conv2dSmallOutput : public ::testing::TestWithParam<SmallOutputCase> {};
+
+TEST_P(Conv2dSmallOutput, BatchMatchesOneImageAtATime) {
+  const SmallOutputCase c = GetParam();
+  SparseExecGuard guard;
+  SparseExec::set_threshold(0.f);  // dense everywhere
+  const std::int64_t in_c = 5, out_c = 18;
+  Rng rng(911);
+  Conv2d conv(in_c, out_c, 3, c.stride, 1, /*bias=*/true, rng);
+  conv.bias().value = Tensor::randn(Shape{out_c}, rng);
+  const Shape xs{c.n, in_c, c.hw, c.hw};
+  Tensor x = Tensor::randn(xs, rng);
+  Tensor g = Tensor::randn(conv.output_shape(xs), rng);
+  const std::int64_t img_in = in_c * c.hw * c.hw;
+  const std::int64_t img_out = g.numel() / c.n;
+  const Tensor dw0 = Tensor::randn(conv.weight().grad.shape(), rng);
+  const Tensor db0 = Tensor::randn(Shape{out_c}, rng);
+
+  conv.weight().grad = dw0;
+  conv.bias().grad = db0;
+  const Tensor y = conv.forward(x, /*train=*/true);
+  const Tensor dx = conv.backward(g);
+  const Tensor dw = conv.weight().grad;
+  const Tensor db = conv.bias().grad;
+
+  conv.weight().grad = dw0;
+  conv.bias().grad = db0;
+  const ConvGeometry geom{in_c, c.hw, c.hw, 3, c.stride, 1};
+  Tensor cols(Shape{geom.col_rows(), geom.col_cols()});
+  for (std::int64_t img = 0; img < c.n; ++img) {
+    Tensor xi(Shape{1, in_c, c.hw, c.hw});
+    std::copy_n(x.data() + img * img_in, img_in, xi.data());
+    Tensor gi(conv.output_shape(xi.shape()));
+    std::copy_n(g.data() + img * img_out, img_out, gi.data());
+    const Tensor yi = conv.forward(xi, /*train=*/true);
+    const Tensor dxi = conv.backward(gi);
+    im2col(geom, xi.data(), cols.data());
+    Tensor ref(Shape{out_c, geom.col_cols()});
+    gemm(out_c, geom.col_cols(), geom.col_rows(), 1.f,
+         conv.weight().value.data(), cols.data(), 0.f, ref.data());
+    for (std::int64_t k = 0; k < img_out; ++k) {
+      const auto q = static_cast<std::size_t>(img * img_out + k);
+      const auto kk = static_cast<std::size_t>(k);
+      ASSERT_EQ(y[q], yi[kk]) << "image " << img << " out " << k;
+      ASSERT_EQ(y[q], ref[kk] + conv.bias().value[static_cast<std::size_t>(
+                                    k / geom.col_cols())])
+          << "image " << img << " out " << k;
+    }
+    for (std::int64_t k = 0; k < img_in; ++k) {
+      ASSERT_EQ(dx[static_cast<std::size_t>(img * img_in + k)],
+                dxi[static_cast<std::size_t>(k)])
+          << "image " << img << " dX " << k;
+    }
+  }
+  EXPECT_EQ(Tensor::max_abs_diff(dw, conv.weight().grad), 0.f);
+  EXPECT_EQ(Tensor::max_abs_diff(db, conv.bias().grad), 0.f);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pixels, Conv2dSmallOutput,
+    ::testing::Values(SmallOutputCase{1, 1, 1}, SmallOutputCase{1, 1, 4},
+                      SmallOutputCase{2, 2, 25},  // HoWo = 1, stride 2
+                      SmallOutputCase{2, 1, 1}, SmallOutputCase{4, 2, 4},
+                      SmallOutputCase{2, 1, 25},  // HoWo = 4
+                      SmallOutputCase{3, 1, 1}, SmallOutputCase{5, 2, 4},
+                      SmallOutputCase{3, 1, 25}));  // HoWo = 9
 
 TEST(DepthwiseConv2d, OutputShapeAndMacs) {
   Rng rng(7);

@@ -303,6 +303,23 @@ TEST(ModelRegistryTest, ManifestParsing) {
           << e.what();
     }
   }
+  // A number must be the whole value: no trailing junk, and no negative
+  // seed wrapping to 2^64 - 1.
+  for (const char* bad :
+       {"width 8abc", "timesteps 4x", "threshold 0.3abc", "seed -1"}) {
+    {
+      std::ofstream out(path);
+      out << bad << "\n";
+    }
+    try {
+      ModelSpec::from_manifest(path);
+      ADD_FAILURE() << "'" << bad << "' loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unparsable value"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -147,6 +147,29 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{2, 3, 3, 1, 0, 6, 4, 3, false, 0.1f},  // no pad, non-square
         ConvCase{5, 2, 3, 2, 0, 8, 8, 2, true, 0.05f}));
 
+// Outputs below the GEMM tile width take the batched dense lowering (one
+// GEMM over all N*HoWo patches, and a K = N gemm_tn for dW at 1x1).
+std::string small_output_name(const ::testing::TestParamInfo<ConvCase>& p) {
+  const ConvCase& c = p.param;
+  const ConvGeometry g{c.in_c, c.h, c.w, c.kernel, c.stride, c.pad};
+  return "out" + std::to_string(g.out_h()) + "x" + std::to_string(g.out_w()) +
+         "_stride" + std::to_string(c.stride) +
+         (c.bias ? "_bias" : "_nobias");
+}
+
+// Static storage zeroes the padding bytes, which gtest prints as part of
+// the parameter, so the test names stay the same from run to run.
+const ConvCase kSmallOutputCases[] = {
+    {6, 20, 3, 1, 1, 2, 2, 4, true, 0.1f},
+    {6, 8, 3, 2, 1, 4, 4, 4, false, 0.1f},
+    {16, 20, 3, 1, 1, 1, 1, 4, false, 0.1f},
+    {16, 6, 3, 2, 1, 2, 2, 4, true, 1.f},
+};
+
+INSTANTIATE_TEST_SUITE_P(SmallOutputs, ConvSparseBwd,
+                         ::testing::ValuesIn(kSmallOutputCases),
+                         small_output_name);
+
 TEST(ConvSparseBwd, InvariantUnderChunkPartitions) {
   SparseGuard guard;
   SparseExec::set_threshold(0.25f);

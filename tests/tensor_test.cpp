@@ -348,6 +348,39 @@ TEST_P(Im2ColGeom, AdjointProperty) {
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
+TEST_P(Im2ColGeom, Row2ImMatchesCol2ImBitwise) {
+  // im2row is im2col's transpose, and row2im of the patch-major values
+  // adds into each pixel in col2im's order: bitwise equal, also on top of
+  // a nonzero image.
+  const ConvGeometry g = GetParam();
+  const std::int64_t cr = g.col_rows(), cc = g.col_cols();
+  Rng rng(23);
+  Tensor x = Tensor::randn(Shape{g.in_c, g.in_h, g.in_w}, rng);
+  Tensor cols(Shape{cr, cc});
+  Tensor rows(Shape{cc, cr});
+  im2col(g, x.data(), cols.data());
+  im2row(g, x.data(), rows.data());
+  for (std::int64_t r = 0; r < cr; ++r) {
+    for (std::int64_t q = 0; q < cc; ++q) {
+      ASSERT_EQ(cols.at({r, q}), rows.at({q, r}));
+    }
+  }
+
+  Tensor c = Tensor::randn(Shape{cr, cc}, rng);
+  Tensor t(Shape{cc, cr});
+  for (std::int64_t r = 0; r < cr; ++r) {
+    for (std::int64_t q = 0; q < cc; ++q) t.at({q, r}) = c.at({r, q});
+  }
+  Tensor via_cols = Tensor::randn(Shape{g.in_c, g.in_h, g.in_w}, rng);
+  Tensor via_rows = via_cols;
+  col2im(g, c.data(), via_cols.data());
+  row2im(g, t.data(), via_rows.data());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    ASSERT_EQ(via_cols[k], via_rows[k]) << "pixel " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, Im2ColGeom,
     ::testing::Values(ConvGeometry{1, 4, 4, 3, 1, 1},
