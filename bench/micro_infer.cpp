@@ -230,7 +230,6 @@ int run(int argc, char** argv) {
         spec.config.seed = 7;
         spec.config.lif.threshold = pt.theta;
         spec.warm_bn_steps = steps;
-        spec.batch = 1;
         spec.in_h = hw;
         spec.in_w = hw;
         spec.exec = exec;

@@ -1,27 +1,26 @@
 // Closed-loop load generator for the snnskip-serve core (ISSUE 7).
 //
-// Sweeps model count x client concurrency against a Server with dynamic
-// batching and compares sustained throughput to a serial
-// request-at-a-time baseline: one thread driving a batch-1 compiled
-// Engine directly, one sequence after another — the pre-serve deployment
-// model. The served configuration wins on two axes the baseline lacks:
-// concurrent batch execution on the worker pool and batched kernels
-// amortizing per-step dispatch/im2col overhead.
+// Sweeps model count x client concurrency against a Server with the
+// default ServeOptions (only the worker count comes from --workers) and
+// compares sustained throughput to a serial request-at-a-time baseline:
+// one thread driving each model's compiled Engine directly, one sequence
+// after another — the pre-serve deployment model. The server's edge is
+// running requests concurrently on its worker pool.
 //
 // Every served response is cross-checked against a precomputed direct
-// Engine reference for the same request at 1e-4 (the documented BN-fold
-// tolerance); any mismatch fails the binary. The smoke variant
-// (--smoke 1) runs in ctest, so the full submit -> batch -> lease ->
-// execute -> future path is exercised under the sanitizer jobs on every
-// tier-1 run.
+// Engine reference for the same request, bitwise: the server runs the
+// same batch-1 plan and accumulates the steps in the same order, so any
+// difference fails the binary. The smoke variant (--smoke 1) runs in
+// ctest, so the full submit -> queue -> lease -> execute -> future path
+// is exercised under the sanitizer jobs on every tier-1 run.
 //
 // --transport socket (ISSUE 8) routes every request over the loopback TCP
 // transport instead of in-process submit(): each client thread owns a
 // serve::Client speaking the CRC-framed wire protocol against a
 // SocketServer on an ephemeral port, with the full retry/backoff policy
-// live. The same 1e-4 cross-check applies to every over-the-wire result,
-// so encode -> frame -> decode -> batch -> encode -> decode is proven
-// bit-faithful under load, not just in unit tests.
+// live. The same bitwise cross-check applies to every over-the-wire
+// result, so encode -> frame -> decode -> execute -> encode -> decode is
+// proven bit-faithful under load, not just in unit tests.
 //
 // Emitted rows (BENCH_serve.json) are keyed on (models, clients) with
 // metric throughput_vs_serial; `workers` is the gate's threads_field so
@@ -64,7 +63,6 @@ using serve::ServeOptions;
 using serve::Server;
 
 constexpr std::int64_t kTimesteps = 6;
-constexpr std::int64_t kBatch = 8;
 constexpr std::size_t kRequestsPerModel = 16;
 
 struct SweepPoint {
@@ -72,16 +70,15 @@ struct SweepPoint {
   int clients;
 };
 
-ModelSpec make_spec(int idx, std::int64_t batch) {
+ModelSpec make_spec(int idx) {
   ModelSpec spec;
-  spec.name = "m" + std::to_string(idx) + (batch == 1 ? ".serial" : "");
+  spec.name = "m" + std::to_string(idx);
   spec.config.width = 8;
   spec.config.in_channels = 2;
   spec.config.max_timesteps = kTimesteps;
-  spec.config.seed = 7;  // same seed both batch shapes -> same weights
+  spec.config.seed = 7;
   spec.config.lif.threshold = idx % 2 == 0 ? 1.0f : 2.0f;
   spec.warm_bn_steps = kTimesteps;
-  spec.batch = batch;
   spec.in_h = 12;
   spec.in_w = 12;
   return spec;
@@ -93,17 +90,17 @@ struct RequestSet {
   std::vector<Tensor> reference;            // rate-accumulated head output
 };
 
-// Precompute requests + references with a batch-1 engine: slot 0 is the
-// whole batch, so the reference IS the request-at-a-time answer.
-RequestSet build_requests(const ModelHandle& serial_model, int model_idx) {
+// Precompute requests + references with a directly leased engine: the
+// request-at-a-time answer the server must reproduce bitwise.
+RequestSet build_requests(const ModelHandle& model, int model_idx) {
   RequestSet rs;
-  rs.model = "m" + std::to_string(model_idx);
-  const infer::Plan& plan = *serial_model->plan();
+  rs.model = model->spec().name;
+  const infer::Plan& plan = *model->plan();
   const Shape frame{plan.input_shape[1], plan.input_shape[2],
                     plan.input_shape[3]};
   const std::int64_t classes = plan.output_shape.numel();
   Rng rng(500 + static_cast<std::uint64_t>(model_idx));
-  LoadedModel::Lease lease = serial_model->lease();
+  LoadedModel::Lease lease = model->lease();
   Tensor out;
   for (std::size_t r = 0; r < kRequestsPerModel; ++r) {
     std::vector<Tensor> frames;
@@ -125,13 +122,13 @@ RequestSet build_requests(const ModelHandle& serial_model, int model_idx) {
   return rs;
 }
 
-// Serial baseline: one thread, one batch-1 engine per model, requests
-// executed to completion one at a time round-robin across models.
-double serial_throughput(const std::vector<ModelHandle>& serial_models,
+// Serial baseline: one thread, one engine per model, requests executed
+// to completion one at a time round-robin across models.
+double serial_throughput(const std::vector<ModelHandle>& models,
                          const std::vector<RequestSet>& sets, double min_ms) {
   std::vector<LoadedModel::Lease> leases;
-  leases.reserve(serial_models.size());
-  for (const ModelHandle& m : serial_models) leases.push_back(m->lease());
+  leases.reserve(models.size());
+  for (const ModelHandle& m : models) leases.push_back(m->lease());
   Tensor out;
   std::int64_t done = 0;
   Timer t;
@@ -139,7 +136,7 @@ double serial_throughput(const std::vector<ModelHandle>& serial_models,
     const std::size_t m = static_cast<std::size_t>(done) % sets.size();
     const auto& frames =
         sets[m].frames[static_cast<std::size_t>(done) % kRequestsPerModel];
-    const Shape& in = serial_models[m]->plan()->input_shape;
+    const Shape& in = models[m]->plan()->input_shape;
     leases[m]->reset();
     for (const Tensor& x : frames) leases[m]->step(x.reshape(in), &out);
     ++done;
@@ -151,7 +148,6 @@ struct LoadResult {
   double throughput = 0.0;
   std::int64_t completed = 0;
   std::int64_t rejected = 0;
-  double mean_occupancy = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   bool ok = true;
@@ -186,7 +182,7 @@ LoadResult served_throughput(Server& server,
           continue;
         }
         const Tensor got = ticket.result.get();
-        if (Tensor::max_abs_diff(got, sets[m].reference[r]) > 1e-4f) {
+        if (Tensor::max_abs_diff(got, sets[m].reference[r]) != 0.f) {
           bad.store(true, std::memory_order_relaxed);
         }
         completed.fetch_add(1, std::memory_order_relaxed);
@@ -205,7 +201,6 @@ LoadResult served_throughput(Server& server,
   res.completed = completed.load();
   res.rejected = rejected.load();
   res.throughput = static_cast<double>(res.completed) / elapsed_s;
-  res.mean_occupancy = stats.mean_batch_occupancy;
   res.p50_ms = stats.p50_ms;
   res.p99_ms = stats.p99_ms;
   res.ok = !bad.load() && stats.failed == 0;
@@ -253,7 +248,7 @@ LoadResult socket_throughput(Server& server, int port,
           }
           continue;
         }
-        if (Tensor::max_abs_diff(res.value, sets[m].reference[r]) > 1e-4f) {
+        if (Tensor::max_abs_diff(res.value, sets[m].reference[r]) != 0.f) {
           bad.store(true, std::memory_order_relaxed);
         }
         completed.fetch_add(1, std::memory_order_relaxed);
@@ -272,7 +267,6 @@ LoadResult socket_throughput(Server& server, int port,
   res.completed = completed.load();
   res.rejected = rejected.load();
   res.throughput = static_cast<double>(res.completed) / elapsed_s;
-  res.mean_occupancy = stats.mean_batch_occupancy;
   res.p50_ms = stats.p50_ms;
   res.p99_ms = stats.p99_ms;
   res.ok = !bad.load() && stats.failed == 0;
@@ -308,14 +302,14 @@ int run(int argc, char** argv) {
         return a.models < b.models;
       })->models;
 
-  // One registry for the whole run: batch-8 served models plus batch-1
-  // serial twins (same seed + warmup => identical weights).
-  ModelRegistry registry(static_cast<std::size_t>(2 * max_models));
-  std::vector<ModelHandle> serial_models;
+  // One registry for the whole run: the serial baseline and every server
+  // share its resident models.
+  ModelRegistry registry(static_cast<std::size_t>(max_models));
+  std::vector<ModelHandle> models;
   std::vector<RequestSet> all_sets;
   for (int m = 0; m < max_models; ++m) {
-    serial_models.push_back(registry.load(make_spec(m, 1)));
-    all_sets.push_back(build_requests(serial_models.back(), m));
+    models.push_back(registry.load(make_spec(m)));
+    all_sets.push_back(build_requests(models.back(), m));
   }
 
   JsonArrayWriter json(out_path);
@@ -324,27 +318,21 @@ int run(int argc, char** argv) {
                  out_path.c_str());
     return 1;
   }
-  std::printf("%7s %8s %8s %11s %11s %7s %7s %8s %8s\n", "models", "clients",
-              "workers", "serial_rps", "served_rps", "vs", "occ", "p50ms",
-              "p99ms");
+  std::printf("%7s %8s %8s %11s %11s %7s %8s %8s\n", "models", "clients",
+              "workers", "serial_rps", "served_rps", "vs", "p50ms", "p99ms");
 
   bool all_ok = true;
   for (const SweepPoint& pt : sweep) {
-    std::vector<ModelHandle> serial(serial_models.begin(),
-                                    serial_models.begin() + pt.models);
+    std::vector<ModelHandle> serial(models.begin(),
+                                    models.begin() + pt.models);
     std::vector<RequestSet> sets(all_sets.begin(),
                                  all_sets.begin() + pt.models);
     const double serial_rps = serial_throughput(serial, sets, min_ms);
 
     ServeOptions opts;
-    opts.max_batch = kBatch;
-    opts.latency_budget_us = 2000;
-    opts.queue_capacity = 256;
     opts.workers = workers;
     Server server(registry, opts);
-    for (int m = 0; m < pt.models; ++m) {
-      server.add_model(make_spec(m, kBatch));
-    }
+    for (int m = 0; m < pt.models; ++m) server.add_model(make_spec(m));
     LoadResult res;
     if (socket_mode) {
       serve::SocketServer sock(server, opts);  // opts.port 0 -> ephemeral
@@ -363,9 +351,9 @@ int run(int argc, char** argv) {
     }
 
     const double vs = serial_rps > 0.0 ? res.throughput / serial_rps : 0.0;
-    std::printf("%7d %8d %8d %11.0f %11.0f %6.2fx %7.2f %8.2f %8.2f\n",
+    std::printf("%7d %8d %8d %11.0f %11.0f %6.2fx %8.2f %8.2f\n",
                 pt.models, pt.clients, workers, serial_rps, res.throughput,
-                vs, res.mean_occupancy, res.p50_ms, res.p99_ms);
+                vs, res.p50_ms, res.p99_ms);
 
     json.begin_row();
     json.field("transport", transport);
@@ -375,7 +363,6 @@ int run(int argc, char** argv) {
     json.field("serial_rps", serial_rps);
     json.field("served_rps", res.throughput);
     json.field("throughput_vs_serial", vs);
-    json.field("mean_batch_occupancy", res.mean_occupancy);
     json.field("rejected", static_cast<double>(res.rejected));
     json.field("p50_ms", res.p50_ms);
     json.field("p99_ms", res.p99_ms);

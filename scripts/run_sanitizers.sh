@@ -57,7 +57,7 @@ if [[ "${MODE}" == "tsan" ]]; then
   # Suites that exercise real threads: the pool itself, data-parallel
   # gradient reduction, candidate fine-tunes on pool workers against a
   # shared weight store (ParallelEvaluator, SearchWorkerCount), concurrent
-  # Engines with distinct ExecOptions, the serving daemon (dispatcher +
+  # Engines with distinct ExecOptions, the serving daemon (request
   # workers + client threads), the serve chaos drills (loopback TCP, armed
   # fault sites, concurrent clients), and both serve_load smokes'
   # closed-loop clients.

@@ -284,7 +284,9 @@ class Compiler {
  public:
   Compiler(Network& net, const Shape& input_shape, const CompileOptions& opts)
       : net_(net), opts_(opts) {
-    if (input_shape.ndim() != 4) fail("input shape must be (N, C, H, W)");
+    if (input_shape.ndim() != 4 || input_shape[0] != 1) {
+      fail("input shape must be (1, C, H, W): a plan runs one request");
+    }
     if (opts.precision == Precision::Int8 && !opts.fold_bn) {
       fail("int8 precision requires fold_bn (the no-fold bitwise mode is "
            "fp32-only)");
@@ -371,10 +373,7 @@ class Compiler {
     v.shape = s;
     v.floats = s.numel();
     v.spiking = spiking;
-    if (spiking) {
-      const std::int64_t per_img = s.numel() / s[0];
-      v.words = s[0] * packed_words(per_img);
-    }
+    if (spiking) v.words = packed_words(s.numel());
     plan_.values.push_back(std::move(v));
     return static_cast<int>(plan_.values.size()) - 1;
   }
@@ -508,7 +507,7 @@ class Compiler {
     op.name = neuron->name();
     op.epi = classify_neuron(neuron, op);
     const Shape s = shape(in);
-    op.out_c = s.numel() / s[0];
+    op.out_c = s.numel();
     op.bias.emplace_back(static_cast<std::size_t>(op.out_c), 0.f);
     TermPlan t;
     t.value = in;
@@ -830,7 +829,7 @@ class Compiler {
       case OpKind::Linear: {
         const Shape& s =
             plan_.values[static_cast<std::size_t>(op.out)].shape;
-        return s.numel() + code_floats(s[0] * op.terms.front().channels);
+        return s.numel() + code_floats(op.terms.front().channels);
       }
       case OpKind::DscGather: {
         const auto& t = op.terms.front();

@@ -2,8 +2,8 @@
 // Network -> Plan compiler for the inference engine (ISSUE 6).
 //
 // compile() freezes a Network (stages + per-block adjacency wiring) into a
-// flat infer::Plan at a FIXED input shape. Three passes, all ahead of
-// execution:
+// flat infer::Plan at a FIXED (1, C, H, W) input shape — one request per
+// engine run. Three passes, all ahead of execution:
 //
 //   1. BN folding — each BatchNormTT's eval-mode scale/shift is folded
 //      into the preceding conv/linear weights and bias. BNTT has
@@ -55,8 +55,8 @@ struct CompileOptions {
   const QuantProfile* quant = nullptr;
 };
 
-/// Freeze `net` at `input_shape` (N, C, H, W). Throws std::invalid_argument
-/// on unsupported stages or recurrent adjacency edges.
+/// Freeze `net` at `input_shape` (1, C, H, W). Throws std::invalid_argument
+/// when N != 1, on unsupported stages, or on recurrent adjacency edges.
 Plan compile_plan(Network& net, const Shape& input_shape,
                   const CompileOptions& opts = {});
 

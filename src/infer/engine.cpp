@@ -123,8 +123,8 @@ struct Int8 {
   static float dense_scale(const OpPlan& op) { return op.in_scale; }
 };
 
-/// DepthwiseConv2d's dense per-tap loop over one image (bias and BN live
-/// in the epilogue), accumulating Acc-typed products.
+/// DepthwiseConv2d's dense per-tap loop (bias and BN live in the
+/// epilogue), accumulating Acc-typed products.
 template <class Acc, class X, class W>
 void depthwise_taps(const ConvGeometry& g, const X* in, const W* w,
                     Acc* out) {
@@ -177,13 +177,11 @@ Engine::Engine(PlanPtr plan, const ExecOptions& opts)
   ctr_synops_ = "infer.synops." + m;
   ctr_packed_ = "infer.packed_layers." + m;
   ctr_dense_ = "infer.dense_layers." + m;
-  batch_ = plan_->input_shape[0];
   farena_.assign(static_cast<std::size_t>(plan_->float_arena), 0.f);
   warena_.assign(static_cast<std::size_t>(plan_->word_arena), 0u);
   sarena_.assign(static_cast<std::size_t>(plan_->state_arena), 0.f);
   scratch_.assign(static_cast<std::size_t>(plan_->scratch_floats), 0.f);
-  popcnt_.assign(plan_->values.size() * static_cast<std::size_t>(batch_),
-                 -1);
+  popcnt_.assign(plan_->values.size(), -1);
 }
 
 Engine::Engine(PlanPtr plan)
@@ -195,10 +193,6 @@ float* Engine::dense(int v) {
 
 std::uint64_t* Engine::words(int v) {
   return warena_.data() + val(v).packed_off;
-}
-
-const std::uint64_t* Engine::image_words(int v, std::int64_t img) {
-  return words(v) + img * (val(v).words / batch_);
 }
 
 void Engine::reset() {
@@ -251,23 +245,18 @@ void Engine::write_input(const Tensor& x) {
   const ValuePlan& v = val(iv);
   std::memcpy(dense(iv), x.data(),
               static_cast<std::size_t>(v.floats) * sizeof(float));
-  const std::int64_t img_f = v.floats / batch_;
-  const std::int64_t img_w = v.words / batch_;
-  for (std::int64_t img = 0; img < batch_; ++img) {
-    // -1 for a non-binary image (e.g. raw analog frames): dense mirror
-    // only, so every op reading it dispatches dense.
-    popcount(iv, img) =
-        spike_pack(x.data() + img * img_f, img_f, words(iv) + img * img_w);
-    if (popcount(iv, img) < 0 && plan_->precision == Precision::Int8) {
-      // Int8 plans fix the stem's quantization step at exactly 1.0 on
-      // the promise that the network input is a binary spike train (the
-      // repo's encoders all emit one). Quantizing an analog frame with
-      // step 1.0 would round it to small integers — reject loudly
-      // instead of silently destroying the input.
-      throw std::invalid_argument(
-          "infer::Engine::step: int8 plans require binary (0/1) spike "
-          "inputs; encode analog frames before stepping");
-    }
+  // -1 for a non-binary input (e.g. raw analog frames): dense mirror
+  // only, so every op reading it dispatches dense.
+  popcount(iv) = spike_pack(x.data(), v.floats, words(iv));
+  if (popcount(iv) < 0 && plan_->precision == Precision::Int8) {
+    // Int8 plans fix the stem's quantization step at exactly 1.0 on the
+    // promise that the network input is a binary spike train (the repo's
+    // encoders all emit one). Quantizing an analog frame with step 1.0
+    // would round it to small integers — reject loudly instead of
+    // silently destroying the input.
+    throw std::invalid_argument(
+        "infer::Engine::step: int8 plans require binary (0/1) spike "
+        "inputs; encode analog frames before stepping");
   }
 }
 
@@ -281,37 +270,34 @@ void Engine::record_amax(const float* x, std::int64_t n) {
   (*calib_)[cur_op_] = m;
 }
 
-bool Engine::packed_ok(const OpPlan& op, std::int64_t img) {
+bool Engine::packed_ok(const OpPlan& op) {
   std::int64_t nnz = 0, elems = 0;
   for (const TermPlan& t : op.terms) {
-    if (!t.spiking || popcount(t.value, img) < 0) return false;
-    nnz += popcount(t.value, img);
-    elems += val(t.value).floats / batch_;
+    if (!t.spiking || popcount(t.value) < 0) return false;
+    nnz += popcount(t.value);
+    elems += val(t.value).floats;
   }
   return elems > 0 && static_cast<double>(nnz) / static_cast<double>(elems) <
                           static_cast<double>(opts_.threshold);
 }
 
-void Engine::count_dispatches(std::int64_t packed, std::int64_t dense) {
-  stats_.packed_dispatches += packed;
-  stats_.dense_dispatches += dense;
-  if (packed > 0) {
-    Telemetry::count("infer.packed_layers", static_cast<double>(packed));
-    Telemetry::count(ctr_packed_.c_str(), static_cast<double>(packed));
-  }
-  if (dense > 0) {
-    Telemetry::count("infer.dense_layers", static_cast<double>(dense));
-    Telemetry::count(ctr_dense_.c_str(), static_cast<double>(dense));
+void Engine::count_dispatch(bool packed) {
+  if (packed) {
+    ++stats_.packed_dispatches;
+    Telemetry::count("infer.packed_layers");
+    Telemetry::count(ctr_packed_.c_str());
+  } else {
+    ++stats_.dense_dispatches;
+    Telemetry::count("infer.dense_layers");
+    Telemetry::count(ctr_dense_.c_str());
   }
 }
 
-void Engine::assemble_image(const OpPlan& op, std::int64_t img, float* dst,
-                            float* patch) {
+void Engine::assemble(const OpPlan& op, float* dst, float* patch) {
   const std::int64_t hw = op.geom.in_h * op.geom.in_w;
   for (const TermPlan& t : op.terms) {
     if (t.sunk) continue;  // own geometry; re-materialized below
-    const ValuePlan& sv = val(t.value);
-    const float* src = dense(t.value) + img * (sv.floats / batch_);
+    const float* src = dense(t.value);
     float* d = dst + t.offset * hw;
     if (t.add_join) {
       const std::int64_t n = t.channels * hw;
@@ -332,8 +318,7 @@ void Engine::assemble_image(const OpPlan& op, std::int64_t img, float* dst,
   // shape (one GEMM over the sum).
   for (const TermPlan& t : op.terms) {
     if (!t.sunk) continue;
-    const ValuePlan& sv = val(t.value);
-    const float* src = dense(t.value) + img * (sv.floats / batch_);
+    const float* src = dense(t.value);
     const std::int64_t pp = t.pgeom.out_h() * t.pgeom.out_w();
     im2col(t.pgeom, src, patch);
     gemm(t.proj_c, pp, t.pgeom.in_c, 1.f, t.pw.data(), patch, 1.f,
@@ -356,39 +341,36 @@ void Engine::exec_conv(const OpPlan& op) {
   const std::int64_t o_c = op.out_c;
   const std::size_t wi = op.weight_copy(t_);
   Acc* acc = reinterpret_cast<Acc*>(scratch_.data());
-  // Packed: the panel's (O, P) transpose. Dense: the assembled image, then
+  // Packed: the panel's (O, P) transpose. Dense: the assembled input, then
   // the patch matrix.
   float* rest = scratch_.data() + o_c * p;
   float* cols = rest + g.in_c * g.in_h * g.in_w;
-  std::int64_t packed = 0;
-  for (std::int64_t img = 0; img < batch_; ++img) {
-    if (packed_ok(op, img)) {
-      ++packed;
-      // (P, O) panel: every term accumulates into it.
-      std::memset(acc, 0, static_cast<std::size_t>(p * o_c) * sizeof(Acc));
-      for (const TermPlan& t : op.terms) {
-        const std::int64_t src_c = val(t.value).shape[1];
-        const std::uint64_t* w = image_words(t.value, img);
-        if (t.sunk) {
-          // Composite kernel over the projection's own spiking source,
-          // onto the same output grid.
-          stats_.synops += P::conv_term(t.geom, src_c, w, nullptr,
-                                        P::panel(t, wi), o_c, acc);
-        } else {
-          stats_.synops += P::conv_term(g, src_c, w, chrow_of(t),
-                                        P::panel(op, wi), o_c, acc);
-        }
+  const bool packed = packed_ok(op);
+  if (packed) {
+    // (P, O) panel: every term accumulates into it.
+    std::memset(acc, 0, static_cast<std::size_t>(p * o_c) * sizeof(Acc));
+    for (const TermPlan& t : op.terms) {
+      const std::int64_t src_c = val(t.value).shape[1];
+      const std::uint64_t* w = words(t.value);
+      if (t.sunk) {
+        // Composite kernel over the projection's own spiking source, onto
+        // the same output grid.
+        stats_.synops += P::conv_term(t.geom, src_c, w, nullptr,
+                                      P::panel(t, wi), o_c, acc);
+      } else {
+        stats_.synops += P::conv_term(g, src_c, w, chrow_of(t),
+                                      P::panel(op, wi), o_c, acc);
       }
-      transpose_panel(P::widen(p * o_c, acc), p, o_c, rest);
-      epilogue(op, img, rest);
-    } else {
-      assemble_image(op, img, rest, cols);
-      P::conv_gemm(op, wi, rest, cols, acc);  // (O, P)
-      epilogue(op, img, P::widen(o_c * p, acc), P::dense_scale(op));
     }
+    transpose_panel(P::widen(p * o_c, acc), p, o_c, rest);
+    epilogue(op, rest);
+  } else {
+    assemble(op, rest, cols);
+    P::conv_gemm(op, wi, rest, cols, acc);  // (O, P)
+    epilogue(op, P::widen(o_c * p, acc), P::dense_scale(op));
+    stats_.dense_macs += op.macs;
   }
-  stats_.dense_macs += (batch_ - packed) * (op.macs / batch_);
-  count_dispatches(packed, batch_ - packed);
+  count_dispatch(packed);
 }
 
 template <class P>
@@ -396,30 +378,26 @@ void Engine::exec_dwconv(const OpPlan& op) {
   using Acc = typename P::Acc;
   const ConvGeometry& g = op.geom;
   const std::int64_t p = g.out_h() * g.out_w();
-  const std::int64_t in_img = g.in_c * g.in_h * g.in_w;
+  const std::int64_t in_f = g.in_c * g.in_h * g.in_w;
   const auto* bank = P::panel(op, op.weight_copy(t_));  // (C, K, K)
   Acc* acc = reinterpret_cast<Acc*>(scratch_.data());    // (C, Ho, Wo)
   float* assembled = scratch_.data() + g.in_c * p;
-  std::int64_t packed = 0;
-  for (std::int64_t img = 0; img < batch_; ++img) {
-    if (packed_ok(op, img)) {
-      ++packed;
-      std::memset(acc, 0, static_cast<std::size_t>(g.in_c * p) * sizeof(Acc));
-      for (const TermPlan& t : op.terms) {
-        stats_.synops +=
-            P::dw_term(g, val(t.value).shape[1], image_words(t.value, img),
-                       chrow_of(t), bank, acc);
-      }
-      epilogue(op, img, P::widen(g.in_c * p, acc));
-    } else {
-      assemble_image(op, img, assembled, /*patch=*/nullptr);
-      depthwise_taps(g, P::encode(op, in_img, assembled, assembled + in_img),
-                     bank, acc);
-      epilogue(op, img, P::widen(g.in_c * p, acc), P::dense_scale(op));
+  const bool packed = packed_ok(op);
+  if (packed) {
+    std::memset(acc, 0, static_cast<std::size_t>(g.in_c * p) * sizeof(Acc));
+    for (const TermPlan& t : op.terms) {
+      stats_.synops += P::dw_term(g, val(t.value).shape[1], words(t.value),
+                                  chrow_of(t), bank, acc);
     }
+    epilogue(op, P::widen(g.in_c * p, acc));
+  } else {
+    assemble(op, assembled, /*patch=*/nullptr);
+    depthwise_taps(g, P::encode(op, in_f, assembled, assembled + in_f), bank,
+                   acc);
+    epilogue(op, P::widen(g.in_c * p, acc), P::dense_scale(op));
+    stats_.dense_macs += op.macs;
   }
-  stats_.dense_macs += (batch_ - packed) * (op.macs / batch_);
-  count_dispatches(packed, batch_ - packed);
+  count_dispatch(packed);
 }
 
 template <class P>
@@ -428,19 +406,15 @@ void Engine::exec_linear(const OpPlan& op) {
   const std::int64_t in_f = t.channels;
   const std::int64_t o_f = op.out_c;
   const float* x = dense(t.value);
-  record_amax(x, batch_ * in_f);
-  // out(N, O) = x(N, I) * W(O, I)^T — Linear::forward's dense GEMM; the
-  // bias moves to the epilogue. Scratch: the output rows, then the codes.
+  record_amax(x, in_f);
+  // out(1, O) = x(1, I) * W(O, I)^T — Linear::forward's dense GEMM; the
+  // bias moves to the epilogue. Scratch: the output row, then the codes.
   auto* out = reinterpret_cast<typename P::Acc*>(scratch_.data());
-  P::gemm_nt(batch_, o_f, in_f,
-             P::encode(op, batch_ * in_f, x, scratch_.data() + batch_ * o_f),
+  P::gemm_nt(1, o_f, in_f, P::encode(op, in_f, x, scratch_.data() + o_f),
              P::rows(op, 0), out);
-  const float* res = P::widen(batch_ * o_f, out);
-  for (std::int64_t img = 0; img < batch_; ++img) {
-    epilogue(op, img, res + img * o_f, P::dense_scale(op));
-  }
+  epilogue(op, P::widen(o_f, out), P::dense_scale(op));
   stats_.dense_macs += op.macs;
-  count_dispatches(0, batch_);
+  count_dispatch(/*packed=*/false);
 }
 
 void Engine::exec_op(const OpPlan& op) {
@@ -469,41 +443,37 @@ void Engine::exec_dsc_gather(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
   const ValuePlan& sv = val(t.value);
   const ValuePlan& ov = val(op.out);
-  const std::int64_t n = sv.shape[0];
   const std::int64_t h = sv.shape[2], w = sv.shape[3];
   const std::int64_t len = t.channels;
   const std::int64_t ho = ov.shape[2], wo = ov.shape[3];
-  const std::int64_t src_img_f = sv.floats / n;
-  float* g = scratch_.data();  // (len, H, W) gathered image
-  for (std::int64_t img = 0; img < n; ++img) {
-    const float* src = dense(t.value) + img * src_img_f;
-    for (std::size_t kk = 0; kk < t.gather.size(); ++kk) {
-      std::memcpy(g + static_cast<std::int64_t>(kk) * h * w,
-                  src + t.gather[kk] * h * w,
-                  static_cast<std::size_t>(h * w) * sizeof(float));
-    }
-    // AvgPool2d::forward's partial-window averaging (ceil-mode output
-    // size was fixed at compile time).
-    float* optr = dense(op.out) + img * len * ho * wo;
-    for (std::int64_t ch = 0; ch < len; ++ch) {
-      const float* plane = g + ch * h * w;
-      float* od = optr + ch * ho * wo;
-      for (std::int64_t oy = 0; oy < ho; ++oy) {
-        const std::int64_t y_end =
-            std::min(h, oy * op.pool_stride + op.pool_kernel);
-        for (std::int64_t ox = 0; ox < wo; ++ox) {
-          const std::int64_t x_end =
-              std::min(w, ox * op.pool_stride + op.pool_kernel);
-          float acc = 0.f;
-          std::int64_t count = 0;
-          for (std::int64_t y = oy * op.pool_stride; y < y_end; ++y) {
-            for (std::int64_t xx = ox * op.pool_stride; xx < x_end; ++xx) {
-              acc += plane[y * w + xx];
-              ++count;
-            }
+  const float* src = dense(t.value);
+  float* g = scratch_.data();  // (len, H, W) gathered planes
+  for (std::size_t kk = 0; kk < t.gather.size(); ++kk) {
+    std::memcpy(g + static_cast<std::int64_t>(kk) * h * w,
+                src + t.gather[kk] * h * w,
+                static_cast<std::size_t>(h * w) * sizeof(float));
+  }
+  // AvgPool2d::forward's partial-window averaging (ceil-mode output size
+  // was fixed at compile time).
+  float* optr = dense(op.out);
+  for (std::int64_t ch = 0; ch < len; ++ch) {
+    const float* plane = g + ch * h * w;
+    float* od = optr + ch * ho * wo;
+    for (std::int64_t oy = 0; oy < ho; ++oy) {
+      const std::int64_t y_end =
+          std::min(h, oy * op.pool_stride + op.pool_kernel);
+      for (std::int64_t ox = 0; ox < wo; ++ox) {
+        const std::int64_t x_end =
+            std::min(w, ox * op.pool_stride + op.pool_kernel);
+        float acc = 0.f;
+        std::int64_t count = 0;
+        for (std::int64_t y = oy * op.pool_stride; y < y_end; ++y) {
+          for (std::int64_t xx = ox * op.pool_stride; xx < x_end; ++xx) {
+            acc += plane[y * w + xx];
+            ++count;
           }
-          od[oy * wo + ox] = count ? acc / static_cast<float>(count) : 0.f;
         }
+        od[oy * wo + ox] = count ? acc / static_cast<float>(count) : 0.f;
       }
     }
   }
@@ -513,12 +483,12 @@ void Engine::exec_avgpool(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
   const ValuePlan& sv = val(t.value);
   const ValuePlan& ov = val(op.out);
-  const std::int64_t n = sv.shape[0], c = sv.shape[1];
+  const std::int64_t c = sv.shape[1];
   const std::int64_t h = sv.shape[2], w = sv.shape[3];
   const std::int64_t ho = ov.shape[2], wo = ov.shape[3];
   const float* src = dense(t.value);
   float* dst = dense(op.out);
-  for (std::int64_t i = 0; i < n * c; ++i) {
+  for (std::int64_t i = 0; i < c; ++i) {
     const float* plane = src + i * h * w;
     float* optr = dst + i * ho * wo;
     for (std::int64_t oy = 0; oy < ho; ++oy) {
@@ -544,12 +514,12 @@ void Engine::exec_avgpool(const OpPlan& op) {
 void Engine::exec_gap(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
   const ValuePlan& sv = val(t.value);
-  const std::int64_t n = sv.shape[0], c = sv.shape[1];
+  const std::int64_t c = sv.shape[1];
   const std::int64_t plane = sv.shape[2] * sv.shape[3];
   const float* src = dense(t.value);
   float* dst = dense(op.out);
   const float inv = 1.f / static_cast<float>(plane);
-  for (std::int64_t i = 0; i < n * c; ++i) {
+  for (std::int64_t i = 0; i < c; ++i) {
     const float* pl = src + i * plane;
     float acc = 0.f;
     for (std::int64_t j = 0; j < plane; ++j) acc += pl[j];
@@ -558,13 +528,7 @@ void Engine::exec_gap(const OpPlan& op) {
 }
 
 void Engine::exec_neuron(const OpPlan& op) {
-  const TermPlan& t = op.terms.front();
-  const ValuePlan& sv = val(t.value);
-  const std::int64_t n = sv.shape[0];
-  const std::int64_t img_f = sv.floats / n;
-  for (std::int64_t img = 0; img < n; ++img) {
-    epilogue(op, img, dense(t.value) + img * img_f);
-  }
+  epilogue(op, dense(op.terms.front().value));
 }
 
 void Engine::exec_copy(const OpPlan& op) {
@@ -576,35 +540,30 @@ void Engine::exec_copy(const OpPlan& op) {
   if (ov.spiking && sv.spiking) {
     std::memcpy(words(op.out), words(t.value),
                 static_cast<std::size_t>(sv.words) * sizeof(std::uint64_t));
-    std::copy_n(&popcount(t.value, 0), batch_, &popcount(op.out, 0));
+    popcount(op.out) = popcount(t.value);
   }
 }
 
-void Engine::epilogue(const OpPlan& op, std::int64_t img, const float* acc,
-                      float ascale) {
+void Engine::epilogue(const OpPlan& op, const float* acc, float ascale) {
   const ValuePlan& ov = val(op.out);
-  const std::int64_t n = ov.shape[0];
-  const std::int64_t img_f = ov.floats / n;
   const std::int64_t o_c = op.out_c;
-  const std::int64_t p = img_f / o_c;
-  float* dst = dense(op.out) + img * img_f;
+  const std::int64_t p = ov.floats / o_c;
+  float* dst = dense(op.out);
   const std::size_t bi = static_cast<std::size_t>(op.copy_index(t_));
   const float* bias = op.bias[bi].data();
   const float* sc = op.scale.empty() ? nullptr : op.scale[bi].data();
 
   std::uint64_t* wbits = nullptr;
   if (ov.spiking) {
-    const std::int64_t img_w = ov.words / n;
-    wbits = words(op.out) + img * img_w;
+    wbits = words(op.out);
     std::memset(wbits, 0,
-                static_cast<std::size_t>(img_w) * sizeof(std::uint64_t));
+                static_cast<std::size_t>(ov.words) * sizeof(std::uint64_t));
   }
 
   if (op.epi == Epi::Lif) {
-    float* m = sarena_.data() + op.state_off + img * img_f;
-    float* rc = op.refrac_off >= 0
-                    ? sarena_.data() + op.refrac_off + img * img_f
-                    : nullptr;
+    float* m = sarena_.data() + op.state_off;
+    float* rc =
+        op.refrac_off >= 0 ? sarena_.data() + op.refrac_off : nullptr;
     std::int64_t spk = 0;
     if (rc == nullptr) {
       // No refractory gate: the fused SIMD-dispatched row (bit-identical
@@ -645,7 +604,7 @@ void Engine::epilogue(const OpPlan& op, std::int64_t img, const float* acc,
         }
       }
     }
-    popcount(op.out, img) = spk;
+    popcount(op.out) = spk;
     stats_.spikes += spk;
     return;
   }

@@ -8,14 +8,13 @@
 // performs zero heap allocations on the default (packed) path
 // (tests/infer_test.cpp pins this with Workspace heap-alloc counters).
 //
-// Per conv/depthwise op and per image, dispatch picks one of two modes
-// each step from that image's measured input density (exact, via the
-// packed masks' popcounts), so a request's answer never depends on which
-// other requests share its batch:
+// Plans run one image per step (compile() freezes N = 1). Per
+// conv/depthwise op, dispatch picks one of two modes each step from the
+// op's measured input density (exact, via the packed masks' popcounts):
 //
 //   Packed  bit-packed event kernels (tensor/spike_packed.h). Requires
-//           every input term to carry a valid packed mask for the image
-//           and density < threshold. Skip joins run directly on the
+//           every input term to carry a valid packed mask and
+//           density < threshold. Skip joins run directly on the
 //           source masks — ADD joins accumulate each term into the same
 //           output panel (conv is linear), concat joins select weight
 //           rows through the term's chrow map — so no assembled input is
@@ -62,11 +61,11 @@ struct ExecOptions {
 };
 
 /// Per-engine execution statistics (reset with Engine::reset_stats).
-/// Dispatch counts are per (op, image): a batch-N step adds N per op.
+/// Dispatch counts are per weight op: a step adds one per op.
 struct ExecStats {
   std::int64_t steps = 0;
-  std::int64_t packed_dispatches = 0;  ///< images run on the packed kernels
-  std::int64_t dense_dispatches = 0;   ///< images run dense (GEMM / loops)
+  std::int64_t packed_dispatches = 0;  ///< ops run on the packed kernels
+  std::int64_t dense_dispatches = 0;   ///< ops run dense (GEMM / loops)
   std::int64_t spikes = 0;   ///< exact spike count (packed popcounts)
   std::int64_t synops = 0;   ///< exact accumulates on the packed path
   std::int64_t dense_macs = 0;  ///< MACs charged to dense dispatches
@@ -109,7 +108,7 @@ class Engine {
 
   /// Calibration sink (infer/quant.h): when set on an FP32 engine,
   /// records each weight op's per-input absmax into `amax` (one slot per
-  /// plan op, max-merged across images/steps) every time the op runs a
+  /// plan op, max-merged across steps) every time the op runs a
   /// dense dispatch — which is every step when the engine is built with
   /// threshold 0. The vector must outlive the engine or be cleared with
   /// nullptr; it must be sized to plan().ops.size().
@@ -121,21 +120,19 @@ class Engine {
   const ValuePlan& val(int v) const {
     return plan_->values[static_cast<std::size_t>(v)];
   }
-  /// Exact spike count of value `v`'s image `img`; -1 while that image
-  /// has no valid packed mask (non-binary network input).
-  std::int64_t& popcount(int v, std::int64_t img) {
-    return popcnt_[static_cast<std::size_t>(v * batch_ + img)];
+  /// Exact spike count of value `v`; -1 while it has no valid packed
+  /// mask (non-binary network input).
+  std::int64_t& popcount(int v) {
+    return popcnt_[static_cast<std::size_t>(v)];
   }
-  /// Packed mask words of value `v`'s image `img`.
-  const std::uint64_t* image_words(int v, std::int64_t img);
 
   void write_input(const Tensor& x);
   void exec_op(const OpPlan& op);
-  /// True when image `img` of every input term carries a valid packed
-  /// mask and the terms' combined density is below the threshold.
-  bool packed_ok(const OpPlan& op, std::int64_t img);
+  /// True when every input term carries a valid packed mask and the
+  /// terms' combined density is below the threshold.
+  bool packed_ok(const OpPlan& op);
   /// Weight ops: one body per kind, instantiated per precision traits
-  /// (engine.cpp) — packed event kernels or the dense route, per image.
+  /// (engine.cpp) — packed event kernels or the dense route.
   template <class P>
   void exec_conv(const OpPlan& op);
   template <class P>
@@ -148,27 +145,25 @@ class Engine {
   void exec_neuron(const OpPlan& op);
   void exec_copy(const OpPlan& op);
 
-  /// Dense-assemble one image's op input into `dst` (main copy, ADD-join
-  /// axpys, concat gathers — the training graph's assemble_input,
-  /// bitwise), then re-materialize every sunk projection term through its
-  /// raw 1x1 weights, using `patch` as the projection's patch matrix: the
+  /// Dense-assemble the op's input into `dst` (main copy, ADD-join axpys,
+  /// concat gathers — the training graph's assemble_input, bitwise), then
+  /// re-materialize every sunk projection term through its raw 1x1
+  /// weights, using `patch` as the projection's patch matrix: the
   /// composite kernel's zero rows are free for event kernels but real
   /// GEMM work. Records the assembled range for calibration.
-  void assemble_image(const OpPlan& op, std::int64_t img, float* dst,
-                      float* patch);
+  void assemble(const OpPlan& op, float* dst, float* patch);
 
-  /// Adds `packed` + `dense` image dispatches of one op to the stats and
-  /// the telemetry counters.
-  void count_dispatches(std::int64_t packed, std::int64_t dense);
+  /// Adds one packed or dense dispatch of an op to the stats and the
+  /// telemetry counters.
+  void count_dispatch(bool packed);
 
   /// Fused epilogue: scale/bias (+LIF or ReLU) over the (O, P)
-  /// accumulator rows of one image, writing the output's dense mirror,
-  /// packed mask bits, and popcount. `ascale` is the int8 dense path's
+  /// accumulator rows, writing the output's dense mirror, packed mask
+  /// bits, and popcount. `ascale` is the int8 dense path's
   /// input quantization step, folded into the per-channel scale (eff[o] =
   /// ascale * sc[o]); 1.0 everywhere else (exact — multiplying a float by
   /// 1.0 is the identity, so fp32 plans are untouched).
-  void epilogue(const OpPlan& op, std::int64_t img, const float* acc,
-                float ascale = 1.f);
+  void epilogue(const OpPlan& op, const float* acc, float ascale = 1.f);
 
   /// Calibration: max-merge |x| over `n` floats into the current op's
   /// sink slot (no-op without a sink).
@@ -181,12 +176,11 @@ class Engine {
   // aggregate (the unprefixed infer.* keys keep the process-wide totals).
   std::string ctr_steps_, ctr_spikes_, ctr_synops_;
   std::string ctr_packed_, ctr_dense_;
-  std::int64_t batch_ = 1;             // compiled batch size N
   std::vector<float> farena_;          // shared value dense mirrors
   std::vector<std::uint64_t> warena_;  // shared packed masks
   std::vector<float> sarena_;          // persistent neuron state
   std::vector<float> scratch_;         // per-op scratch high-water block
-  std::vector<std::int64_t> popcnt_;   // per (value, image): see popcount()
+  std::vector<std::int64_t> popcnt_;   // per value: see popcount()
   std::int64_t t_ = 0;                 // timestep (BNTT copy selection)
   ExecStats stats_;
   std::vector<float>* calib_ = nullptr;  // per-op input absmax sink

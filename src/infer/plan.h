@@ -123,7 +123,7 @@ struct TermPlan {
 
 struct ValuePlan {
   Shape shape;
-  std::int64_t floats = 0;      ///< dense numel (whole batch)
+  std::int64_t floats = 0;      ///< dense numel
   std::int64_t words = 0;       ///< packed words (0: dense-only value)
   std::int64_t dense_off = -1;  ///< float-arena offset
   std::int64_t packed_off = -1; ///< word-arena offset
@@ -203,7 +203,7 @@ struct OpPlan {
 
 struct Plan {
   std::string model_name;  ///< telemetry label
-  Shape input_shape;       ///< (N, C, H, W) frozen at compile time
+  Shape input_shape;       ///< (1, C, H, W) frozen at compile time
   Shape output_shape;
   int input_value = 0;
   int output_value = -1;

@@ -8,7 +8,7 @@
 // head linear, convs consuming DSC-pooled averages, ops whose ASC
 // projection is rematerialized on dense dispatch) need the input's
 // dynamic range. calibrate_quant() measures it: it runs the FP32 plan
-// over a sample batch with dense dispatch forced (threshold 0) so every
+// over sample sequences with dense dispatch forced (threshold 0) so every
 // op's assembled input — including sunk-projection
 // materializations — is actually formed and observable, and records the
 // per-op absmax via the engine's calibration sink. The profile lives in

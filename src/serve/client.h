@@ -24,7 +24,7 @@
 //   * Deadline honesty: a nonzero absolute deadline (wire::mono_now_ns
 //     domain) is checked before every attempt — the client returns
 //     Expired locally rather than submitting work whose answer it will
-//     not wait for, mirroring the server's own pre-batch shedding.
+//     not wait for, mirroring the server's own pre-execution shedding.
 //
 // Clients are NOT thread-safe; use one Client per thread (each costs one
 // fd). Connection setup is lazy and re-establishment after an error is

@@ -77,7 +77,6 @@ std::vector<ModelSpec> demo_specs(std::int64_t timesteps) {
     s.config.max_timesteps = timesteps;
     s.config.seed = 7;
     s.warm_bn_steps = timesteps;
-    s.batch = 8;
   }
   return specs;
 }
@@ -85,13 +84,13 @@ std::vector<ModelSpec> demo_specs(std::int64_t timesteps) {
 void print_stats(const Server& server, const char* tag) {
   const ServeStats s = server.stats();
   std::printf(
-      "[%s] ok=%lld rej=%lld fail=%lld exp=%lld quar=%lld batches=%lld "
-      "occ=%.2f depth=%lld (hw %lld) p50=%.2fms p99=%.2fms\n",
+      "[%s] ok=%lld rej=%lld fail=%lld exp=%lld quar=%lld runs=%lld "
+      "depth=%lld (hw %lld) p50=%.2fms p99=%.2fms\n",
       tag, static_cast<long long>(s.completed),
       static_cast<long long>(s.rejected), static_cast<long long>(s.failed),
       static_cast<long long>(s.expired),
       static_cast<long long>(s.quarantined),
-      static_cast<long long>(s.batches), s.mean_batch_occupancy,
+      static_cast<long long>(s.batches),
       static_cast<long long>(s.queue_depth),
       static_cast<long long>(s.queue_depth_high_water), s.p50_ms, s.p99_ms);
 }

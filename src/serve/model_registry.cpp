@@ -130,7 +130,11 @@ ModelSpec ModelSpec::from_manifest(const std::string& path) {
       } else if (key == "warm_bn_steps") {
         spec.warm_bn_steps = parse_number<std::int64_t>(value);
       } else if (key == "batch") {
-        spec.batch = parse_number<std::int64_t>(value);
+        // Accepted for manifests that name a compiled batch, then
+        // ignored: every plan runs one request.
+        if (parse_number<std::int64_t>(value) < 1) {
+          throw std::out_of_range(key);
+        }
       } else if (key == "in_h") {
         spec.in_h = parse_number<std::int64_t>(value);
       } else if (key == "in_w") {
@@ -208,8 +212,22 @@ ModelHandle ModelRegistry::load(const ModelSpec& spec) {
   if (spec.name.empty()) {
     throw std::invalid_argument("serve::ModelRegistry: spec.name is empty");
   }
-  if (spec.batch < 1) {
-    throw std::invalid_argument("serve::ModelRegistry: spec.batch < 1");
+  const ModelConfig& cfg = spec.config;
+  for (const auto& [key, v] :
+       {std::pair<const char*, std::int64_t>{"width", cfg.width},
+        {"in_channels", cfg.in_channels},
+        {"num_classes", cfg.num_classes},
+        {"timesteps", cfg.max_timesteps},
+        {"in_h", spec.in_h},
+        {"in_w", spec.in_w}}) {
+    if (v < 1) {
+      throw std::invalid_argument("serve::ModelRegistry: " +
+                                  std::string(key) + " < 1");
+    }
+  }
+  if (spec.warm_bn_steps < 0 || spec.calib_steps < 0) {
+    throw std::invalid_argument(
+        "serve::ModelRegistry: warm_bn_steps or calib_steps < 0");
   }
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, entry] : entries_) {
@@ -241,14 +259,10 @@ ModelHandle ModelRegistry::load(const ModelSpec& spec) {
   } else if (spec.warm_bn_steps > 0) {
     // Fixed warmup stream: an evicted model reloaded later recovers the
     // exact same BNTT stats, so LRU round-trips are bit-reproducible.
-    // Always batch-1, independent of the compiled capacity, so specs
-    // differing only in `batch` fold identical weights (serve_load
-    // cross-checks batched serving against a batch-1 twin this way).
-    const Shape warm_shape{1, spec.config.in_channels, spec.in_h, spec.in_w};
     Rng rng(99);
     net.reset_state();
     for (std::int64_t t = 0; t < spec.warm_bn_steps; ++t) {
-      net.forward(Tensor::bernoulli(warm_shape, rng, 0.3f), /*train=*/true);
+      net.forward(Tensor::bernoulli(in_shape, rng, 0.3f), /*train=*/true);
     }
   }
   net.reset_state();
@@ -256,19 +270,16 @@ ModelHandle ModelRegistry::load(const ModelSpec& spec) {
   if (spec.compile.precision == infer::Precision::Int8) {
     // Self-calibration (ISSUE 10): profile activation ranges on an FP32
     // twin over a fixed seeded spike stream, then compile int8 from the
-    // profile. Batch-1 calibration shape for the same reason as the BN
-    // warmup: specs differing only in `batch` must fold (and now
-    // quantize) identical weights.
+    // profile.
     infer::CompileOptions fp = spec.compile;
     fp.precision = infer::Precision::Fp32;
     fp.quant = nullptr;
-    const Shape cal_shape{1, spec.config.in_channels, spec.in_h, spec.in_w};
-    infer::PlanPtr fplan = infer::compile(net, cal_shape, fp);
+    infer::PlanPtr fplan = infer::compile(net, in_shape, fp);
     const std::int64_t steps = spec.calib_steps < 1 ? 1 : spec.calib_steps;
     std::vector<std::vector<Tensor>> seqs(1);
     Rng crng(123);
     for (std::int64_t t = 0; t < steps; ++t) {
-      seqs[0].push_back(Tensor::bernoulli(cal_shape, crng, 0.3f));
+      seqs[0].push_back(Tensor::bernoulli(in_shape, crng, 0.3f));
     }
     const infer::QuantProfile prof = infer::calibrate_quant(fplan, seqs);
     infer::CompileOptions qopts = spec.compile;

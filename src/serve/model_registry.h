@@ -4,8 +4,8 @@
 // ModelRegistry::load unifies the load-then-compile sequence that used to
 // be duplicated ad hoc (build the zoo network, optionally restore an
 // SNNSKIP2 checkpoint, warm BNTT stats for synthetic weights,
-// infer::compile at a frozen batch shape) behind one call returning a
-// shared ModelHandle:
+// infer::compile at the frozen (1, C, H, W) request shape) behind one
+// call returning a shared ModelHandle:
 //
 //   serve::ModelRegistry registry(/*capacity=*/4);
 //   serve::ModelHandle m = registry.load(spec);        // or load(path)
@@ -16,7 +16,7 @@
 // loading an evicted model again rebuilds it from its spec (checkpoint
 // re-read, plan re-compiled). Eviction only drops the registry's
 // reference — outstanding ModelHandles keep their model fully usable, so
-// an in-flight batch can never lose its engine mid-run.
+// a running request can never lose its engine mid-run.
 //
 // Each LoadedModel owns one immutable PlanPtr and a pool of Engines
 // compiled from it with the spec's per-engine ExecOptions. lease() pops a
@@ -58,12 +58,11 @@ struct ModelSpec {
   /// noise so the BNTT running stats are non-trivial before folding
   /// (synthetic-weights convenience used by benches and tests).
   std::int64_t warm_bn_steps = 0;
-  /// Compiled batch capacity and input plane (channels come from config).
-  std::int64_t batch = 1;
+  /// Input plane (channels come from config).
   std::int64_t in_h = 8, in_w = 8;
   infer::CompileOptions compile{};
   /// Int8 plans (compile.precision == Int8) self-calibrate at load time:
-  /// the registry compiles an FP32 twin at batch 1, sweeps it over this
+  /// the registry compiles an FP32 twin, sweeps it over this
   /// many steps of a FIXED seeded Bernoulli spike stream (Rng(123),
   /// p=0.3) to profile activation ranges, then compiles the int8 plan
   /// from the profile. The stream is deterministic so an evicted model
@@ -73,15 +72,17 @@ struct ModelSpec {
   /// Per-engine dispatch options for every pooled engine of this model.
   infer::ExecOptions exec = infer::ExecOptions::defaults();
 
-  /// The frozen (N, C, H, W) compile shape.
+  /// The frozen (1, C, H, W) compile shape: one request per engine run.
   Shape input_shape() const {
-    return Shape{batch, config.in_channels, in_h, in_w};
+    return Shape{1, config.in_channels, in_h, in_w};
   }
 
   /// Parse a `key value` manifest (one pair per line; '#' comments).
   /// Keys: name family width in_channels num_classes timesteps theta
-  /// neuron (lif|plif) seed checkpoint warm_bn_steps batch in_h in_w
-  /// fold_bn precision (fp32|int8) calib_steps threshold ([0, 1]).
+  /// neuron (lif|plif) seed checkpoint warm_bn_steps in_h in_w fold_bn
+  /// precision (fp32|int8) calib_steps threshold ([0, 1]). `batch` (a
+  /// whole number >= 1) is accepted for older manifests and ignored:
+  /// every plan compiles at batch 1.
   /// Relative checkpoint paths resolve against the manifest's directory.
   /// Throws std::runtime_error on unreadable files, unknown keys or
   /// unparsable or out-of-range values.
@@ -95,7 +96,6 @@ class LoadedModel {
 
   const ModelSpec& spec() const { return spec_; }
   const infer::PlanPtr& plan() const { return plan_; }
-  std::int64_t batch_capacity() const { return plan_->input_shape[0]; }
 
   /// RAII engine lease: returns the engine to the pool on destruction.
   class Lease {
@@ -153,7 +153,9 @@ class ModelRegistry {
   /// build it: zoo network -> optional checkpoint restore -> BN warmup ->
   /// infer::compile -> engine pool. Evicts least-recently-used residents
   /// beyond capacity. Throws std::runtime_error when a checkpoint is
-  /// named but cannot be restored, std::invalid_argument on bad specs.
+  /// named but cannot be restored, std::invalid_argument on bad specs
+  /// (empty name; width, in_channels, num_classes, timesteps, in_h or
+  /// in_w below 1; warm_bn_steps or calib_steps below 0).
   ModelHandle load(const ModelSpec& spec);
 
   /// Manifest-file convenience: load(ModelSpec::from_manifest(path)).

@@ -6,22 +6,17 @@ namespace snnskip::serve {
 
 ServeOptions ServeOptions::from_env() {
   ServeOptions o;
-  o.max_batch = env::get_int("SNNSKIP_SERVE_BATCH", o.max_batch);
-  if (o.max_batch < 1) o.max_batch = 1;
-  o.latency_budget_us =
-      env::get_int("SNNSKIP_SERVE_BUDGET_US", o.latency_budget_us);
-  if (o.latency_budget_us < 0) o.latency_budget_us = 0;
-  o.linger_us = env::get_int("SNNSKIP_SERVE_LINGER_US", o.linger_us);
-  if (o.linger_us < 0) o.linger_us = 0;
   o.queue_capacity = env::get_int("SNNSKIP_SERVE_QUEUE", o.queue_capacity);
   if (o.queue_capacity < 1) o.queue_capacity = 1;
   o.workers = env::get_int("SNNSKIP_SERVE_WORKERS", o.workers);
   if (o.workers < 1) o.workers = 1;
   o.port = env::get_int("SNNSKIP_SERVE_PORT", o.port);
   if (o.port < 0 || o.port > 65535) o.port = 0;
-  o.io_timeout_ms = env::get_int("SNNSKIP_SERVE_IO_TIMEOUT_MS", o.io_timeout_ms);
+  o.io_timeout_ms =
+      env::get_int("SNNSKIP_SERVE_IO_TIMEOUT_MS", o.io_timeout_ms);
   if (o.io_timeout_ms < 1) o.io_timeout_ms = 1;
-  o.drain_timeout_ms = env::get_int("SNNSKIP_SERVE_DRAIN_MS", o.drain_timeout_ms);
+  o.drain_timeout_ms =
+      env::get_int("SNNSKIP_SERVE_DRAIN_MS", o.drain_timeout_ms);
   if (o.drain_timeout_ms < 0) o.drain_timeout_ms = 0;
   return o;
 }

@@ -14,30 +14,13 @@
 namespace snnskip::serve {
 
 struct ServeOptions {
-  /// Flush a model's pending queue as soon as this many requests are
-  /// waiting (also the largest batch ever cut; must not exceed the
-  /// model's compiled batch capacity — Server::add_model clamps).
-  std::int64_t max_batch = 8;
-
-  /// Flush deadline: a pending request is never held longer than this
-  /// before its batch is cut, so a lone request on an idle server still
-  /// meets a hard latency budget (TTFS-style workloads).
-  std::int64_t latency_budget_us = 2000;
-
-  /// Work-conserving linger: while at least one worker is IDLE, a batch
-  /// is cut once its oldest request has waited this long (capped by
-  /// latency_budget_us) instead of the full budget — holding requests to
-  /// grow a batch only pays off when every worker is already busy. The
-  /// small nonzero default still coalesces near-simultaneous arrivals.
-  std::int64_t linger_us = 200;
-
   /// Admission watermark across all models: submits beyond this many
-  /// queued (not yet dispatched) requests are rejected with a
+  /// queued (not yet running) requests are rejected with a
   /// retry-after hint instead of growing the queue without bound
   /// (postgres-style backpressure: fail fast, keep the server live).
   std::int64_t queue_capacity = 256;
 
-  /// Batch-execution thread-pool size. Each in-flight batch leases one
+  /// Request-execution thread-pool size. Each running request leases one
   /// engine from the model's pool, so this also bounds engines per model.
   std::int64_t workers = 2;
 
@@ -55,15 +38,14 @@ struct ServeOptions {
   /// persistent client costs one fd, not a worker.
   std::int64_t io_timeout_ms = 2000;
 
-  /// Upper bound on Server::drain(): if pending + in-flight work has not
-  /// finished after this long (a wedged worker, a runaway batch), drain
+  /// Upper bound on Server::drain(): if queued + running work has not
+  /// finished after this long (a wedged worker, a runaway request), drain
   /// fails the still-queued requests and returns false instead of hanging
   /// SIGTERM/SIGINT shutdown forever. 0 waits without bound.
   std::int64_t drain_timeout_ms = 30000;
 
-  /// Compiled-in defaults overlaid with SNNSKIP_SERVE_BATCH,
-  /// SNNSKIP_SERVE_BUDGET_US, SNNSKIP_SERVE_LINGER_US,
-  /// SNNSKIP_SERVE_QUEUE, SNNSKIP_SERVE_WORKERS, SNNSKIP_SERVE_PORT,
+  /// Compiled-in defaults overlaid with SNNSKIP_SERVE_QUEUE,
+  /// SNNSKIP_SERVE_WORKERS, SNNSKIP_SERVE_PORT,
   /// SNNSKIP_SERVE_IO_TIMEOUT_MS, SNNSKIP_SERVE_DRAIN_MS.
   static ServeOptions from_env();
 };

@@ -41,18 +41,11 @@ Server::Server(ModelRegistry& registry, ServeOptions opts)
   latency_ring_.assign(std::max<std::size_t>(1, opts_.latency_window), 0.0);
   pool_ = std::make_unique<ThreadPool>(
       static_cast<std::size_t>(std::max<std::int64_t>(1, opts_.workers)));
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 Server::~Server() {
   drain();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  dispatcher_.join();
-  pool_.reset();  // joins workers (all batches already finished by drain)
+  pool_.reset();  // joins workers; leftover tasks find the queue empty
 }
 
 void Server::add_model(const ModelSpec& spec) {
@@ -61,20 +54,19 @@ void Server::add_model(const ModelSpec& spec) {
   if (draining_) {
     throw std::logic_error("serve::Server: add_model after drain");
   }
-  ModelQueue& q = queues_[spec.name];
-  q.model = std::move(model);
+  models_[spec.name] = std::move(model);
 }
 
 void Server::submit_async(const std::string& model, std::vector<Tensor> frames,
                           const SubmitOptions& sub,
                           std::function<void(Outcome)> done) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = queues_.find(model);
-  if (it == queues_.end()) {
+  auto it = models_.find(model);
+  if (it == models_.end()) {
     throw std::invalid_argument("serve::Server: unknown model '" + model +
                                 "'");
   }
-  const Shape& in = it->second.model->plan()->input_shape;
+  const Shape& in = it->second->plan()->input_shape;
   if (frames.empty()) {
     throw std::invalid_argument("serve::Server: empty request sequence");
   }
@@ -89,38 +81,36 @@ void Server::submit_async(const std::string& model, std::vector<Tensor> frames,
 
   // Admission control: shed load at the edge once the backlog passes the
   // watermark (or when draining), with a retry hint sized to the time the
-  // current backlog needs to clear at one batch per latency budget.
-  const bool full = pending_total_ >= opts_.queue_capacity;
-  if (draining_ || full || SNNSKIP_FAULT("serve.queue_full")) {
+  // workers need to clear the current backlog at the measured
+  // per-request execute time.
+  const auto queued = static_cast<std::int64_t>(queue_.size());
+  if (draining_ || queued >= opts_.queue_capacity ||
+      SNNSKIP_FAULT("serve.queue_full")) {
     ++rejected_;
     Telemetry::count("serve.rejected");
     Outcome o;
     o.status = RequestStatus::Rejected;
     o.retry_after_us =
         draining_ ? 0
-                  : opts_.latency_budget_us *
-                        (1 + pending_total_ / std::max<std::int64_t>(
-                                                  1, opts_.max_batch));
+                  : std::max<std::int64_t>(
+                        1, exec_ns_ / 1000 *
+                               (1 + queued / std::max<std::int64_t>(
+                                                 1, opts_.workers)));
     o.error = draining_ ? "draining" : "queue full";
     lock.unlock();
     done(std::move(o));
     return;
   }
 
-  auto req = std::make_unique<Request>();
-  req->frames = std::move(frames);
-  req->done = std::move(done);
-  req->enqueue_ns = Telemetry::now_ns();
-  req->deadline_ns = sub.deadline_ns;
-  it->second.pending.push_back(std::move(req));
-  ++pending_total_;
+  queue_.push_back(Request{model, std::move(frames), std::move(done),
+                           Telemetry::now_ns(), sub.deadline_ns});
   ++accepted_;
-  depth_high_water_ = std::max(depth_high_water_, pending_total_);
+  depth_high_water_ = std::max(depth_high_water_, queued + 1);
   Telemetry::count("serve.requests");
   Telemetry::count_max("serve.queue_depth.high_water",
-                       static_cast<double>(pending_total_));
+                       static_cast<double>(queued + 1));
   lock.unlock();
-  cv_.notify_one();
+  pool_->submit([this] { run_next(); });
 }
 
 Server::Ticket Server::submit(const std::string& model,
@@ -176,40 +166,31 @@ Tensor Server::infer(const std::string& model, std::vector<Tensor> frames) {
 bool Server::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   draining_ = true;
-  cv_.notify_all();
-  auto done = [this] { return pending_total_ == 0 && in_flight_batches_ == 0; };
+  auto idle = [this] { return queue_.empty() && running_ == 0; };
   if (opts_.drain_timeout_ms <= 0) {
-    drain_cv_.wait(lock, done);
+    drain_cv_.wait(lock, idle);
     return true;
   }
-  if (drain_cv_.wait_for(lock, std::chrono::milliseconds(opts_.drain_timeout_ms),
-                         done)) {
+  if (drain_cv_.wait_for(
+          lock, std::chrono::milliseconds(opts_.drain_timeout_ms), idle)) {
     return true;
   }
-  // Timed out: a worker is wedged or a batch is pathologically slow. Fail
-  // whatever is still QUEUED so no promise dangles, and latch
-  // drain_expired_ so batches parked in the worker queue fast-fail at
-  // pickup instead of burning engine time nobody is waiting on. The
-  // batch a worker is executing right now still completes normally.
-  drain_expired_.store(true, std::memory_order_relaxed);
-  std::vector<std::unique_ptr<Request>> orphans;
-  for (auto& [name, q] : queues_) {
-    while (!q.pending.empty()) {
-      orphans.push_back(std::move(q.pending.front()));
-      q.pending.pop_front();
-      --pending_total_;
-    }
-  }
+  // Timed out: a worker is wedged or a request is pathologically slow.
+  // Fail whatever is still QUEUED so no promise dangles; their pool tasks
+  // find the queue empty. The requests running right now still complete
+  // normally.
+  std::deque<Request> orphans;
+  orphans.swap(queue_);
   failed_ += static_cast<std::int64_t>(orphans.size());
   lock.unlock();
   SNNSKIP_LOG(Warn) << "serve: drain timed out after "
                     << opts_.drain_timeout_ms << "ms; failing "
                     << orphans.size() << " queued request(s)";
-  for (auto& req : orphans) {
+  for (Request& req : orphans) {
     Outcome o;
     o.status = RequestStatus::Failed;
     o.error = "drain timeout";
-    req->done(std::move(o));
+    req.done(std::move(o));
   }
   return false;
 }
@@ -219,280 +200,126 @@ bool Server::draining() const {
   return draining_;
 }
 
-std::vector<std::unique_ptr<Server::Request>> Server::collect_expired() {
-  std::vector<std::unique_ptr<Request>> shed;
-  const std::int64_t now = wire::mono_now_ns();
-  for (auto& [name, q] : queues_) {
-    for (auto it = q.pending.begin(); it != q.pending.end();) {
-      Request& r = **it;
-      if (r.deadline_ns > 0 && now >= r.deadline_ns) {
-        shed.push_back(std::move(*it));
-        it = q.pending.erase(it);
-        --pending_total_;
-      } else {
-        ++it;
-      }
-    }
+void Server::run_next() {
+  Request req;
+  ModelHandle model;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queue_.empty()) return;  // failed by a timed-out drain
+    req = std::move(queue_.front());
+    queue_.pop_front();
+    auto it = models_.find(req.model);
+    if (it != models_.end()) model = it->second;
+    ++running_;
   }
-  return shed;
-}
 
-void Server::dispatcher_loop() {
-  const std::int64_t budget_ns = opts_.latency_budget_us * 1000;
-  const std::int64_t linger_ns =
-      std::min(opts_.linger_us, opts_.latency_budget_us) * 1000;
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    // Shed requests whose deadline already expired BEFORE assembling any
-    // batch: engine time is the scarce resource, and an answer past its
-    // deadline is wasted work. Draining flushes everything regardless —
-    // the client is still waiting on those futures.
-    std::vector<std::unique_ptr<Request>> shed;
-    if (!draining_) shed = collect_expired();
-    if (!shed.empty()) {
-      expired_ += static_cast<std::int64_t>(shed.size());
-      lock.unlock();
-      for (auto& req : shed) {
-        Telemetry::count("serve.deadline_expired");
-        Outcome o;
-        o.status = RequestStatus::Expired;
-        o.error = "deadline expired before batch assembly";
-        req->done(std::move(o));
-      }
-      shed.clear();
-      lock.lock();
-      // mu_ was released while completing the shed requests; stop() may
-      // have set stopping_ and fired its (then-unheard) notify in that
-      // window. Re-evaluate the loop condition before committing to a
-      // wait, or the untimed cv_.wait below sleeps through the join.
-      continue;
-    }
-
-    // Cut every ready batch: batch-full queues immediately, deadline-hit
-    // queues by the age of their OLDEST pending request, everything when
-    // draining. Work-conserving: while a worker is idle the deadline is
-    // the short linger, not the full budget — holding a batch open only
-    // buys throughput when every worker is busy anyway.
-    auto wait_ns = [&] {
-      return in_flight_batches_ < opts_.workers ? linger_ns : budget_ns;
-    };
-    for (auto& [name, q] : queues_) {
-      const std::int64_t cap =
-          std::min<std::int64_t>(opts_.max_batch, q.model->batch_capacity());
-      while (!q.pending.empty() &&
-             (static_cast<std::int64_t>(q.pending.size()) >= cap ||
-              draining_ ||
-              Telemetry::now_ns() >=
-                  q.pending.front()->enqueue_ns +
-                      static_cast<std::uint64_t>(wait_ns()))) {
-        cut_batch(q);
-      }
-    }
-
-    // Sleep until the earliest pending flush deadline or request
-    // deadline (or a submit / drain / batch-completion wake; completions
-    // can shorten flush deadlines to the linger, so run_batch also
-    // notifies cv_). Flush deadlines live in the telemetry clock domain,
-    // request deadlines in the monotonic domain — compare DURATIONS, not
-    // absolute times.
-    std::int64_t sleep_ns = std::numeric_limits<std::int64_t>::max();
-    const std::int64_t tnow = static_cast<std::int64_t>(Telemetry::now_ns());
-    const std::int64_t mnow = wire::mono_now_ns();
-    for (const auto& [name, q] : queues_) {
-      if (q.pending.empty()) continue;
-      sleep_ns = std::min(
-          sleep_ns, static_cast<std::int64_t>(q.pending.front()->enqueue_ns) +
-                        wait_ns() - tnow);
-      for (const auto& req : q.pending) {
-        if (req->deadline_ns > 0) {
-          sleep_ns = std::min(sleep_ns, req->deadline_ns - mnow);
-        }
-      }
-    }
-    if (sleep_ns == std::numeric_limits<std::int64_t>::max()) {
-      cv_.wait(lock);
-    } else if (sleep_ns > 0) {
-      cv_.wait_for(lock, std::chrono::nanoseconds(sleep_ns));
-    }
-  }
-}
-
-void Server::cut_batch(ModelQueue& q) {
-  const std::int64_t cap =
-      std::min<std::int64_t>(opts_.max_batch, q.model->batch_capacity());
-  const std::size_t n =
-      std::min<std::size_t>(static_cast<std::size_t>(cap), q.pending.size());
-  Batch batch;
-  batch.model = q.model;
-  batch.requests.reserve(n);
-  const std::uint64_t now = Telemetry::now_ns();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::unique_ptr<Request> req = std::move(q.pending.front());
-    q.pending.pop_front();
-    telemetry::record_span("serve.queue_wait", q.model->spec().name,
-                           req->enqueue_ns, now - req->enqueue_ns);
-    batch.requests.push_back(std::move(req));
-  }
-  pending_total_ -= static_cast<std::int64_t>(n);
-  ++in_flight_batches_;
-  ++batches_;
-  batched_requests_ += static_cast<std::int64_t>(n);
-  Telemetry::count("serve.batches");
-  Telemetry::count("serve.batch_occupancy", static_cast<double>(n));
-  pool_->submit([this, b = std::make_shared<Batch>(std::move(batch))] {
-    run_batch(std::move(*b));
-  });
-}
-
-void Server::run_batch(Batch batch) {
-  const std::string& name = batch.model->spec().name;
-  if (drain_expired_.load(std::memory_order_relaxed)) {
-    const std::size_t nabandoned = batch.requests.size();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      failed_ += static_cast<std::int64_t>(nabandoned);
-    }
-    for (auto& req : batch.requests) {
-      Outcome o;
-      o.status = RequestStatus::Failed;
-      o.error = "drain timeout";
-      req->done(std::move(o));
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_batches_;
-    }
-    drain_cv_.notify_all();
-    return;
-  }
-  SNNSKIP_SPAN("serve.execute", name);
-  const std::size_t nreq = batch.requests.size();
-  std::vector<Outcome> outcomes(nreq);
+  // Shed a request whose deadline already passed: engine time is the
+  // scarce resource, and an answer past its deadline is wasted work.
+  Outcome o;
   bool poisoned = false;
-  try {
-    LoadedModel::Lease lease = batch.model->lease();
-    const infer::Plan& plan = *batch.model->plan();
-    const std::int64_t n = plan.input_shape[0];
-    const std::int64_t img_f = plan.input_shape[1] * plan.input_shape[2] *
-                               plan.input_shape[3];
-    const std::int64_t classes = plan.output_shape.numel() / n;
-
-    std::size_t tmax = 0;
-    for (const auto& req : batch.requests) {
-      tmax = std::max(tmax, req->frames.size());
+  std::int64_t exec_ns = -1;  // engine run time; -1 when none ran
+  if (req.deadline_ns > 0 && wire::mono_now_ns() >= req.deadline_ns) {
+    Telemetry::count("serve.deadline_expired");
+    o.status = RequestStatus::Expired;
+    o.error = "deadline expired in queue";
+  } else if (!model) {
+    o.status = RequestStatus::Failed;
+    o.error = "model '" + req.model + "' was unregistered";
+  } else {
+    const std::uint64_t start_ns = Telemetry::now_ns();
+    telemetry::record_span("serve.queue_wait", req.model, req.enqueue_ns,
+                           start_ns - req.enqueue_ns);
+    o = execute(model, req, &poisoned);
+    const std::uint64_t end_ns = Telemetry::now_ns();
+    exec_ns = static_cast<std::int64_t>(end_ns - start_ns);
+    if (o.status == RequestStatus::Ok) {
+      record_latency(static_cast<double>(end_ns - req.enqueue_ns) / 1e6);
     }
+  }
 
+  // Quarantine BEFORE reporting the failure: a client that retries the
+  // moment it sees the failure must already find the reloaded model.
+  if (poisoned) quarantine_model(model);
+
+  // Account the outcome BEFORE invoking the callback: a client that
+  // returns from result.get() must already see its request in stats().
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (exec_ns >= 0) {
+      ++runs_;
+      exec_ns_ = exec_ns_ == 0 ? exec_ns : exec_ns_ + (exec_ns - exec_ns_) / 8;
+    }
+    if (o.status == RequestStatus::Ok) {
+      ++completed_;
+    } else if (o.status == RequestStatus::Expired) {
+      ++expired_;
+    } else {
+      ++failed_;
+    }
+  }
+  req.done(std::move(o));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_;
+  }
+  drain_cv_.notify_all();
+}
+
+Outcome Server::execute(const ModelHandle& model, const Request& req,
+                        bool* poisoned) {
+  SNNSKIP_SPAN("serve.execute", req.model);
+  Outcome o;
+  try {
+    LoadedModel::Lease lease = model->lease();
+    const infer::Plan& plan = *model->plan();
+    const std::int64_t classes = plan.output_shape.numel();
     Tensor x(plan.input_shape);
     Tensor out(plan.output_shape);
-    std::vector<std::vector<float>> acc(
-        nreq, std::vector<float>(static_cast<std::size_t>(classes), 0.f));
-    for (std::size_t t = 0; t < tmax; ++t) {
-      {
-        SNNSKIP_SPAN_AGG("serve.batch_assemble", name);
-        std::memset(x.data(), 0,
-                    static_cast<std::size_t>(x.numel()) * sizeof(float));
-        for (std::size_t i = 0; i < nreq; ++i) {
-          const auto& frames = batch.requests[i]->frames;
-          if (t < frames.size()) {
-            std::memcpy(x.data() + static_cast<std::int64_t>(i) * img_f,
-                        frames[t].data(),
-                        static_cast<std::size_t>(img_f) * sizeof(float));
-          }
-        }
-      }
+    Tensor acc(Shape{classes});
+    for (const Tensor& f : req.frames) {
+      std::memcpy(x.data(), f.data(),
+                  static_cast<std::size_t>(x.numel()) * sizeof(float));
       lease->step(x, &out);
       if (SNNSKIP_FAULT("serve.engine_nan")) {
         // Simulated corrupted-weights blowup: poison the step output the
         // same way an Inf/NaN weight would.
-        for (std::int64_t i = 0; i < out.numel(); ++i) {
-          out.data()[i] = std::numeric_limits<float>::quiet_NaN();
-        }
+        out.fill(std::numeric_limits<float>::quiet_NaN());
       }
-      for (std::size_t i = 0; i < nreq; ++i) {
-        if (t >= batch.requests[i]->frames.size()) continue;
-        const float* row = out.data() + static_cast<std::int64_t>(i) * classes;
-        float* a = acc[i].data();
-        for (std::int64_t c = 0; c < classes; ++c) a[c] += row[c];
+      for (std::int64_t c = 0; c < classes; ++c) {
+        acc.data()[c] += out.data()[c];
       }
     }
-
-    // Non-finite outputs mean the model itself is unhealthy (weights or
-    // state corrupt): fail the whole batch and quarantine the model.
-    for (std::size_t i = 0; i < nreq && !poisoned; ++i) {
-      for (float v : acc[i]) {
-        if (!std::isfinite(v)) {
-          poisoned = true;
-          break;
-        }
+    // A non-finite output means the model itself is unhealthy (weights
+    // or state corrupt): fail the request and quarantine the model.
+    for (std::int64_t c = 0; c < classes; ++c) {
+      if (!std::isfinite(acc.data()[c])) {
+        *poisoned = true;
+        o.status = RequestStatus::Failed;
+        o.error = "non-finite engine output (model quarantined)";
+        return o;
       }
     }
-
-    if (poisoned) {
-      for (std::size_t i = 0; i < nreq; ++i) {
-        outcomes[i].status = RequestStatus::Failed;
-        outcomes[i].error = "non-finite engine output (model quarantined)";
-      }
-    } else {
-      const std::uint64_t done_ns = Telemetry::now_ns();
-      for (std::size_t i = 0; i < nreq; ++i) {
-        Tensor r(Shape{classes});
-        std::memcpy(r.data(), acc[i].data(),
-                    static_cast<std::size_t>(classes) * sizeof(float));
-        outcomes[i].status = RequestStatus::Ok;
-        outcomes[i].value = std::move(r);
-        record_latency(
-            static_cast<double>(done_ns - batch.requests[i]->enqueue_ns) /
-            1e6);
-      }
-    }
+    o.status = RequestStatus::Ok;
+    o.value = std::move(acc);
   } catch (const std::exception& e) {
-    for (std::size_t i = 0; i < nreq; ++i) {
-      outcomes[i].status = RequestStatus::Failed;
-      outcomes[i].error = e.what();
-    }
+    o.status = RequestStatus::Failed;
+    o.error = e.what();
   } catch (...) {
-    for (std::size_t i = 0; i < nreq; ++i) {
-      outcomes[i].status = RequestStatus::Failed;
-      outcomes[i].error = "unknown execution failure";
-    }
+    o.status = RequestStatus::Failed;
+    o.error = "unknown execution failure";
   }
-
-  // Quarantine BEFORE reporting the failures: a client that retries the
-  // moment it sees the failure must already find the reloaded model.
-  if (poisoned) quarantine_model(batch.model);
-
-  // Account completions BEFORE invoking any callback: a client that
-  // returns from result.get() must already see its request in stats().
-  std::size_t ok = 0;
-  for (const Outcome& o : outcomes) {
-    if (o.status == RequestStatus::Ok) ++ok;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    completed_ += static_cast<std::int64_t>(ok);
-    failed_ += static_cast<std::int64_t>(nreq - ok);
-  }
-  for (std::size_t i = 0; i < nreq; ++i) {
-    batch.requests[i]->done(std::move(outcomes[i]));
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --in_flight_batches_;
-  }
-  drain_cv_.notify_all();
-  cv_.notify_one();  // a worker just went idle: deadlines may shorten
+  return o;
 }
 
 void Server::quarantine_model(const ModelHandle& model) {
   const std::string name = model->spec().name;
-  // Serialize cycles so two poisoned batches of one model trigger one
+  // Serialize cycles so two poisoned runs of one model trigger one
   // reload; the identity check below makes the second a no-op.
   std::lock_guard<std::mutex> qlock(quarantine_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = queues_.find(name);
-    if (it == queues_.end() || it->second.model != model) {
+    auto it = models_.find(name);
+    if (it == models_.end() || it->second != model) {
       return;  // already quarantined and swapped (or model was removed)
     }
   }
@@ -504,37 +331,24 @@ void Server::quarantine_model(const ModelHandle& model) {
   ModelHandle fresh = registry_.try_load(model->spec(), &err);
 
   const bool reloaded = fresh != nullptr;
-  std::vector<std::unique_ptr<Request>> orphans;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++quarantined_;
-    auto it = queues_.find(name);
-    if (it != queues_.end() && it->second.model == model) {
-      if (fresh) {
-        it->second.model = std::move(fresh);
+    auto it = models_.find(name);
+    if (it != models_.end() && it->second == model) {
+      if (reloaded) {
+        it->second = std::move(fresh);
       } else {
         // Reload failed too (checkpoint corrupt on disk): unregister the
-        // model so submits report it unknown instead of serving poison.
-        while (!it->second.pending.empty()) {
-          orphans.push_back(std::move(it->second.pending.front()));
-          it->second.pending.pop_front();
-          --pending_total_;
-        }
-        failed_ += static_cast<std::int64_t>(orphans.size());
-        queues_.erase(it);
+        // model so submits report it unknown instead of serving poison;
+        // its queued requests fail when popped.
+        models_.erase(it);
       }
     }
   }
   if (!reloaded) {
     SNNSKIP_LOG(Error) << "serve: quarantine reload of '" << name
                        << "' failed (" << err << "); model unregistered";
-    for (auto& req : orphans) {
-      Outcome o;
-      o.status = RequestStatus::Failed;
-      o.error = "model quarantined and reload failed: " + err;
-      req->done(std::move(o));
-    }
-    drain_cv_.notify_all();
   }
 }
 
@@ -557,12 +371,8 @@ ServeStats Server::stats() const {
     s.failed = failed_;
     s.expired = expired_;
     s.quarantined = quarantined_;
-    s.batches = batches_;
-    s.mean_batch_occupancy =
-        batches_ > 0 ? static_cast<double>(batched_requests_) /
-                           static_cast<double>(batches_)
-                     : 0.0;
-    s.queue_depth = pending_total_;
+    s.batches = runs_;
+    s.queue_depth = static_cast<std::int64_t>(queue_.size());
     s.queue_depth_high_water = depth_high_water_;
   }
   std::vector<double> lat;

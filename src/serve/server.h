@@ -1,8 +1,8 @@
 #pragma once
-// High-throughput inference daemon core (ISSUE 7, hardened in ISSUE 8):
-// dynamic batching under a latency budget, bounded-queue admission
-// control with explicit backpressure, end-to-end deadline propagation,
-// model quarantine, and bounded graceful drain.
+// Inference daemon core (ISSUE 7, hardened in ISSUE 8): one request per
+// engine run, bounded-queue admission control with explicit
+// backpressure, end-to-end deadline propagation, model quarantine, and
+// bounded graceful drain.
 //
 // Request model: a request is one event-stream sequence — T frames of
 // shape (C, H, W) for a named model — and its response is the
@@ -11,55 +11,50 @@
 //
 // Pipeline:
 //
-//   submit()  --admission-->  per-model pending queue  --dispatcher-->
-//   batch (flush on batch-full OR deadline)  --ThreadPool-->  exec task
-//   (lease pooled Engine, step T times, complete requests)
+//   submit()  --admission-->  one FIFO + one pool task per request
+//   --ThreadPool-->  the task pops the OLDEST queued request, leases a
+//   pooled Engine (compiled at batch 1), steps it T times, completes it
+//
+// Every engine run serves exactly one request on one worker, so
+// concurrent requests run in parallel on the pool, and a served answer is
+// bitwise the answer of a direct engine run over the same frames.
 //
 // * Admission control: one watermark across all models
 //   (ServeOptions::queue_capacity). A submit over the watermark is
-//   REJECTED immediately with a retry_after_us hint derived from the
-//   current backlog — shed load explicitly at the edge instead of letting
-//   latency grow without bound. Fault site `serve.queue_full` forces this
-//   path deterministically.
+//   REJECTED immediately with a retry_after_us hint: the measured
+//   per-request execute time times the backlog per worker (at least
+//   1 us) — shed load explicitly at the edge instead of letting latency
+//   grow without bound. Fault site `serve.queue_full` forces this path
+//   deterministically.
 // * Deadline propagation: a request may carry an ABSOLUTE deadline
-//   (wire::mono_now_ns() domain, CLOCK_MONOTONIC). The dispatcher sheds
-//   requests whose deadline already expired BEFORE batch assembly
-//   (counter `serve.deadline_expired`, Outcome Expired) — engine time is
-//   never spent computing an answer nobody is waiting for. Deadlines
-//   arriving over the transport (serve/transport.h) flow through
-//   unchanged, so a client timeout bounds server work end to end.
-// * Dynamic batching: a dedicated dispatcher thread cuts a model's batch
-//   when max_batch requests are pending or the OLDEST pending request
-//   has waited its deadline — the full latency_budget_us while every
-//   worker is busy, but only the short work-conserving linger_us while a
-//   worker sits idle. Batches from different models (and multiple batches
-//   of one model) execute concurrently on the worker pool; each leases
-//   its own Engine, so per-engine ExecOptions and ExecStats never
-//   interleave.
-// * Quarantine: a batch whose engine output contains a non-finite value
+//   (wire::mono_now_ns() domain, CLOCK_MONOTONIC). A request popped past
+//   its deadline is answered Expired without engine time (counter
+//   `serve.deadline_expired`) — including requests that waited out their
+//   budget behind busy workers. Deadlines arriving over the transport
+//   (serve/transport.h) flow through unchanged, so a client timeout
+//   bounds server work end to end.
+// * Quarantine: a run whose engine output contains a non-finite value
 //   (a corrupted weight blob, an overflowing activation, or the injected
-//   `serve.engine_nan` fault) fails ONLY that batch's requests, then
-//   evicts the model from the registry and reloads it from its spec —
-//   checkpoint re-read, plan re-compiled — before the failures are
-//   reported (counter `serve.quarantined`), so a client that retries on
-//   failure immediately hits the fresh copy. If even the reload fails
-//   (checkpoint now corrupt on disk) the model is unregistered: one
-//   poisoned blob degrades one model, never the daemon.
-// * Graceful drain: drain() stops admission, flushes every pending
-//   request, and returns once nothing is queued or in flight — but never
-//   waits longer than ServeOptions::drain_timeout_ms: on timeout the
-//   still-queued requests are failed and drain returns false, so a
-//   wedged worker cannot hang SIGTERM/SIGINT shutdown forever. The
-//   destructor drains.
+//   `serve.engine_nan` fault) fails ONLY that request, then evicts the
+//   model from the registry and reloads it from its spec — checkpoint
+//   re-read, plan re-compiled — before the failure is reported (counter
+//   `serve.quarantined`), so a client that retries on failure
+//   immediately hits the fresh copy. If even the reload fails
+//   (checkpoint now corrupt on disk) the model is unregistered and its
+//   still-queued requests fail when popped: one poisoned blob degrades
+//   one model, never the daemon.
+// * Graceful drain: drain() stops admission and returns once nothing is
+//   queued or running — but never waits longer than
+//   ServeOptions::drain_timeout_ms: on timeout the still-queued requests
+//   are failed and drain returns false, so a wedged worker cannot hang
+//   SIGTERM/SIGINT shutdown forever. The destructor drains.
 //
-// Telemetry (enabled runs): per-request `serve.queue_wait` spans, per-
-// batch `serve.execute` + per-step `serve.batch_assemble` spans, and
-// serve.requests / serve.rejected / serve.batches / serve.batch_occupancy
-// / serve.deadline_expired / serve.quarantined counters with a
+// Telemetry (enabled runs): per-request `serve.queue_wait` and
+// `serve.execute` spans, and serve.requests / serve.rejected /
+// serve.deadline_expired / serve.quarantined counters with a
 // serve.queue_depth.high_water gauge. Latency p50/p99 over a recent
 // window is always available from stats().
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -69,7 +64,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "parallel/thread_pool.h"
@@ -87,9 +81,8 @@ struct ServeStats {
   std::int64_t failed = 0;   ///< engine failures (incl. quarantines)
   std::int64_t expired = 0;  ///< shed with an already-expired deadline
   std::int64_t quarantined = 0;  ///< model evict+reload cycles
-  std::int64_t batches = 0;
-  double mean_batch_occupancy = 0.0;  ///< completed / batches
-  std::int64_t queue_depth = 0;       ///< instantaneous pending requests
+  std::int64_t batches = 0;      ///< engine runs (one request each)
+  std::int64_t queue_depth = 0;  ///< instantaneous queued requests
   std::int64_t queue_depth_high_water = 0;
   double p50_ms = 0.0;  ///< over the recent-latency window
   double p99_ms = 0.0;
@@ -114,7 +107,7 @@ struct Outcome {
 
 struct SubmitOptions {
   /// Absolute deadline in wire::mono_now_ns() (CLOCK_MONOTONIC); 0 = no
-  /// deadline. Expired requests are shed before batch assembly.
+  /// deadline. Expired requests are shed before they reach an engine.
   std::int64_t deadline_ns = 0;
 };
 
@@ -122,13 +115,12 @@ class Server {
  public:
   /// `registry` must outlive the server. Snapshots `opts`.
   Server(ModelRegistry& registry, ServeOptions opts = ServeOptions::from_env());
-  ~Server();  ///< drains, then joins dispatcher and workers
+  ~Server();  ///< drains, then joins the workers
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   /// Load `spec` through the registry and accept requests for
-  /// `spec.name`. max_batch is clamped to the model's compiled batch
-  /// capacity. Not callable after drain(). Throws on load failure —
+  /// `spec.name`. Not callable after drain(). Throws on load failure —
   /// daemon startup paths that must survive a bad model use
   /// ModelRegistry::try_load + add_model(spec) in a try block, or the
   /// snnskip-serve binary's per-manifest skip logic.
@@ -164,12 +156,11 @@ class Server {
   /// rejection (callers that want backpressure semantics use submit()).
   Tensor infer(const std::string& model, std::vector<Tensor> frames);
 
-  /// Stop admission, flush all pending batches immediately, and return
-  /// once nothing is pending or in flight — or after
-  /// ServeOptions::drain_timeout_ms, whichever comes first. On timeout,
-  /// still-queued requests complete with RequestStatus::Failed and drain
-  /// returns false (in-flight batches keep running and complete whenever
-  /// their worker finishes). Idempotent.
+  /// Stop admission and return once nothing is queued or running — or
+  /// after ServeOptions::drain_timeout_ms, whichever comes first. On
+  /// timeout, still-queued requests complete with RequestStatus::Failed
+  /// and drain returns false (running requests complete whenever their
+  /// worker finishes). Idempotent.
   bool drain();
   bool draining() const;
 
@@ -177,34 +168,24 @@ class Server {
 
  private:
   struct Request {
+    std::string model;
     std::vector<Tensor> frames;
     std::function<void(Outcome)> done;
     std::uint64_t enqueue_ns = 0;   ///< Telemetry::now_ns at admission
     std::int64_t deadline_ns = 0;   ///< wire::mono_now_ns domain; 0 = none
   };
 
-  struct ModelQueue {
-    ModelHandle model;
-    std::deque<std::unique_ptr<Request>> pending;
-  };
-
-  struct Batch {
-    ModelHandle model;  ///< keeps the model alive even if evicted mid-run
-    std::vector<std::unique_ptr<Request>> requests;
-  };
-
-  void dispatcher_loop();
-  /// Cut up to max_batch requests from `q` into a Batch and hand it to
-  /// the worker pool. Caller holds mu_.
-  void cut_batch(ModelQueue& q);
-  /// Remove already-expired requests from every pending queue. Caller
-  /// holds mu_; the shed requests are returned for completion OUTSIDE
-  /// the lock.
-  std::vector<std::unique_ptr<Request>> collect_expired();
-  void run_batch(Batch batch);
-  /// Evict + reload `model` after a poisoned batch; swaps the fresh
-  /// handle into the queue (or unregisters the model when the reload
-  /// itself fails). No locks held by the caller.
+  /// Pool task, one per accepted request: pop the oldest queued request
+  /// and answer it — Expired past its deadline, Failed when its model
+  /// was unregistered, otherwise from one engine run.
+  void run_next();
+  /// Step a leased engine over `req`'s frames; sets `*poisoned` on a
+  /// non-finite output.
+  Outcome execute(const ModelHandle& model, const Request& req,
+                  bool* poisoned);
+  /// Evict + reload `model` after a poisoned run; swaps the fresh handle
+  /// in (or unregisters the model when the reload itself fails). No
+  /// locks held by the caller.
   void quarantine_model(const ModelHandle& model);
   void record_latency(double ms);
 
@@ -212,24 +193,19 @@ class Server {
   ModelRegistry& registry_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;        // dispatcher wakeups
   std::condition_variable drain_cv_;  // drain() completion
-  std::map<std::string, ModelQueue> queues_;
-  std::int64_t pending_total_ = 0;
-  std::int64_t in_flight_batches_ = 0;
+  std::map<std::string, ModelHandle> models_;
+  std::deque<Request> queue_;  // FIFO across models
+  std::int64_t running_ = 0;   // requests popped and not yet completed
   bool draining_ = false;
-  bool stopping_ = false;
-  // Latched by a timed-out drain(); run_batch fast-fails batches still
-  // parked in the worker queue instead of burning engine time on them.
-  std::atomic<bool> drain_expired_{false};
+  std::int64_t exec_ns_ = 0;  // moving average of one request's execute
 
   // Serializes quarantine evict+reload cycles (never held with mu_).
   std::mutex quarantine_mu_;
 
   // Totals (guarded by mu_).
   std::int64_t accepted_ = 0, rejected_ = 0, completed_ = 0, failed_ = 0;
-  std::int64_t expired_ = 0, quarantined_ = 0;
-  std::int64_t batches_ = 0, batched_requests_ = 0;
+  std::int64_t expired_ = 0, quarantined_ = 0, runs_ = 0;
   std::int64_t depth_high_water_ = 0;
 
   // Recent request latencies (own lock: hot path, touched per request).
@@ -238,8 +214,7 @@ class Server {
   std::size_t lat_next_ = 0;
   bool lat_full_ = false;
 
-  std::unique_ptr<ThreadPool> pool_;  // batch execution workers
-  std::thread dispatcher_;
+  std::unique_ptr<ThreadPool> pool_;  // request execution workers
 };
 
 }  // namespace snnskip::serve

@@ -92,11 +92,11 @@ SocketServer::~SocketServer() {
   // Every pending completion callback captures `this`, so none may still
   // be running (or waiting to run) when this object is freed. drain()
   // flushes the common case but is bounded by drain_timeout_ms — it can
-  // return false with batches still executing or parked in the worker
-  // pool whose completions fire later. Wait for the callback count
-  // itself: once the drain timeout latches, parked batches fast-fail at
-  // pickup, so this converges quickly unless a worker is wedged inside
-  // an engine step (which would hang the Server's own pool join anyway).
+  // return false with requests still executing whose completions fire
+  // later. Wait for the callback count itself: a timed-out drain has
+  // already failed every queued request, so this converges quickly
+  // unless a worker is wedged inside an engine step (which would hang
+  // the Server's own pool join anyway).
   server_.drain();
   {
     std::unique_lock<std::mutex> lock(cb_mu_);
@@ -341,6 +341,11 @@ void SocketServer::handle_readable(const ConnPtr& c) {
 void SocketServer::handle_frame(const ConnPtr& c,
                                 wire::FrameAssembler::Frame frame) {
   if (frame.type == wire::FrameType::Goaway) return;  // client-side only
+  // A frame read after shutdown() — it raced the GOAWAY, which the next
+  // loop pass queues on this connection — is not admitted: the client
+  // learns to stop from the GOAWAY, and the connection closes once its
+  // earlier responses flush.
+  if (shutdown_.load(std::memory_order_acquire)) return;
   if (frame.type != wire::FrameType::Request) {
     protocol_errors_.fetch_add(1);
     close_conn(c);
@@ -373,6 +378,16 @@ void SocketServer::handle_frame(const ConnPtr& c,
     return;
   }
 
+  if (SNNSKIP_FAULT("serve.client_disconnect")) {
+    // Drill: the peer vanishes with a request in flight. The request must
+    // still run and return its lease; the response is dropped on the
+    // floor when the completion finds the connection gone. Closing before
+    // the submit keeps that true however fast the request completes.
+    disconnects_.fetch_add(1);
+    Telemetry::count("serve.transport.disconnects");
+    SNNSKIP_LOG(Warn) << "serve: injected disconnect on connection #" << c->id;
+    close_conn(c);
+  }
   {
     std::lock_guard<std::mutex> lock(c->out_mu);
     ++c->inflight;
@@ -421,16 +436,6 @@ void SocketServer::handle_frame(const ConnPtr& c,
     r.error = e.what();
     send_response_now(c, r);
     return;
-  }
-
-  if (SNNSKIP_FAULT("serve.client_disconnect")) {
-    // Drill: the peer vanishes with a request in flight. The batch must
-    // still run and return its lease; the response is dropped on the
-    // floor when the completion finds the connection gone.
-    disconnects_.fetch_add(1);
-    Telemetry::count("serve.transport.disconnects");
-    SNNSKIP_LOG(Warn) << "serve: injected disconnect on connection #" << c->id;
-    close_conn(c);
   }
 }
 

@@ -18,27 +18,26 @@
 //     synchronized. Only structural corruption (bad magic, oversize
 //     length) closes the connection, because resync is impossible.
 //   * Client disconnect (`serve.client_disconnect`): a peer vanishing
-//     mid-request never cancels engine work — the batch completes, the
+//     mid-request never cancels engine work — the request completes, the
 //     lease returns to the pool, and the orphaned response is dropped on
 //     the floor (dropped_responses counter).
 //   * Accept failure (`serve.accept_fail`): logged and counted; the
 //     listener keeps accepting.
 //   * Read stall (`serve.read_stall`): a connection that stops making
 //     progress mid-frame is closed after ServeOptions::io_timeout_ms, so
-//     a slow-loris client pins one fd, not a worker or the dispatcher.
+//     a slow-loris client pins one fd, not a worker.
 //
 // Shutdown: shutdown() stops accepting, sends a GOAWAY frame on every
 // connection, and closes each one once its in-flight responses have
 // flushed. The destructor shuts down, drains the wrapped Server, then
 // BLOCKS until every completion callback handed to submit_async has run
-// — drain() is bounded by drain_timeout_ms and can return with batches
-// still executing or parked in the worker pool, and each of those
-// callbacks captures `this`, so the destructor may not proceed on
-// drain's word alone. Parked batches fast-fail at pickup once the drain
-// timeout latches, so this wait is short; only a worker wedged INSIDE
-// an engine step holds it up, and that worker would hang the Server's
-// own destructor (pool join) regardless. Finally the I/O thread is
-// joined.
+// — drain() is bounded by drain_timeout_ms and can return with requests
+// still executing, and each of those callbacks captures `this`, so the
+// destructor may not proceed on drain's word alone. A timed-out drain
+// fails every still-queued request before it returns, so this wait is
+// short; only a worker wedged INSIDE an engine step holds it up, and
+// that worker would hang the Server's own destructor (pool join)
+// regardless. Finally the I/O thread is joined.
 //
 // Deadlines cross the wire as absolute CLOCK_MONOTONIC values
 // (wire::mono_now_ns) — valid because the transport is loopback/LAN

@@ -100,7 +100,7 @@ void instant(const char* cat, std::string_view name);
 /// telemetry epoch, i.e. Telemetry::now_ns values). For intervals that
 /// cannot be a ScopedSpan because they start and end on different threads
 /// — e.g. a serving request's queue wait, which begins on the client
-/// thread and ends when the dispatcher cuts the batch. Aggregates like a
+/// thread and ends when a worker pops the request. Aggregates like a
 /// normal span and (when `emit_trace`) appends one trace event attributed
 /// to the calling thread. No-op while disabled.
 void record_span(const char* cat, std::string_view name,

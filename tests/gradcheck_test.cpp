@@ -35,13 +35,20 @@ TEST_P(ConvGradCheck, MatchesFiniteDifferences) {
   check_gradients(conv, x, 52);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, ConvGradCheck,
-    ::testing::Values(ConvCase{2, 3, 3, 1, 1, 5, 5, true},
-                      ConvCase{1, 2, 3, 2, 1, 6, 6, false},
-                      ConvCase{3, 2, 1, 1, 0, 4, 4, true},
-                      ConvCase{2, 4, 1, 2, 0, 4, 4, false},
-                      ConvCase{4, 2, 3, 1, 1, 3, 3, false}));
+// Cases live in static storage, which zeroes the padding bytes after
+// `bias`: gtest prints the parameter's bytes into the test name that
+// gtest_discover_tests registers, so stack temporaries (::testing::Values)
+// could give one test a different name in every listing.
+const ConvCase kGeometryCases[] = {
+    {2, 3, 3, 1, 1, 5, 5, true},
+    {1, 2, 3, 2, 1, 6, 6, false},
+    {3, 2, 1, 1, 0, 4, 4, true},
+    {2, 4, 1, 2, 0, 4, 4, false},
+    {4, 2, 3, 1, 1, 3, 3, false},
+};
+
+INSTANTIATE_TEST_SUITE_P(Geometries, ConvGradCheck,
+                         ::testing::ValuesIn(kGeometryCases));
 
 // --- sparse (event-driven) paths -------------------------------------------
 // Bernoulli inputs with the density threshold forced to 1.0 keep every

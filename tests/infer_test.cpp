@@ -1,15 +1,13 @@
 // Tests for the compiled inference engine (ISSUE 6): BN-fold numerical
 // equivalence, packed-vs-dense and packed-vs-training-event-path forward
-// equivalence across join types and geometries, per-image dispatch
-// (batched rows equal batch-1 runs), plan buffer-reuse safety,
-// zero-allocation steady state, checkpoint round-trips, and
-// dispatch/energy accounting.
+// equivalence across join types and geometries, the batch-1 compile
+// shape, plan buffer-reuse safety, zero-allocation steady state,
+// checkpoint round-trips, and dispatch/energy accounting.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -176,7 +174,7 @@ TEST_F(InferTest, FoldedPlanMatchesTrainingEval) {
   for (const std::string model : {"single_block", "resnet18s"}) {
     ModelConfig cfg = small_cfg();
     Network net = build_model(model, cfg, default_adjacencies(model, cfg));
-    const Shape in{2, cfg.in_channels, 8, 8};
+    const Shape in{1, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const auto xs = spike_inputs(in, 4, 0.25f, 21);
     const auto ref = training_eval(net, xs);
@@ -192,7 +190,7 @@ TEST_F(InferTest, FoldedPlanMatchesTrainingEvalPlif) {
   cfg.neuron = NeuronKind::Plif;
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   warm_bn_stats(net, in, 4);
   const auto xs = spike_inputs(in, 4, 0.25f, 23);
   const auto ref = training_eval(net, xs);
@@ -211,7 +209,7 @@ TEST_F(InferTest, NoFoldDensePlanIsBitwiseEqualToTraining) {
        {"single_block", "resnet18s", "densenet121s", "mobilenetv2s"}) {
     ModelConfig cfg = small_cfg();
     Network net = build_model(model, cfg, default_adjacencies(model, cfg));
-    const Shape in{2, cfg.in_channels, 8, 8};
+    const Shape in{1, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const auto xs = spike_inputs(in, 4, 0.25f, 31);
     const auto ref = training_eval(net, xs);
@@ -243,7 +241,7 @@ TEST_F(InferTest, NoFoldPackedPlanIsBitwiseEqualToSparseTraining) {
                                       {Adjacency::chain(4)})
                         : build_model(model, cfg,
                                       default_adjacencies(model, cfg));
-    const Shape in{2, cfg.in_channels, 8, 8};
+    const Shape in{1, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const auto xs = spike_inputs(in, 4, 0.15f, 41);
     const auto ref = training_eval(net, xs);
@@ -265,7 +263,7 @@ TEST_F(InferTest, PackedMatchesDenseAcrossJoinTypes) {
        {"resnet18s", "densenet121s", "mobilenetv2s"}) {
     ModelConfig cfg = small_cfg();
     Network net = build_model(model, cfg, default_adjacencies(model, cfg));
-    const Shape in{2, cfg.in_channels, 8, 8};
+    const Shape in{1, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const auto xs = spike_inputs(in, 4, 0.15f, 43);
     const infer::PlanPtr plan = infer::compile(net, in);
@@ -287,7 +285,7 @@ TEST_F(InferTest, BufferPlanNeverAliasesLiveValues) {
   ModelConfig cfg = small_cfg();
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   const Plan plan = infer::compile_plan(net, in);
   ASSERT_GT(plan.ops.size(), 8u);
 
@@ -324,7 +322,7 @@ TEST_F(InferTest, PackedSteadyStateIsAllocationFree) {
   ModelConfig cfg = small_cfg();
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   Engine eng(infer::compile(net, in), ExecOptions{/*threshold=*/1.f});
 
   const auto xs = spike_inputs(in, 6, 0.15f, 51);
@@ -348,7 +346,7 @@ TEST_F(InferTest, RecurrentEdgesAreRejected) {
   Adjacency adj = Adjacency::chain(specs[0].depth());
   adj.set_recurrent(2, 2, SkipType::ASC);
   Network net = build_single_block(cfg, {adj});
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   EXPECT_THROW(infer::compile_plan(net, in), std::invalid_argument);
 }
 
@@ -356,7 +354,7 @@ TEST_F(InferTest, CompiledCheckpointRoundTrip) {
   ModelConfig cfg = small_cfg();
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   warm_bn_stats(net, in, 4);
   const std::string path =
       ::testing::TempDir() + "/infer_roundtrip.snnskip2";
@@ -379,7 +377,7 @@ TEST_F(InferTest, StatsAndEnergyAccounting) {
   ModelConfig cfg = small_cfg();
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   Engine eng(infer::compile(net, in), ExecOptions{/*threshold=*/1.f});
   engine_eval(eng, spike_inputs(in, 4, 0.2f, 71));
 
@@ -409,7 +407,7 @@ TEST_F(InferTest, ConcurrentEnginesWithDistinctOptionsMatchSerial) {
   ModelConfig cfg = small_cfg();
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   warm_bn_stats(net, in, 4);
   const infer::PlanPtr plan = infer::compile(net, in);
 
@@ -484,7 +482,7 @@ TEST_F(InferTest, Int8PlanTracksFp32AcrossAddJoins) {
   for (const std::string model : {"single_block", "resnet18s"}) {
     ModelConfig cfg = small_cfg();
     Network net = build_model(model, cfg, default_adjacencies(model, cfg));
-    const Shape in{2, cfg.in_channels, 8, 8};
+    const Shape in{1, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const infer::QuantProfile prof = calibrate(net, in, 6, 113);
 
@@ -524,7 +522,7 @@ TEST_F(InferTest, Int8PackedMatchesDenseBitwiseOnSpikingOps) {
   // runs the identical dense quantized path in both engines.
   ModelConfig cfg = small_cfg();
   Network net = build_model("single_block", cfg, {Adjacency::chain(4)});
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   warm_bn_stats(net, in, 4);
   const infer::QuantProfile prof = calibrate(net, in, 6, 117);
 
@@ -552,7 +550,7 @@ TEST_F(InferTest, Int8PlanShrinksWeightMemory) {
   ModelConfig cfg = small_cfg();
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   warm_bn_stats(net, in, 4);
   const infer::QuantProfile prof = calibrate(net, in, 6, 119);
 
@@ -570,7 +568,7 @@ TEST_F(InferTest, Int8PlanRejectsNoFoldAndAnalogInput) {
   ModelConfig cfg = small_cfg();
   Network net = build_model("single_block", cfg,
                             default_adjacencies("single_block", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
 
   // BN must be folded: the scheme absorbs the per-timestep BN transform
   // into the requantization scale — without folding there is nothing to
@@ -594,79 +592,27 @@ TEST_F(InferTest, Int8PlanRejectsNoFoldAndAnalogInput) {
   EXPECT_THROW(q.step(analog, &out), std::invalid_argument);
 }
 
-// --- per-image dispatch -----------------------------------------------------
-
-/// Row `img` of a batched (N, ...) tensor as a batch-1 tensor.
-Tensor batch_row(const Tensor& x, std::int64_t img) {
-  std::vector<std::int64_t> dims = x.shape().dims();
-  const std::int64_t n = dims[0];
-  dims[0] = 1;
-  Tensor row{Shape(dims)};
-  const std::int64_t f = x.numel() / n;
-  std::memcpy(row.data(), x.data() + img * f,
-              static_cast<std::size_t>(f) * sizeof(float));
-  return row;
-}
-
-TEST_F(InferTest, BatchedRowsMatchBatchOneEngineBitwise) {
-  // Dispatch is decided per image, so an answer cannot depend on which
-  // requests share its batch: every row of a batch-8 engine fed a mix of
-  // quiet (5%) and busy (45%) images at the default threshold must equal
-  // a batch-1 engine run on that row alone. The int8 plan is the sharp
-  // case — its packed and dense routes round ASC-sunk residual terms
-  // differently, so a batch-wide decision moved quiet rows' answers.
-  ModelConfig cfg = small_cfg();
-  Network net =
-      build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
-  const std::int64_t n = 8, steps = 8;
-  const Shape in1{1, cfg.in_channels, 16, 16};
-  const Shape in{n, cfg.in_channels, 16, 16};
-  warm_bn_stats(net, in1, 4);
-  const infer::QuantProfile prof = calibrate(net, in1, 6, 131);
-
-  Rng rng(137);
-  std::vector<Tensor> xs;
-  for (std::int64_t t = 0; t < steps; ++t) {
-    Tensor x(in);
-    const std::int64_t f = x.numel() / n;
-    for (std::int64_t img = 0; img < n; ++img) {
-      const Tensor r = Tensor::bernoulli(in1, rng, img % 2 ? 0.45f : 0.05f);
-      std::memcpy(x.data() + img * f, r.data(),
-                  static_cast<std::size_t>(f) * sizeof(float));
-    }
-    xs.push_back(std::move(x));
-  }
-
-  for (const infer::Precision prec :
-       {infer::Precision::Fp32, infer::Precision::Int8}) {
-    CompileOptions opts;
-    opts.precision = prec;
-    opts.quant = &prof;
-    Engine batched(infer::compile(net, in, opts), ExecOptions{});
-    Engine single(infer::compile(net, in1, opts), ExecOptions{});
-    const auto outs = engine_eval(batched, xs);
-    EXPECT_GT(batched.stats().packed_dispatches, 0);
-    for (std::int64_t img = 0; img < n; ++img) {
-      std::vector<Tensor> row_in, row_out;
-      for (std::int64_t t = 0; t < steps; ++t) {
-        row_in.push_back(batch_row(xs[static_cast<std::size_t>(t)], img));
-        row_out.push_back(batch_row(outs[static_cast<std::size_t>(t)], img));
-      }
-      EXPECT_EQ(max_step_diff(engine_eval(single, row_in), row_out), 0.f)
-          << infer::precision_name(prec) << " row " << img;
-    }
-  }
-}
-
 TEST_F(InferTest, InputShapeMismatchThrows) {
   ModelConfig cfg = small_cfg();
   Network net = build_model("single_block", cfg,
                             default_adjacencies("single_block", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   Engine eng(infer::compile(net, in));
-  Tensor bad(Shape{1, cfg.in_channels, 8, 8});
+  Tensor bad(Shape{1, cfg.in_channels, 4, 4});
   Tensor out;
   EXPECT_THROW(eng.step(bad, &out), std::invalid_argument);
+}
+
+TEST_F(InferTest, CompileRejectsBatchAboveOne) {
+  // A plan runs one request per step: the engine has no batch dimension,
+  // so a (2, C, H, W) compile shape is refused up front.
+  ModelConfig cfg = small_cfg();
+  Network net = build_model("single_block", cfg,
+                            default_adjacencies("single_block", cfg));
+  EXPECT_THROW(infer::compile_plan(net, Shape{2, cfg.in_channels, 8, 8}),
+               std::invalid_argument);
+  EXPECT_THROW(infer::compile_plan(net, Shape{cfg.in_channels, 8, 8}),
+               std::invalid_argument);
 }
 
 }  // namespace

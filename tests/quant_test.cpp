@@ -309,7 +309,7 @@ TEST_F(QuantTest, CalibrationCoversWeightOpsAndRejectsInt8Plans) {
   cfg.seed = 7;
   Network net = build_model("single_block", cfg,
                             default_adjacencies("single_block", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
+  const Shape in{1, cfg.in_channels, 8, 8};
   const infer::PlanPtr plan = infer::compile(net, in);
 
   Rng rng(41);

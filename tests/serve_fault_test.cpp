@@ -9,14 +9,14 @@
 //   serve.client_disconnect -> response dropped, lease still freed
 //   serve.accept_fail       -> listener keeps accepting
 //   serve.read_stall        -> io_timeout_ms reaps the connection
-//   serve.engine_nan        -> batch fails, model quarantined + reloaded
+//   serve.engine_nan        -> request fails, model quarantined + reloaded
 //   serve.manifest_corrupt  -> model skipped, registry undamaged
 //
 // plus deadline shedding (in-process and over the wire), quarantine
 // reload failure (model unregistered, daemon lives), bounded drain, and
 // goaway-on-shutdown. The closing soak runs 4 clients x 2 models over
 // loopback with several sites armed at once; every final result must
-// still match a direct-engine reference at 1e-4. The whole suite runs
+// still match a direct-engine reference bitwise. The whole suite runs
 // under TSan in CI (scripts/run_sanitizers.sh --tsan).
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -55,7 +56,7 @@ using serve::ServeOptions;
 using serve::Server;
 using serve::SocketServer;
 
-ModelSpec tiny_spec(const std::string& name, std::int64_t batch = 2) {
+ModelSpec tiny_spec(const std::string& name) {
   ModelSpec spec;
   spec.name = name;
   spec.family = "single_block";
@@ -66,7 +67,6 @@ ModelSpec tiny_spec(const std::string& name, std::int64_t batch = 2) {
   spec.config.seed = 7;
   spec.config.lif.threshold = 0.25f;  // keep the tiny net firing
   spec.warm_bn_steps = 4;
-  spec.batch = batch;
   return spec;
 }
 
@@ -83,18 +83,12 @@ std::vector<Tensor> request_frames(const Shape& frame, std::int64_t steps,
 Tensor direct_reference(const ModelHandle& model,
                         const std::vector<Tensor>& frames) {
   const infer::Plan& plan = *model->plan();
-  const std::int64_t n = plan.input_shape[0];
-  const std::int64_t classes = plan.output_shape.numel() / n;
+  const std::int64_t classes = plan.output_shape.numel();
   LoadedModel::Lease lease = model->lease();
-  lease->reset();
-  Tensor x(plan.input_shape);
   Tensor out;
   Tensor acc(Shape{classes});
-  const std::int64_t img = x.numel() / n;
   for (const Tensor& f : frames) {
-    x.fill(0.f);
-    std::copy(f.data(), f.data() + img, x.data());
-    lease->step(x, &out);
+    lease->step(f.reshape(plan.input_shape), &out);
     for (std::int64_t c = 0; c < classes; ++c) {
       acc.data()[c] += out.data()[c];
     }
@@ -104,9 +98,6 @@ Tensor direct_reference(const ModelHandle& model,
 
 ServeOptions fast_opts() {
   ServeOptions opts;
-  opts.max_batch = 2;
-  opts.latency_budget_us = 1000;
-  opts.linger_us = 100;
   opts.queue_capacity = 64;
   opts.workers = 2;
   return opts;
@@ -142,11 +133,9 @@ class ServeFaultTest : public ::testing::Test {
 // --- deadline propagation ---------------------------------------------------
 
 TEST_F(ServeFaultTest, ExpiredDeadlineIsShedBeforeBatchAssembly) {
+  // A request popped past its deadline never reaches an engine.
   ModelRegistry reg(4);
-  ServeOptions opts = fast_opts();
-  opts.latency_budget_us = 100'000;  // keep the cut far away: shed must win
-  opts.linger_us = 100'000;
-  Server server(reg, opts);
+  Server server(reg, fast_opts());
   const ModelSpec spec = tiny_spec("dl");
   server.add_model(spec);
   const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
@@ -154,7 +143,7 @@ TEST_F(ServeFaultTest, ExpiredDeadlineIsShedBeforeBatchAssembly) {
   serve::SubmitOptions sub;
   sub.deadline_ns = serve::wire::mono_now_ns() - 1;  // already expired
   Server::Ticket t = server.submit("dl", request_frames(frame, 4, 1), sub);
-  ASSERT_TRUE(t.accepted);  // admission does not shed; the dispatcher does
+  ASSERT_TRUE(t.accepted);  // admission does not shed; the worker does
   try {
     (void)t.result.get();
     FAIL() << "expired request returned a value";
@@ -177,27 +166,44 @@ TEST_F(ServeFaultTest, ExpiredDeadlineIsShedBeforeBatchAssembly) {
 
 TEST_F(ServeFaultTest, DeadlineExpiresInQueueOverTheWire) {
   // The deadline crosses the wire as an absolute monotonic timestamp; a
-  // request that waits out its budget in the server queue comes back
-  // Expired, which the client treats as terminal (no pointless retries).
+  // request that waits out its budget in the server queue — here behind
+  // the one worker, held busy by a completion callback that blocks until
+  // released — comes back Expired, which the client treats as terminal
+  // (no pointless retries).
   ModelRegistry reg(4);
   ServeOptions opts = fast_opts();
-  opts.latency_budget_us = 500'000;  // hold the batch open well past the
-  opts.linger_us = 500'000;          // 20ms deadline below
+  opts.workers = 1;
   Server server(reg, opts);
   const ModelSpec spec = tiny_spec("wd");
   server.add_model(spec);
   SocketServer sock(server, opts);
+  const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> busy{false};
+  server.submit_async("wd", request_frames(frame, 4, 2), {},
+                      [&busy, released](serve::Outcome) {
+                        busy.store(true);
+                        released.wait();
+                      });
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    release.set_value();
+  });
+  EXPECT_TRUE(eventually([&] { return busy.load(); }));
 
   Client client(client_opts(sock.port()));
-  const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
   const std::int64_t deadline =
-      serve::wire::mono_now_ns() + 20'000'000;  // +20ms
+      serve::wire::mono_now_ns() + 50'000'000;  // +50ms
   const Client::Result res =
       client.infer("wd", request_frames(frame, 4, 3), deadline);
+  releaser.join();
   EXPECT_FALSE(res.ok);
   EXPECT_EQ(res.status, serve::wire::Status::Expired);
   EXPECT_EQ(res.retries, 0);  // terminal on the first answer
   EXPECT_EQ(server.stats().expired, 1);
+  EXPECT_EQ(server.stats().completed, 1);  // only the held request ran
 }
 
 // --- model quarantine -------------------------------------------------------
@@ -325,8 +331,8 @@ TEST_F(ServeFaultTest, TornRequestFrameKeepsConnectionAlive) {
   const Client::Result res = client.infer("t", frames);
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.retries, 1);  // exactly one CrcError round-trip
-  EXPECT_LE(Tensor::max_abs_diff(res.value, direct_reference(direct, frames)),
-            1e-4f);
+  EXPECT_EQ(Tensor::max_abs_diff(res.value, direct_reference(direct, frames)),
+            0.f);
   const SocketServer::TransportStats ts = sock.stats();
   EXPECT_EQ(ts.frames_torn, 1);
   EXPECT_EQ(ts.connections, 1);  // the resend reused the same connection
@@ -347,7 +353,7 @@ TEST_F(ServeFaultTest, ClientDisconnectDropsResponseButFreesLease) {
   EXPECT_GE(res.retries, 1);
 
   // The disconnected request still EXECUTED (the server never cancels a
-  // submitted batch) and its response was dropped, not leaked; the lease
+  // submitted request) and its response was dropped, not leaked; the lease
   // went back to the pool, which is why the retry could be served at all.
   EXPECT_TRUE(eventually([&] { return sock.stats().dropped_responses >= 1; }));
   EXPECT_TRUE(eventually([&] { return server.stats().completed >= 2; }));
@@ -417,18 +423,16 @@ TEST_F(ServeFaultTest, GoawayOnShutdownStopsClientCleanly) {
 
 TEST_F(ServeFaultTest, DrainTimeoutIsBoundedAndSettlesEveryTicket) {
   // A drain that cannot finish in time must fail the still-queued
-  // requests and return false — never hang shutdown. 128 batch-1
-  // 16-step requests on one worker cannot clear in 5ms, so the timeout
-  // path is guaranteed; batches already cut into the worker queue are
-  // abandoned at pickup with the same "drain timeout" error.
+  // requests and return false — never hang shutdown. 128 16-step
+  // requests on one worker cannot clear in 5ms, so the timeout path is
+  // guaranteed.
   ModelRegistry reg(4);
   ServeOptions opts = fast_opts();
-  opts.max_batch = 1;
   opts.workers = 1;
   opts.queue_capacity = 256;
   opts.drain_timeout_ms = 5;
   Server server(reg, opts);
-  const ModelSpec spec = tiny_spec("dt", /*batch=*/1);
+  const ModelSpec spec = tiny_spec("dt");
   server.add_model(spec);
   const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
 
@@ -458,8 +462,9 @@ TEST_F(ServeFaultTest, DrainTimeoutIsBoundedAndSettlesEveryTicket) {
   EXPECT_FALSE(clean);
   EXPECT_LT(t.elapsed_ms(), 5000.0);  // bounded, nowhere near unbounded
 
-  // Abandoned batches settle from the worker thread right after drain()
-  // returns; wait for the last callback before asserting the tallies.
+  // The request running at the timeout settles from the worker thread
+  // after drain() returns; wait for the last callback before asserting
+  // the tallies.
   ASSERT_TRUE(eventually([&] {
     std::lock_guard<std::mutex> lock(mu);
     return ok + drained_away + other == 128;
@@ -475,16 +480,15 @@ TEST_F(ServeFaultTest, DrainTimeoutIsBoundedAndSettlesEveryTicket) {
 TEST_F(ServeFaultTest, ChaosSoakOverLoopbackStaysCorrect) {
   // 4 clients x 2 models over real loopback TCP with several fault sites
   // armed at once. The invariant is absolute: after retries, every result
-  // a client accepts must match the direct-engine reference at 1e-4 —
+  // a client accepts must match the direct-engine reference bitwise —
   // chaos may cost latency, never correctness.
   ModelRegistry reg(4);
   ServeOptions opts = fast_opts();
-  opts.max_batch = 4;
   opts.workers = 2;
   opts.io_timeout_ms = 300;
   Server server(reg, opts);
-  const ModelSpec spec_a = tiny_spec("sa", /*batch=*/4);
-  ModelSpec spec_b = tiny_spec("sb", /*batch=*/4);
+  const ModelSpec spec_a = tiny_spec("sa");
+  ModelSpec spec_b = tiny_spec("sb");
   spec_b.config.lif.threshold = 2.f;
   server.add_model(spec_a);
   server.add_model(spec_b);
@@ -524,7 +528,7 @@ TEST_F(ServeFaultTest, ChaosSoakOverLoopbackStaysCorrect) {
           continue;
         }
         const Tensor ref = direct_reference(use_a ? da : db, frames);
-        if (Tensor::max_abs_diff(res.value, ref) > 1e-4f) ++mismatches;
+        if (Tensor::max_abs_diff(res.value, ref) != 0.f) ++mismatches;
       }
     });
   }

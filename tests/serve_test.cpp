@@ -1,6 +1,6 @@
 // Tests for the serving subsystem (ISSUE 7): ModelRegistry LRU
-// eviction/reload round-trips, manifest parsing, Server correctness
-// against direct Engine execution, dynamic-batching deadlines, admission
+// eviction/reload round-trips, manifest parsing and spec validation,
+// Server answers bitwise equal to direct Engine execution, admission
 // control under the serve.queue_full fault site, graceful drain, the
 // per-model telemetry counter keying that keeps concurrent engines'
 // stats from bleeding into each other, and the wire protocol's framing
@@ -25,7 +25,6 @@
 #include "telemetry/telemetry.h"
 #include "train/checkpoint.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace snnskip {
 namespace {
@@ -37,7 +36,7 @@ using serve::ModelSpec;
 using serve::ServeOptions;
 using serve::Server;
 
-ModelSpec tiny_spec(const std::string& name, std::int64_t batch = 2) {
+ModelSpec tiny_spec(const std::string& name) {
   ModelSpec spec;
   spec.name = name;
   spec.family = "single_block";
@@ -50,7 +49,6 @@ ModelSpec tiny_spec(const std::string& name, std::int64_t batch = 2) {
   // output comparisons are non-vacuous (theta 1.0 silences it entirely).
   spec.config.lif.threshold = 0.25f;
   spec.warm_bn_steps = 4;
-  spec.batch = batch;
   return spec;
 }
 
@@ -65,23 +63,16 @@ std::vector<Tensor> request_frames(const Shape& frame, std::int64_t steps,
 }
 
 // Rate-accumulated head output for one request computed directly on a
-// leased engine (slot 0; remaining batch slots stay zero, which per-image
-// op independence guarantees cannot perturb slot 0).
+// leased engine: the answer the server must reproduce bitwise.
 Tensor direct_reference(const ModelHandle& model,
                         const std::vector<Tensor>& frames) {
   const infer::Plan& plan = *model->plan();
-  const std::int64_t n = plan.input_shape[0];
-  const std::int64_t classes = plan.output_shape.numel() / n;
+  const std::int64_t classes = plan.output_shape.numel();
   LoadedModel::Lease lease = model->lease();
-  lease->reset();
-  Tensor x(plan.input_shape);
   Tensor out;
   Tensor acc(Shape{classes});
-  const std::int64_t img = x.numel() / n;
   for (const Tensor& f : frames) {
-    x.fill(0.f);
-    std::copy(f.data(), f.data() + img, x.data());
-    lease->step(x, &out);
+    lease->step(f.reshape(plan.input_shape), &out);
     for (std::int64_t c = 0; c < classes; ++c) {
       acc.data()[c] += out.data()[c];
     }
@@ -255,7 +246,7 @@ TEST(ModelRegistryTest, ManifestParsing) {
         << "neuron plif\n"
         << "theta 0.75\n"
         << "warm_bn_steps 4\n"
-        << "batch 3\n"
+        << "batch 3\n"  // accepted from older manifests, then ignored
         << "threshold 0.5\n";
   }
   const ModelSpec spec = ModelSpec::from_manifest(path);
@@ -264,12 +255,11 @@ TEST(ModelRegistryTest, ManifestParsing) {
   EXPECT_EQ(spec.config.width, 8);
   EXPECT_EQ(spec.config.neuron, NeuronKind::Plif);
   EXPECT_EQ(spec.config.lif.threshold, 0.75f);
-  EXPECT_EQ(spec.batch, 3);
   EXPECT_EQ(spec.exec.threshold, 0.5f);
 
   ModelRegistry reg(2);
   ModelHandle m = reg.load(path);  // load(path) == load(from_manifest)
-  EXPECT_EQ(m->batch_capacity(), 3);
+  EXPECT_EQ(m->plan()->input_shape, (Shape{1, 2, 8, 8}));
   EXPECT_EQ(m->lease()->options().threshold, 0.5f);
 
   {
@@ -288,15 +278,16 @@ TEST(ModelRegistryTest, ManifestParsing) {
     out << "packed false\n";
   }
   EXPECT_THROW(ModelSpec::from_manifest(path), std::runtime_error);
-  // The dispatch threshold is a density in [0, 1].
-  for (const char* bad : {"nan", "7"}) {
+  // The dispatch threshold is a density in [0, 1]; a legacy batch is a
+  // whole number >= 1.
+  for (const char* bad : {"threshold nan", "threshold 7", "batch 0"}) {
     {
       std::ofstream out(path);
-      out << "threshold " << bad << "\n";
+      out << bad << "\n";
     }
     try {
       ModelSpec::from_manifest(path);
-      ADD_FAILURE() << "threshold " << bad << " loaded";
+      ADD_FAILURE() << "'" << bad << "' loaded";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("out-of-range value"),
                 std::string::npos)
@@ -374,18 +365,51 @@ TEST(ModelRegistryTest, HardLoadFailuresAreRecoverablePerModel) {
   // Un-corrupt path still loads: the registry itself is undamaged.
   ASSERT_TRUE(save_network(ckpt, net));
   EXPECT_NE(reg.try_load(bad, &err), nullptr);
+
+  // Degenerate geometry: a zero or negative size or step count is refused
+  // before anything is built (timesteps 0 would crash the BN warm-up,
+  // zero sizes would load a degenerate model).
+  const std::vector<std::pair<std::string, void (*)(ModelSpec&)>> geometry = {
+      {"width", [](ModelSpec& s) { s.config.width = 0; }},
+      {"width", [](ModelSpec& s) { s.config.width = -1; }},
+      {"in_channels", [](ModelSpec& s) { s.config.in_channels = 0; }},
+      {"num_classes", [](ModelSpec& s) { s.config.num_classes = 0; }},
+      {"timesteps", [](ModelSpec& s) { s.config.max_timesteps = 0; }},
+      {"timesteps", [](ModelSpec& s) { s.config.max_timesteps = -3; }},
+      {"in_h", [](ModelSpec& s) { s.in_h = 0; }},
+      {"in_w", [](ModelSpec& s) { s.in_w = -8; }},
+      {"warm_bn_steps", [](ModelSpec& s) { s.warm_bn_steps = -1; }},
+      {"calib_steps", [](ModelSpec& s) { s.calib_steps = -1; }},
+  };
+  for (const auto& [field, mutate] : geometry) {
+    ModelSpec degenerate = tiny_spec("degenerate");
+    mutate(degenerate);
+    err.clear();
+    EXPECT_EQ(reg.try_load(degenerate, &err), nullptr) << field;
+    EXPECT_NE(err.find(field), std::string::npos) << err;
+  }
+  EXPECT_FALSE(reg.is_resident("degenerate"));
+
+  // The daemon path: a manifest naming timesteps 0 is skipped, not fatal.
+  const std::string zero_t = dir + "/zero_t.manifest";
+  {
+    std::ofstream out(zero_t);
+    out << "name zero_t\nfamily single_block\ntimesteps 0\n"
+        << "warm_bn_steps 4\n";
+  }
+  EXPECT_EQ(reg.try_load(zero_t, &err), nullptr);
+  EXPECT_NE(err.find("timesteps"), std::string::npos) << err;
+
   std::remove(ckpt.c_str());
   std::remove(dup.c_str());
   std::remove(noval.c_str());
+  std::remove(zero_t.c_str());
 }
 
 // --- Server -----------------------------------------------------------------
 
 ServeOptions fast_opts() {
   ServeOptions opts;
-  opts.max_batch = 2;
-  opts.latency_budget_us = 1000;
-  opts.linger_us = 100;
   opts.queue_capacity = 64;
   opts.workers = 2;
   return opts;
@@ -398,66 +422,22 @@ TEST(ServerTest, ServedResultsMatchDirectEngine) {
   server.add_model(spec);
   ModelHandle direct = reg.load(spec);  // cache hit: same model
 
+  // Sequence lengths vary per request: each answer accumulates exactly
+  // its own T steps, bitwise equal to a direct engine run (same batch-1
+  // plan, same accumulation order).
   const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const auto frames = request_frames(frame, 4, 100 + seed);
+    const auto frames = request_frames(
+        frame, 2 + static_cast<std::int64_t>(seed % 3), 100 + seed);
     const Tensor served = server.infer("m", frames);
     const Tensor ref = direct_reference(direct, frames);
     ASSERT_EQ(served.numel(), ref.numel());
-    EXPECT_LE(Tensor::max_abs_diff(served, ref), 1e-4f) << "seed " << seed;
+    EXPECT_EQ(Tensor::max_abs_diff(served, ref), 0.f) << "seed " << seed;
   }
   const serve::ServeStats stats = server.stats();
   EXPECT_EQ(stats.completed, 6);
+  EXPECT_EQ(stats.batches, 6);  // one engine run per request
   EXPECT_EQ(stats.failed, 0);
-}
-
-TEST(ServerTest, VariableLengthSequencesBatchTogether) {
-  // Requests with different T coalesce into one batch; each response
-  // accumulates exactly its own T steps.
-  ModelRegistry reg(4);
-  ServeOptions opts = fast_opts();
-  opts.max_batch = 2;
-  opts.latency_budget_us = 50000;  // force coalescing, not deadline cuts
-  opts.linger_us = 50000;
-  opts.workers = 1;
-  Server server(reg, opts);
-  const ModelSpec spec = tiny_spec("v");
-  server.add_model(spec);
-  ModelHandle direct = reg.load(spec);
-
-  const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
-  const auto short_req = request_frames(frame, 2, 31);
-  const auto long_req = request_frames(frame, 4, 32);
-  Server::Ticket a = server.submit("v", short_req);
-  Server::Ticket b = server.submit("v", long_req);
-  ASSERT_TRUE(a.accepted);
-  ASSERT_TRUE(b.accepted);
-  EXPECT_LE(Tensor::max_abs_diff(a.result.get(),
-                                 direct_reference(direct, short_req)),
-            1e-4f);
-  EXPECT_LE(Tensor::max_abs_diff(b.result.get(),
-                                 direct_reference(direct, long_req)),
-            1e-4f);
-  EXPECT_EQ(server.stats().batches, 1);  // one coalesced batch
-}
-
-TEST(ServerTest, LoneRequestFlushesOnDeadline) {
-  // A single request on an idle server must not wait for a full batch;
-  // the work-conserving linger cuts it almost immediately.
-  ModelRegistry reg(4);
-  ServeOptions opts = fast_opts();
-  opts.max_batch = 8;
-  opts.latency_budget_us = 30'000'000;  // budget alone would hang the test
-  opts.linger_us = 100;
-  Server server(reg, opts);
-  const ModelSpec spec = tiny_spec("lone", /*batch=*/8);
-  server.add_model(spec);
-
-  const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
-  Timer t;
-  (void)server.infer("lone", request_frames(frame, 4, 41));
-  EXPECT_LT(t.elapsed_ms(), 5000.0);
-  EXPECT_EQ(server.stats().completed, 1);
 }
 
 TEST(ServerTest, InvalidSubmitsThrow) {
@@ -499,12 +479,9 @@ TEST(ServerTest, QueueFullFaultSiteForcesRejection) {
 TEST(ServerTest, DrainCompletesPendingAndStopsAdmission) {
   ModelRegistry reg(4);
   ServeOptions opts = fast_opts();
-  opts.max_batch = 4;
-  opts.latency_budget_us = 200000;  // hold batches open: drain must flush
-  opts.linger_us = 200000;
-  opts.workers = 1;
+  opts.workers = 1;  // requests queue behind one worker: drain must wait
   Server server(reg, opts);
-  const ModelSpec spec = tiny_spec("d", /*batch=*/4);
+  const ModelSpec spec = tiny_spec("d");
   server.add_model(spec);
 
   const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
@@ -534,7 +511,7 @@ TEST(ServerTest, DrainUnderConcurrentSubmittersIsCleanAndBounded) {
   opts.workers = 2;
   opts.drain_timeout_ms = 10'000;  // generous: this test wants clean
   Server server(reg, opts);
-  const ModelSpec spec = tiny_spec("dc", /*batch=*/4);
+  const ModelSpec spec = tiny_spec("dc");
   server.add_model(spec);
   const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
 
@@ -546,7 +523,8 @@ TEST(ServerTest, DrainUnderConcurrentSubmittersIsCleanAndBounded) {
       std::uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         Server::Ticket t = server.submit(
-            "dc", request_frames(frame, 2, static_cast<std::uint64_t>(c) * 1000 + i++));
+            "dc", request_frames(frame, 2,
+                                 static_cast<std::uint64_t>(c) * 1000 + i++));
         if (!t.accepted) {
           ++rejected;
           continue;
@@ -574,11 +552,10 @@ TEST(ServerTest, DrainUnderConcurrentSubmittersIsCleanAndBounded) {
 TEST(ServerTest, ConcurrentClientsAcrossModelsMatchReferences) {
   ModelRegistry reg(4);
   ServeOptions opts = fast_opts();
-  opts.max_batch = 4;
   opts.workers = 2;
   Server server(reg, opts);
-  const ModelSpec spec_a = tiny_spec("a", /*batch=*/4);
-  ModelSpec spec_b = tiny_spec("b", /*batch=*/4);
+  const ModelSpec spec_a = tiny_spec("a");
+  ModelSpec spec_b = tiny_spec("b");
   spec_b.config.lif.threshold = 2.f;  // distinct model, distinct outputs
   server.add_model(spec_a);
   server.add_model(spec_b);
@@ -598,7 +575,7 @@ TEST(ServerTest, ConcurrentClientsAcrossModelsMatchReferences) {
             request_frames(frame, 4, static_cast<std::uint64_t>(c * 100 + i));
         const Tensor served = server.infer(use_a ? "a" : "b", frames);
         const Tensor ref = direct_reference(use_a ? da : db, frames);
-        if (Tensor::max_abs_diff(served, ref) > 1e-4f) ++mismatches;
+        if (Tensor::max_abs_diff(served, ref) != 0.f) ++mismatches;
       }
     });
   }
@@ -607,7 +584,7 @@ TEST(ServerTest, ConcurrentClientsAcrossModelsMatchReferences) {
   const serve::ServeStats stats = server.stats();
   EXPECT_EQ(stats.completed, kClients * kPerClient);
   EXPECT_EQ(stats.failed, 0);
-  EXPECT_GE(stats.batches, 1);
+  EXPECT_EQ(stats.batches, kClients * kPerClient);
 }
 
 // --- telemetry keying -------------------------------------------------------

@@ -137,15 +137,21 @@ TEST_P(ConvSparseBwd, MatchesDenseBitForBit) {
   expect_bitwise_equal(sparse, dense);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, ConvSparseBwd,
-    ::testing::Values(
-        ConvCase{3, 4, 3, 1, 1, 6, 6, 2, true, 1.f},    // dense grads
-        ConvCase{3, 4, 3, 1, 1, 6, 6, 2, true, 0.1f},   // sparse grads
-        ConvCase{2, 5, 3, 2, 1, 7, 7, 2, false, 0.1f},  // stride 2
-        ConvCase{4, 3, 1, 1, 0, 5, 5, 1, true, 0.1f},   // 1x1 kernel
-        ConvCase{2, 3, 3, 1, 0, 6, 4, 3, false, 0.1f},  // no pad, non-square
-        ConvCase{5, 2, 3, 2, 0, 8, 8, 2, true, 0.05f}));
+// Cases live in static storage, which zeroes the padding bytes after
+// `bias`: gtest prints the parameter's bytes into the test name that
+// gtest_discover_tests registers, so stack temporaries (::testing::Values)
+// could give one test a different name in every listing.
+const ConvCase kGeometryCases[] = {
+    {3, 4, 3, 1, 1, 6, 6, 2, true, 1.f},    // dense grads
+    {3, 4, 3, 1, 1, 6, 6, 2, true, 0.1f},   // sparse grads
+    {2, 5, 3, 2, 1, 7, 7, 2, false, 0.1f},  // stride 2
+    {4, 3, 1, 1, 0, 5, 5, 1, true, 0.1f},   // 1x1 kernel
+    {2, 3, 3, 1, 0, 6, 4, 3, false, 0.1f},  // no pad, non-square
+    {5, 2, 3, 2, 0, 8, 8, 2, true, 0.05f},
+};
+
+INSTANTIATE_TEST_SUITE_P(Geometries, ConvSparseBwd,
+                         ::testing::ValuesIn(kGeometryCases));
 
 // Outputs below the GEMM tile width take the batched dense lowering (one
 // GEMM over all N*HoWo patches, and a K = N gemm_tn for dW at 1x1).
@@ -157,8 +163,7 @@ std::string small_output_name(const ::testing::TestParamInfo<ConvCase>& p) {
          (c.bias ? "_bias" : "_nobias");
 }
 
-// Static storage zeroes the padding bytes, which gtest prints as part of
-// the parameter, so the test names stay the same from run to run.
+// Static storage for the same reason as kGeometryCases.
 const ConvCase kSmallOutputCases[] = {
     {6, 20, 3, 1, 1, 2, 2, 4, true, 0.1f},
     {6, 8, 3, 2, 1, 4, 4, 4, false, 0.1f},
