@@ -12,9 +12,9 @@
 // mostly hard zeros).
 //
 // Unlike the forward-path bench (1e-4 tolerance), the backward kernels
-// promise BIT-FOR-BIT equality with the dense gemm path, so every
+// promise BIT-FOR-BIT equality with the dense path, so every
 // configuration cross-checks dW and dX with max_abs_diff == 0. The ctest
-// smoke variant (--smoke 1) keeps three tiny configs so tier-1 runs
+// smoke variant (--smoke 1) keeps five tiny configs so tier-1 runs
 // exercise this exactness check without paying for the timing sweep.
 //
 // Usage: micro_spike_bptt [--smoke 1] [--out BENCH_spike_bptt.json]
@@ -93,8 +93,9 @@ int run(int argc, char** argv) {
   std::vector<double> rates;
   if (smoke) {
     // 2x2 and 1x1 outputs reach the dense path's batched small-output
-    // lowering.
-    shapes = {{16, 8}, {32, 2}, {64, 1}};
+    // lowering; the 6- and 12-channel shapes are the search's stage-0 and
+    // stage-1 widths, whose direct kernels run partial vectors (O = 6, 12).
+    shapes = {{16, 8}, {32, 2}, {64, 1}, {6, 8}, {12, 4}};
     rates = {0.05, 0.50};
   } else {
     shapes = {{64, 32}, {128, 16}, {256, 8}};

@@ -55,14 +55,15 @@ int run(int argc, char** argv) {
   const double min_ms = args.get_double("min-ms", smoke ? 2.0 : 50.0);
   const std::string out_path = args.get("out", "BENCH_spike_conv.json");
 
-  // ResNet-18S stage shapes on 32x32 inputs; the smoke variant keeps three
+  // ResNet-18S stage shapes on 32x32 inputs; the smoke variant keeps five
   // tiny configs so it finishes in well under a second.
   std::vector<ConvShape> shapes;
   std::vector<double> rates;
   if (smoke) {
     // 2x2 and 1x1 outputs reach the dense path's batched small-output
-    // lowering.
-    shapes = {{16, 8}, {32, 2}, {64, 1}};
+    // lowering; the 6- and 12-channel shapes are the search's stage-0 and
+    // stage-1 widths, whose direct kernels run partial vectors (O = 6, 12).
+    shapes = {{16, 8}, {32, 2}, {64, 1}, {6, 8}, {12, 4}};
     rates = {0.05, 1.0};
   } else {
     shapes = {{64, 32}, {128, 16}, {256, 8}};

@@ -56,14 +56,17 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # One spec per gated benchmark: the binary (under <build>/bench), the
 # committed baseline at the repo root, the fields identifying a row, and
-# the speedup metric to gate. `threads_field`, when set, names the row
-# field that must not exceed `hardware_threads` for the row to be gated.
+# the speedup metric to gate, and the absolute measurements (`sides`) the
+# ratio is made of, printed beside it so a failing row shows which side
+# moved. `threads_field`, when set, names the row field that must not
+# exceed `hardware_threads` for the row to be gated.
 BENCHES = [
     {
         "binary": "micro_spike_conv",
         "baseline": "BENCH_spike_conv.json",
         "key": ("channels", "hw", "firing_rate"),
         "metric": "speedup_vs_dense",
+        "sides": ("sparse_ns_per_timestep", "dense_ns_per_timestep"),
         "threads_field": None,
     },
     {
@@ -71,6 +74,7 @@ BENCHES = [
         "baseline": "BENCH_spike_bptt.json",
         "key": ("channels", "hw", "firing_rate"),
         "metric": "speedup_vs_dense",
+        "sides": ("sparse_ns_per_step", "dense_ns_per_step"),
         "threads_field": None,
     },
     {
@@ -78,6 +82,7 @@ BENCHES = [
         "baseline": "BENCH_data_parallel.json",
         "key": ("shards", "workers"),
         "metric": "speedup_vs_serial",
+        "sides": ("dp_ns_per_batch", "serial_ns_per_batch"),
         "threads_field": "workers",
     },
     {
@@ -85,6 +90,7 @@ BENCHES = [
         "baseline": "BENCH_infer.json",
         "key": ("width", "hw", "theta", "firing_rate"),
         "metric": "speedup_vs_training",
+        "sides": ("infer_ns_per_step", "train_ns_per_step"),
         "threads_field": None,
     },
     {
@@ -92,6 +98,7 @@ BENCHES = [
         "baseline": "BENCH_gemm.json",
         "key": ("shape", "m", "n", "k"),
         "metric": "speedup_vs_scalar_ref",
+        "sides": ("ns_per_call",),
         "threads_field": None,
     },
     {
@@ -99,6 +106,7 @@ BENCHES = [
         "baseline": "BENCH_serve.json",
         "key": ("models", "clients"),
         "metric": "throughput_vs_serial",
+        "sides": ("served_rps", "serial_rps"),
         "threads_field": "workers",
     },
 ]
@@ -127,6 +135,12 @@ def run_bench(binary, out_path, min_ms):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"FAIL: {binary.name} exited {proc.returncode} "
                          "(its internal cross-check failed?)")
+
+
+def sides(spec, row):
+    """The row's absolute measurements, e.g. "sparse_ns=7.6e+05 ..."."""
+    return " ".join(f"{f.split('_per_')[0]}={row[f]:.3g}"
+                    for f in spec["sides"] if f in row)
 
 
 def has_needed_threads(spec, row):
@@ -166,12 +180,14 @@ def check(spec, baseline_path, fresh, tolerance, min_speedup, counts):
             status = "REGRESSED"
             failures.append(
                 f"{name} {key}: {metric} {new:.2f}x < floor {floor:.2f}x "
-                f"(baseline {base:.2f}x)")
+                f"(baseline {base:.2f}x; {sides(spec, base_row)} -> "
+                f"{sides(spec, fresh[key])})")
         elif not gated:
             status = "info-only"
         counts["gated" if gated else "info_only"] += 1
         print(f"  {name:20s} {label:28s} baseline={base:6.2f}x "
-              f"fresh={new:6.2f}x  [{status}]")
+              f"({sides(spec, base_row)}) fresh={new:6.2f}x "
+              f"({sides(spec, fresh[key])})  [{status}]")
     return failures
 
 

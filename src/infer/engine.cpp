@@ -51,12 +51,13 @@ struct Fp32 {
                       const float* a, const float* b, float* c) {
     snnskip::gemm_nt(m, n, k, 1.f, a, b, 0.f, c);
   }
-  /// The exact im2col + GEMM the training graph runs, except that
-  /// few-pixel outputs (deep stages) lower to weight rows x contiguous
-  /// patch rows: gemm's 16-column microkernel degrades to scalar edge
-  /// loops there. Per-element summation stays in ascending-k order either
-  /// way, so the no-fold plan remains bitwise equal to the training eval
-  /// forward.
+  /// im2col + GEMM, except that few-pixel outputs (deep stages) lower to
+  /// weight rows x contiguous patch rows: gemm's 16-column microkernel
+  /// degrades to edge loops there. Not the training graph's code (its
+  /// dense convs run the direct kernels of tensor/conv_direct.h), but each
+  /// output element sums the same products in the same ascending-k order
+  /// from +0, so the no-fold plan remains bitwise equal to the training
+  /// eval forward.
   static void conv_gemm(const OpPlan& op, std::size_t wi, const float* img,
                         float* cols, float* out) {
     const ConvGeometry& g = op.geom;

@@ -29,8 +29,8 @@ inline void add_stem(Network& net, const ModelConfig& cfg,
   auto conv = std::make_unique<Conv2d>(cfg.in_channels, out_c, 3, 1, 1,
                                        /*bias=*/false, rng, "stem.conv");
   // The stem is the network's first layer: nothing consumes dL/dx, so skip
-  // the gemm_tn + col2im entirely (backward still returns a zero tensor of
-  // the input shape).
+  // the dX kernel entirely (backward still returns a zero tensor of the
+  // input shape).
   conv->set_input_grad_needed(false);
   net.add_layer(std::move(conv));
   net.add_layer(std::make_unique<BatchNormTT>(out_c, cfg.max_timesteps, 0.1f,

@@ -5,6 +5,7 @@
 
 #include "parallel/parallel_for.h"
 #include "telemetry/telemetry.h"
+#include "tensor/conv_direct.h"
 #include "tensor/gemm.h"
 #include "tensor/spike_kernels.h"
 #include "tensor/workspace.h"
@@ -63,13 +64,13 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
                          has_bias_ ? bias_.value.data() : nullptr, out_c_,
                          out.data(), Workspace::tls());
   } else {
-    auto scope = Workspace::tls().scope();
     float* o = out.data();
     if (cc < kGemmTileCols) {
       // Small output (see header): one GEMM over all P = N*HoWo patches,
       // out(P, O) = rows(P, CKK) * W^T(CKK, O). At HoWo == 1 that already
       // is the (N, O) output, otherwise each image's (HoWo, O) block is
       // transposed into place.
+      auto scope = Workspace::tls().scope();
       const std::int64_t p = n * cc;
       float* rows = scope.floats(static_cast<std::size_t>(p * cr));
       float* wt = scope.floats(static_cast<std::size_t>(cr * out_c_));
@@ -87,13 +88,8 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
         }
       }
     } else {
-      float* col_ptr = scope.floats(static_cast<std::size_t>(cr * cc));
-      for (std::int64_t img = 0; img < n; ++img) {
-        im2col(g, x.data() + img * row_len, col_ptr);
-        // out_img(O, HoWo) = W(O, CKK) * cols(CKK, HoWo)
-        gemm(out_c_, cc, cr, 1.f, weight_.value.data(), col_ptr, 0.f,
-             o + img * out_c_ * cc);
-      }
+      conv2d_direct_forward(g, n, x.data(), weight_.value.data(), out_c_, o,
+                            Workspace::tls());
     }
     if (has_bias_) {
       for (std::int64_t plane = 0; plane < n * out_c_; ++plane) {
@@ -129,8 +125,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                                  weight_.grad.data(), ws);
   } else if (batched && cc == 1) {
     // Each image's dW partial is a single product here, so one gemm_tn over
-    // K = N images (beta 1) adds them in image order, as the per-image
-    // gemm_nt below does. dW(O, CKK) += gO(N, O)^T * rows(N, CKK)
+    // K = N images (beta 1) adds them in image order, as the direct kernel
+    // does. dW(O, CKK) += gO(N, O)^T * rows(N, CKK)
     auto scope = ws.scope();
     float* rows = scope.floats(static_cast<std::size_t>(n * cr));
     for (std::int64_t img = 0; img < n; ++img) {
@@ -139,16 +135,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     gemm_tn(out_c_, cr, n, 1.f, grad_out.data(), rows, 1.f,
             weight_.grad.data());
   } else {
-    auto scope = ws.scope();
-    float* col_ptr = scope.floats(static_cast<std::size_t>(cr * cc));
-    for (std::int64_t img = 0; img < n; ++img) {
-      const float* go = grad_out.data() + img * out_c_ * cc;
-      // Recompute this image's columns from the saved input — im2col is a
-      // pure gather, so the values match the forward pass bit-for-bit.
-      im2col(g, ctx.dense.data() + img * in_img, col_ptr);
-      // dW(O, CKK) += gO(O, HoWo) * cols(CKK, HoWo)^T
-      gemm_nt(out_c_, cr, cc, 1.f, go, col_ptr, 1.f, weight_.grad.data());
-    }
+    conv2d_direct_backward_weight(g, n, ctx.dense.data(), grad_out.data(),
+                                  out_c_, weight_.grad.data(), ws);
   }
 
   if (has_bias_) {
@@ -198,15 +186,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         row2im(g, drows + img * cc * cr, grad_in.data() + img * in_img);
       }
     } else {
-      auto scope = ws.scope();
-      float* grad_cols = scope.floats(static_cast<std::size_t>(cr * cc));
-      for (std::int64_t img = 0; img < n; ++img) {
-        const float* go = grad_out.data() + img * out_c_ * cc;
-        // dcols(CKK, HoWo) = W(O, CKK)^T * gO(O, HoWo)
-        gemm_tn(cr, cc, out_c_, 1.f, weight_.value.data(), go, 0.f,
-                grad_cols);
-        col2im(g, grad_cols, grad_in.data() + img * in_img);
-      }
+      conv2d_direct_backward_input(g, n, grad_out.data(), weight_.value.data(),
+                                   out_c_, grad_in.data(), ws);
     }
   }
   return grad_in;

@@ -1,33 +1,31 @@
 #pragma once
-// 2-D convolution via im2col + GEMM, with event-driven sparse paths in
-// both directions.
+// 2-D convolution: direct register-tiled kernels for dense inputs, and
+// event-driven sparse paths in both directions.
 //
 // Weight layout OIHW: (out_channels, in_channels, kernel, kernel).
 // Forward asks the training layers' one dispatch (nn/sparse_dispatch.h):
-// binary/sparse spike tensors below the SparseExec threshold skip im2col
-// entirely and scatter weight rows per active spike
-// (tensor/spike_kernels.h); denser inputs take the im2col + GEMM path
-// with the column buffer carved from the Workspace arena, so the
+// binary/sparse spike tensors below the SparseExec threshold scatter
+// weight rows per active spike (tensor/spike_kernels.h); denser inputs
+// take the direct kernels of tensor/conv_direct.h, which read a
+// zero-padded copy of each image carved from the Workspace arena, so the
 // per-timestep loop never touches the heap in steady state.
 //
 // Backward: when the sparse forward ran, the saved input is the forward
 // SpikeCsr instead of the dense tensor — dW comes straight from the
 // packed events (work ∝ nnz·K²·O) and the retained-activation footprint
-// drops from N·C·H·W floats to the event list. Dense saves keep the input
-// and recompute im2col into the arena (K*K less retained memory than
-// saving columns). dX asks the same dispatch on grad_out's density
-// (exact nonzero count) and takes an event-driven scatter or gemm_tn +
-// col2im. Both sparse paths reproduce the dense accumulation order
-// bit-for-bit.
+// drops from N·C·H·W floats to the event list. Dense saves keep the input,
+// which the direct dW kernel re-reads. dX asks the same dispatch on
+// grad_out's density (exact nonzero count) and takes an event-driven
+// scatter or the direct dX kernel. All paths add the same products in the
+// same order, so their results are bitwise equal.
 //
-// Small outputs: below kGemmTileCols (16) output pixels per image, a
-// per-image GEMM would run only gemm's scalar edge loop, so the dense path
-// runs one GEMM per call over all P = N*HoWo patch rows (im2row): forward
-// out(P, O) = rows(P, CKK) * W^T, dX rows'(P, CKK) = gO^T(P, O) * W
-// scattered back per image by row2im (col2im's add order), and at HoWo == 1
-// dW as one gemm_tn over K = N images. Each output element keeps its
-// products and their order, so the answers are bitwise those of the
-// per-image lowering.
+// Small outputs: below kGemmTileCols (16) output pixels per image, the
+// dense path runs one GEMM per call over all P = N*HoWo patch rows
+// (im2row): forward out(P, O) = rows(P, CKK) * W^T, dX rows'(P, CKK) =
+// gO^T(P, O) * W scattered back per image by row2im, and at HoWo == 1 dW
+// as one gemm_tn over K = N images (other small shapes use the direct dW
+// kernel). Each output element keeps its products and their order, so
+// the answers are bitwise those of the direct kernels.
 
 #include "nn/layer.h"
 #include "nn/sparse_dispatch.h"

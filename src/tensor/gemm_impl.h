@@ -122,6 +122,22 @@ inline void micro_edge(std::int64_t n, std::int64_t j0, std::int64_t nr,
   }
 }
 
+// Full Mr x Nr register tile at the active SIMD level (Nr a multiple of 8).
+template <bool UseAvx2, bool Fused, int Mr, int Nr, typename ARow>
+inline void micro_tile(std::int64_t n, std::int64_t j0, float alpha,
+                       ARow&& arow, const float* b, std::int64_t kk,
+                       std::int64_t kend, float* c, std::int64_t i0) {
+#if defined(__AVX2__)
+  if constexpr (UseAvx2) {
+    micro_avx2<Mr, Nr / 8, Fused>(n, j0, alpha, arow, b, kk, kend, c, i0);
+    return;
+  }
+#else
+  static_assert(!UseAvx2, "AVX2 instantiation in a non-AVX2 translation unit");
+#endif
+  micro_scalar<Mr, Nr>(n, j0, alpha, arow, b, kk, kend, c, i0);
+}
+
 inline void scale_rows(std::int64_t n, float beta, float* c, std::int64_t i0,
                        std::int64_t mr) {
   for (std::int64_t r = 0; r < mr; ++r) {
@@ -137,7 +153,8 @@ inline void scale_rows(std::int64_t n, float beta, float* c, std::int64_t i0,
 // Shared driver for gemm / gemm_tn: parallelize over kMr-row blocks, then
 // sweep kKc-length K panels x kNr-column tiles with the register
 // microkernel. The 4x16 tile keeps 4*2 accumulators + 2 B vectors + 1
-// broadcast within the 16 YMM registers.
+// broadcast within the 16 YMM registers; a column remainder of 8-15 runs
+// one 4x8 tile before the edge loop takes the last 0-7 columns.
 template <bool UseAvx2, bool Fused, typename ARow>
 void drive(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
            ARow&& arow, const float* b, float beta, float* c) {
@@ -156,18 +173,13 @@ void drive(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
         std::int64_t j0 = 0;
         if (mr == kMr) {
           for (; j0 + kNr <= n; j0 += kNr) {
-#if defined(__AVX2__)
-            if constexpr (UseAvx2) {
-              micro_avx2<kMr, kNr / 8, Fused>(n, j0, alpha, arow, b, kk,
-                                              kend, c, i0);
-            } else {
-              micro_scalar<kMr, kNr>(n, j0, alpha, arow, b, kk, kend, c, i0);
-            }
-#else
-            static_assert(!UseAvx2,
-                          "AVX2 instantiation in a non-AVX2 translation unit");
-            micro_scalar<kMr, kNr>(n, j0, alpha, arow, b, kk, kend, c, i0);
-#endif
+            micro_tile<UseAvx2, Fused, kMr, kNr>(n, j0, alpha, arow, b, kk,
+                                                 kend, c, i0);
+          }
+          if (j0 + 8 <= n) {
+            micro_tile<UseAvx2, Fused, kMr, 8>(n, j0, alpha, arow, b, kk, kend,
+                                               c, i0);
+            j0 += 8;
           }
         }
         if (j0 < n || mr < kMr) {

@@ -1,13 +1,17 @@
 #pragma once
-// im2col / col2im lowering for 2-D convolution.
+// im2col-style lowering for 2-D convolution, and the geometry every conv
+// kernel shares.
 //
 // For one image of shape (C, H, W), a KxK convolution with stride S and
 // padding P produces output (C_out, Ho, Wo). im2col unrolls every receptive
 // field into a column of the matrix `cols` with layout
 //   (C * K * K, Ho * Wo)
-// so that conv = weight(C_out, C*K*K) x cols. col2im is the exact adjoint
-// (scatter-add), used for the input-gradient in the backward pass. im2row
-// and row2im are the same pair on the transposed, patch-major layout.
+// so that conv = weight(C_out, C*K*K) x cols; the inference engine's dense
+// ops lower that way. im2row is the transposed, patch-major unroll and
+// row2im its adjoint (scatter-add), which the training Conv2d uses for
+// outputs below gemm's tile width. Larger training convs run the direct
+// kernels of tensor/conv_direct.h instead, which reproduce this lowering's
+// sums bit for bit without materializing the column matrix.
 
 #include <cstdint>
 
@@ -29,19 +33,16 @@ void im2col(const ConvGeometry& g, const float* img, float* cols);
 /// Transposed unroll: `rows` has layout (col_cols x col_rows) — one
 /// contiguous receptive-field patch per output pixel. It serves outputs of
 /// only a handful of pixels, where gemm's 16-column microkernel degrades
-/// to scalar edge loops: the inference engine pairs it with gemm_nt
-/// (weight rows x patch rows), and the training Conv2d stacks every
-/// image's patch rows into one gemm against the transposed weight. Same
-/// element values as im2col, just the (row, pixel) transpose.
+/// to edge loops: the inference engine pairs it with gemm_nt (weight rows
+/// x patch rows), and the training Conv2d stacks every image's patch rows
+/// into one gemm against the transposed weight. Same element values as
+/// im2col, just the (row, pixel) transpose.
 void im2row(const ConvGeometry& g, const float* img, float* rows);
 
-/// Adjoint of im2col: accumulate `cols` back into `img` (must be zeroed by
-/// the caller if a fresh gradient is wanted).
-void col2im(const ConvGeometry& g, const float* cols, float* img);
-
 /// Adjoint of im2row: accumulate patch-major `rows` (col_cols x col_rows)
-/// back into `img`, adding to each pixel in col2im's order, so the two are
-/// bitwise equal on the same values.
+/// back into `img` (zeroed by the caller for a fresh gradient). Each input
+/// pixel receives its terms in ascending (c, ky, kx) kernel-row order, the
+/// order the direct dX kernel and the event-driven dX scatter also use.
 void row2im(const ConvGeometry& g, const float* rows, float* img);
 
 }  // namespace snnskip

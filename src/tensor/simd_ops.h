@@ -45,7 +45,7 @@ inline const GemmKernels* gemm_kernels_for(SimdLevel level) {
   return gemm_kernels_scalar();
 }
 
-// ---- Spike / packed / transpose / epilogue kernels -------------------------
+// ---- Spike / packed / transpose / epilogue / direct conv kernels ----------
 
 struct SpikeKernels {
   void (*conv2d_forward)(const ConvGeometry&, const SpikeCsr&, const float*,
@@ -83,6 +83,16 @@ struct SpikeKernels {
                           std::int64_t bit0);
   void (*affine_row)(std::int64_t p, const float* acc, int use_scale,
                      float scale, float bias, int relu, float* dst);
+  // Dense direct convolution (tensor/conv_direct.h).
+  void (*conv2d_direct_forward)(const ConvGeometry&, std::int64_t,
+                                const float*, const float*, std::int64_t,
+                                float*, Workspace&);
+  void (*conv2d_direct_backward_input)(const ConvGeometry&, std::int64_t,
+                                       const float*, const float*,
+                                       std::int64_t, float*, Workspace&);
+  void (*conv2d_direct_backward_weight)(const ConvGeometry&, std::int64_t,
+                                        const float*, const float*,
+                                        std::int64_t, float*, Workspace&);
 };
 
 const SpikeKernels* spike_kernels_scalar();

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "telemetry/telemetry.h"
+#include "tensor/conv_direct.h"
 #include "tensor/epilogue.h"
 #include "tensor/simd_ops.h"
 #include "tensor/spike_kernels_impl.h"
@@ -130,6 +131,28 @@ void spike_depthwise_backward_weight(const ConvGeometry& g,
                                      const float* grad_out,
                                      float* grad_weight) {
   simd::spike_ops().depthwise_backward_weight(g, csr, grad_out, grad_weight);
+}
+
+void conv2d_direct_forward(const ConvGeometry& g, std::int64_t n,
+                           const float* x, const float* weight,
+                           std::int64_t out_c, float* out, Workspace& ws) {
+  simd::spike_ops().conv2d_direct_forward(g, n, x, weight, out_c, out, ws);
+}
+
+void conv2d_direct_backward_input(const ConvGeometry& g, std::int64_t n,
+                                  const float* grad_out, const float* weight,
+                                  std::int64_t out_c, float* grad_in,
+                                  Workspace& ws) {
+  simd::spike_ops().conv2d_direct_backward_input(g, n, grad_out, weight, out_c,
+                                                 grad_in, ws);
+}
+
+void conv2d_direct_backward_weight(const ConvGeometry& g, std::int64_t n,
+                                   const float* x, const float* grad_out,
+                                   std::int64_t out_c, float* grad_weight,
+                                   Workspace& ws) {
+  simd::spike_ops().conv2d_direct_backward_weight(g, n, x, grad_out, out_c,
+                                                  grad_weight, ws);
 }
 
 std::int64_t lif_epilogue_row(std::int64_t p, const float* acc, int use_scale,

@@ -21,7 +21,7 @@
 //   dX         the surrogate active set: Boxcar sigma' is exactly zero
 //              outside its window, so LIF/PLIF gradients are themselves
 //              sparse; a value-carrying CSR of the output gradient
-//              drives an event-driven scatter instead of gemm_tn + col2im
+//              drives an event-driven scatter instead of the dense dX
 //
 // Every backward kernel reproduces the dense path's per-output-element
 // accumulation order exactly (increasing image, then increasing reduction
@@ -35,9 +35,9 @@
 // SparseExec::dispatch() once per forward input and, for dX, once per
 // output gradient; the event kernels run when the exact nonzero count is
 // below SparseExec::threshold() of the tensor. Everything else (first
-// encoder layer, BN outputs, dense gradients) takes the dense GEMM path
-// unchanged. Scratch comes from the Workspace arena — steady-state
-// timesteps allocate nothing.
+// encoder layer, BN outputs, dense gradients) takes the dense path
+// (tensor/conv_direct.h for Conv2d, GEMM for Linear). Scratch comes from
+// the Workspace arena — steady-state timesteps allocate nothing.
 
 #include <cstdint>
 
@@ -102,8 +102,8 @@ void spike_depthwise_forward(const ConvGeometry& g, const SpikeCsr& csr,
 
 /// Conv2d weight gradient from the forward input's events. `csr` packs the
 /// saved input as (N, C*H*W); `grad_out` is (N, O, Ho, Wo); ACCUMULATES
-/// into `grad_weight` (O, C, K, K). Matches gemm_nt's per-image
-/// partial-then-add accumulation bit-for-bit.
+/// into `grad_weight` (O, C, K, K). Matches the direct dW kernel's
+/// per-image partial-then-add accumulation bit-for-bit.
 void spike_conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
                                   const float* grad_out, std::int64_t out_c,
                                   float* grad_weight, Workspace& ws);
@@ -112,9 +112,9 @@ void spike_conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
 /// grad_out as (N, O*Ho*Wo) with values; `weight` is (O, C, K, K); writes
 /// into zero-initialized `grad_in` (N, C, H, W). Two phases per image:
 /// build the active output columns (per column, events in increasing-o
-/// order — gemm_tn's reduction order), then scatter them in col2im's
-/// (kernel-row, ascending-column) order, so the result matches the dense
-/// gemm_tn + col2im path bit-for-bit.
+/// order), then scatter them in ascending (c, ky, kx) kernel-row order,
+/// so each input pixel receives the same per-tap sums in the same order
+/// as from the direct dX kernel (tensor/conv_direct.h), bit-for-bit.
 void spike_conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
                                  const float* weight, std::int64_t out_c,
                                  float* grad_in, Workspace& ws);

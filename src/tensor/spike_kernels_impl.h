@@ -22,6 +22,7 @@
 #endif
 
 #include "parallel/parallel_for.h"
+#include "tensor/conv_direct_impl.h"
 #include "tensor/im2col.h"
 #include "tensor/simd_ops.h"
 #include "tensor/spike_csr.h"
@@ -32,7 +33,8 @@ namespace snnskip::spike_impl {
 // ---- Vector primitives -----------------------------------------------------
 
 /// y[0..n) += a * x[0..n). The spike kernels' workhorse: one weight-row
-/// accumulation per (event, tap).
+/// accumulation per (event, tap). The AVX2 variant runs a 1-7 element
+/// tail (O = 6 or 12 at the search's widths) as one masked vector.
 template <bool V, bool F>
 inline void axpy(std::int64_t n, float a, const float* __restrict x,
                  float* __restrict y) {
@@ -40,15 +42,25 @@ inline void axpy(std::int64_t n, float a, const float* __restrict x,
 #if defined(__AVX2__)
   if constexpr (V) {
     const __m256 av = _mm256_set1_ps(a);
+    auto step = [&](__m256 xv, __m256 yv) {
+      if constexpr (F) return _mm256_fmadd_ps(av, xv, yv);
+      return _mm256_add_ps(yv, _mm256_mul_ps(av, xv));
+    };
     for (; i + 8 <= n; i += 8) {
-      const __m256 xv = _mm256_loadu_ps(x + i);
-      const __m256 yv = _mm256_loadu_ps(y + i);
-      if constexpr (F) {
-        _mm256_storeu_ps(y + i, _mm256_fmadd_ps(av, xv, yv));
-      } else {
-        _mm256_storeu_ps(y + i, _mm256_add_ps(yv, _mm256_mul_ps(av, xv)));
-      }
+      _mm256_storeu_ps(
+          y + i, step(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
     }
+    if (i < n) {
+      // Lanes below n - i are set; masked-off lanes are neither read nor
+      // written.
+      const __m256i mask = _mm256_cmpgt_epi32(
+          _mm256_set1_epi32(static_cast<int>(n - i)),
+          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+      _mm256_maskstore_ps(y + i, mask,
+                          step(_mm256_maskload_ps(x + i, mask),
+                               _mm256_maskload_ps(y + i, mask)));
+    }
+    return;
   }
 #endif
   for (; i < n; ++i) y[i] += a * x[i];
@@ -212,15 +224,89 @@ std::int64_t count_nonzero_impl(const float* data, std::int64_t n) {
 
 // ---- CSR event kernels (bodies: see spike_kernels.h for contracts) ---------
 
+/// The training event kernels' shared tap walk. An event at input pixel
+/// (c, iy, ix) feeds output pixel (oy, ox) through tap (ky, kx) when
+/// iy + pad - ky = s * oy and ix + pad - kx = s * ox land in range; those
+/// (ky, oy) and (kx, ox) pairs depend on iy and ix alone, so they are
+/// tabulated once per call. Events ascend within an image, so each event's
+/// (c, iy, ix) is decoded by advancing channel and row bases from the
+/// previous one. No division runs per event or per tap.
+class TapWalk {
+ public:
+  TapWalk(const ConvGeometry& g, Workspace::Scope& scope)
+      : w_(g.in_w),
+        hw_(g.in_h * g.in_w),
+        entry_len_(1 + 2 * g.kernel),
+        ytab_(direct_impl::ints(scope, g.in_h * entry_len_)),
+        xtab_(direct_impl::ints(scope, g.in_w * entry_len_)) {
+    // Row entry iy: [count, (ky * K, oy * Wo)...]; column entry ix:
+    // [count, (kx, ox)...]; both ascending in the tap.
+    fill(g, g.in_h, g.out_h(), g.kernel, g.out_w(), ytab_);
+    fill(g, g.in_w, g.out_w(), 1, 1, xtab_);
+  }
+
+  /// Calls f(c, v, tap, opix) for each valid tap of each of one image's
+  /// events, with tap = ky * K + kx and opix = oy * Wo + ox: events in
+  /// order, then ky, then kx ascending.
+  template <typename Fn>
+  void image(const std::int32_t* idx, const float* val, std::int64_t cnt,
+             Fn&& f) const {
+    std::int64_t c = 0, cbase = 0, rbase = 0, iy = 0;
+    for (std::int64_t e = 0; e < cnt; ++e) {
+      const std::int64_t flat = idx[e];
+      if (flat >= cbase + hw_) {
+        do {
+          cbase += hw_;
+          ++c;
+        } while (flat >= cbase + hw_);
+        rbase = cbase;
+        iy = 0;
+      }
+      while (flat >= rbase + w_) {
+        rbase += w_;
+        ++iy;
+      }
+      const std::int32_t* ty = ytab_ + iy * entry_len_;
+      const std::int32_t* tx = xtab_ + (flat - rbase) * entry_len_;
+      const float v = val[e];
+      for (std::int32_t a = 0; a < ty[0]; ++a) {
+        const std::int64_t tap_y = ty[1 + 2 * a], pix_y = ty[2 + 2 * a];
+        for (std::int32_t b = 0; b < tx[0]; ++b) {
+          f(c, v, tap_y + tx[1 + 2 * b], pix_y + tx[2 + 2 * b]);
+        }
+      }
+    }
+  }
+
+ private:
+  void fill(const ConvGeometry& g, std::int64_t len, std::int64_t out_len,
+            std::int64_t tap_scale, std::int64_t pix_scale,
+            std::int32_t* tab) const {
+    for (std::int64_t i = 0; i < len; ++i) {
+      std::int32_t* entry = tab + i * entry_len_;
+      std::int32_t n = 0;
+      for (std::int64_t k = 0; k < g.kernel; ++k) {
+        const std::int64_t t = i + g.pad - k;
+        if (t < 0 || t % g.stride != 0 || t / g.stride >= out_len) continue;
+        entry[1 + 2 * n] = static_cast<std::int32_t>(k * tap_scale);
+        entry[2 + 2 * n] = static_cast<std::int32_t>(t / g.stride * pix_scale);
+        ++n;
+      }
+      entry[0] = n;
+    }
+  }
+
+  std::int64_t w_, hw_, entry_len_;
+  std::int32_t* ytab_;
+  std::int32_t* xtab_;
+};
+
 template <bool V, bool F>
 void conv2d_forward(const ConvGeometry& g, const SpikeCsr& csr,
                     const float* weight, const float* bias, std::int64_t out_c,
                     float* out, Workspace& ws) {
   const std::int64_t ckk = g.col_rows();
-  const std::int64_t ho = g.out_h(), wo = g.out_w();
-  const std::int64_t howo = ho * wo;
-  const std::int64_t hw = g.in_h * g.in_w;
-  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
+  const std::int64_t howo = g.out_h() * g.out_w();
   const std::int64_t o_c = out_c;
 
   auto scope = ws.scope();
@@ -232,36 +318,18 @@ void conv2d_forward(const ConvGeometry& g, const SpikeCsr& csr,
   // Output accumulated transposed as (HoWo, O), then flipped back once.
   float* outt = scope.floats(static_cast<std::size_t>(howo * o_c));
 
+  const TapWalk walk(g, scope);
+  const std::int64_t kk = g.kernel * g.kernel;
   for (std::int64_t img = 0; img < csr.rows(); ++img) {
     std::memset(outt, 0, static_cast<std::size_t>(howo * o_c) * sizeof(float));
-    const std::int32_t* idx = csr.row_indices(img);
-    const float* val = csr.row_values(img);
-    const std::int64_t cnt = csr.row_nnz(img);
-    for (std::int64_t e = 0; e < cnt; ++e) {
-      const std::int64_t flat = idx[e];
-      const float v = val[e];
-      const std::int64_t c = flat / hw;
-      const std::int64_t rem = flat - c * hw;
-      const std::int64_t iy = rem / g.in_w;
-      const std::int64_t ix = rem - iy * g.in_w;
-      // Every kernel tap (ky,kx) that maps this input pixel onto a valid
-      // output position receives one weight-row accumulation.
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const std::int64_t ty = iy + pad - ky;
-        if (ty < 0 || ty % s != 0) continue;
-        const std::int64_t oy = ty / s;
-        if (oy >= ho) continue;
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::int64_t tx = ix + pad - kx;
-          if (tx < 0 || tx % s != 0) continue;
-          const std::int64_t ox = tx / s;
-          if (ox >= wo) continue;
-          const float* wrow = wt + ((c * k + ky) * k + kx) * o_c;
-          float* orow = outt + (oy * wo + ox) * o_c;
-          axpy<V, F>(o_c, v, wrow, orow);
-        }
-      }
-    }
+    // Every kernel tap (ky,kx) that maps an input pixel onto a valid output
+    // position receives one weight-row accumulation.
+    walk.image(csr.row_indices(img), csr.row_values(img), csr.row_nnz(img),
+               [&](std::int64_t c, float v, std::int64_t tap,
+                   std::int64_t opix) {
+                 axpy<V, F>(o_c, v, wt + (c * kk + tap) * o_c,
+                            outt + opix * o_c);
+               });
     // Flip (HoWo, O) back to (O, HoWo) and add the bias — exact copies
     // plus the same single add per element the row-wise loop performed.
     float* oimg = out + img * o_c * howo;
@@ -300,11 +368,11 @@ void linear_forward(const SpikeCsr& csr, const float* weight,
 template <bool V, bool F>
 void depthwise_forward(const ConvGeometry& g, const SpikeCsr& csr,
                        const float* weight, const float* bias, float* out) {
-  const std::int64_t ho = g.out_h(), wo = g.out_w();
-  const std::int64_t howo = ho * wo;
-  const std::int64_t hw = g.in_h * g.in_w;
-  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
+  const std::int64_t howo = g.out_h() * g.out_w();
+  const std::int64_t kk = g.kernel * g.kernel;
   const std::int64_t c_ = g.in_c;
+  auto scope = Workspace::tls().scope();
+  const TapWalk walk(g, scope);
 
   for (std::int64_t img = 0; img < csr.rows(); ++img) {
     float* oimg = out + img * c_ * howo;
@@ -313,33 +381,12 @@ void depthwise_forward(const ConvGeometry& g, const SpikeCsr& csr,
       float* plane = oimg + ch * howo;
       for (std::int64_t j = 0; j < howo; ++j) plane[j] = b;
     }
-    const std::int32_t* idx = csr.row_indices(img);
-    const float* val = csr.row_values(img);
-    const std::int64_t cnt = csr.row_nnz(img);
-    for (std::int64_t e = 0; e < cnt; ++e) {
-      const std::int64_t flat = idx[e];
-      const float v = val[e];
-      const std::int64_t c = flat / hw;
-      const std::int64_t rem = flat - c * hw;
-      const std::int64_t iy = rem / g.in_w;
-      const std::int64_t ix = rem - iy * g.in_w;
-      const float* ker = weight + c * k * k;
-      float* oplane = oimg + c * howo;
-      // K*K scattered scalar taps — no contiguous run to vectorize.
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const std::int64_t ty = iy + pad - ky;
-        if (ty < 0 || ty % s != 0) continue;
-        const std::int64_t oy = ty / s;
-        if (oy >= ho) continue;
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::int64_t tx = ix + pad - kx;
-          if (tx < 0 || tx % s != 0) continue;
-          const std::int64_t ox = tx / s;
-          if (ox >= wo) continue;
-          oplane[oy * wo + ox] += v * ker[ky * k + kx];
-        }
-      }
-    }
+    // K*K scattered scalar taps — no contiguous run to vectorize.
+    walk.image(csr.row_indices(img), csr.row_values(img), csr.row_nnz(img),
+               [&](std::int64_t c, float v, std::int64_t tap,
+                   std::int64_t opix) {
+                 oimg[c * howo + opix] += v * weight[c * kk + tap];
+               });
   }
 }
 
@@ -348,22 +395,18 @@ void conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
                             const float* grad_out, std::int64_t out_c,
                             float* grad_weight, Workspace& ws) {
   const std::int64_t ckk = g.col_rows();
-  const std::int64_t ho = g.out_h(), wo = g.out_w();
-  const std::int64_t howo = ho * wo;
-  const std::int64_t hw = g.in_h * g.in_w;
-  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
+  const std::int64_t howo = g.out_h() * g.out_w();
+  const std::int64_t kk = g.kernel * g.kernel;
   const std::int64_t o_c = out_c;
 
   auto scope = ws.scope();
+  const TapWalk walk(g, scope);
   // grad_out transposed to (HoWo, O) once per image so the per-event tap
   // loop reads a unit-stride O-slice, mirroring the forward kernel.
   float* got = scope.floats(static_cast<std::size_t>(howo * o_c));
 
   for (std::int64_t img = 0; img < csr.rows(); ++img) {
     transpose_tiled<V, false>(grad_out + img * o_c * howo, o_c, howo, got);
-    const std::int32_t* idx = csr.row_indices(img);
-    const float* val = csr.row_values(img);
-    const std::int64_t cnt = csr.row_nnz(img);
     // Each chunk owns an O-slice [ob, oe): it accumulates a private
     // (CKK, oe-ob) per-image partial from the events, then adds it into
     // its own grad_weight rows. gemm_nt computes the same per-image
@@ -377,29 +420,13 @@ void conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
           float* dwt = chunk_scope.floats(static_cast<std::size_t>(ckk * ow));
           std::memset(dwt, 0,
                       static_cast<std::size_t>(ckk * ow) * sizeof(float));
-          for (std::int64_t ev = 0; ev < cnt; ++ev) {
-            const std::int64_t flat = idx[ev];
-            const float v = val[ev];
-            const std::int64_t c = flat / hw;
-            const std::int64_t rem = flat - c * hw;
-            const std::int64_t iy = rem / g.in_w;
-            const std::int64_t ix = rem - iy * g.in_w;
-            for (std::int64_t ky = 0; ky < k; ++ky) {
-              const std::int64_t ty = iy + pad - ky;
-              if (ty < 0 || ty % s != 0) continue;
-              const std::int64_t oy = ty / s;
-              if (oy >= ho) continue;
-              for (std::int64_t kx = 0; kx < k; ++kx) {
-                const std::int64_t tx = ix + pad - kx;
-                if (tx < 0 || tx % s != 0) continue;
-                const std::int64_t ox = tx / s;
-                if (ox >= wo) continue;
-                float* drow = dwt + ((c * k + ky) * k + kx) * ow;
-                const float* grow = got + (oy * wo + ox) * o_c + ob;
-                axpy<V, F>(ow, v, grow, drow);
-              }
-            }
-          }
+          walk.image(csr.row_indices(img), csr.row_values(img),
+                     csr.row_nnz(img),
+                     [&](std::int64_t c, float v, std::int64_t tap,
+                         std::int64_t opix) {
+                       axpy<V, F>(ow, v, got + opix * o_c + ob,
+                                  dwt + (c * kk + tap) * ow);
+                     });
           transpose_tiled<V, true>(dwt, ckk, ow, grad_weight + ob * ckk);
         });
   }
@@ -418,15 +445,14 @@ void conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
   (void)out_c;
 
   auto scope = ws.scope();
-  // Integer scratch is carved from the float arena (same size/alignment).
-  std::int32_t* cnts = reinterpret_cast<std::int32_t*>(
-      scope.floats(static_cast<std::size_t>(howo)));
-  std::int32_t* pos = reinterpret_cast<std::int32_t*>(
-      scope.floats(static_cast<std::size_t>(howo)));
-  std::int32_t* active = reinterpret_cast<std::int32_t*>(
-      scope.floats(static_cast<std::size_t>(howo)));
-  std::int32_t* astart = reinterpret_cast<std::int32_t*>(
-      scope.floats(static_cast<std::size_t>(howo)));
+  std::int32_t* cnts = direct_impl::ints(scope, howo);
+  std::int32_t* pos = direct_impl::ints(scope, howo);
+  std::int32_t* astart = direct_impl::ints(scope, howo);
+  // Active column j: its pixel p and the input row/column its tap (0, 0)
+  // reads, oy * s - pad and ox * s - pad.
+  std::int32_t* active = direct_impl::ints(scope, howo);
+  std::int32_t* ay = direct_impl::ints(scope, howo);
+  std::int32_t* ax = direct_impl::ints(scope, howo);
 
   for (std::int64_t img = 0; img < gcsr.rows(); ++img) {
     const std::int32_t* idx = gcsr.row_indices(img);
@@ -436,26 +462,39 @@ void conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
     auto img_scope = ws.scope();
     // Bucket the gradient events by output column p (counting sort keeps
     // the within-column order ascending in o — gemm_tn's reduction order).
+    // Events ascend, so o = flat / HoWo only ever steps forward.
     std::memset(cnts, 0, static_cast<std::size_t>(howo) * sizeof(std::int32_t));
-    for (std::int64_t ev = 0; ev < cnt; ++ev) ++cnts[idx[ev] % howo];
+    for (std::int64_t ev = 0, obase = 0; ev < cnt; ++ev) {
+      while (idx[ev] >= obase + howo) obase += howo;
+      ++cnts[idx[ev] - obase];
+    }
     std::int64_t na = 0;
     std::int32_t run = 0;
-    for (std::int64_t p = 0; p < howo; ++p) {
-      if (cnts[p] == 0) continue;
-      active[na] = static_cast<std::int32_t>(p);
-      astart[na] = run;
-      pos[p] = run;
-      run += cnts[p];
-      ++na;
+    for (std::int64_t p = 0, oy = 0, ox = 0; p < howo; ++p) {
+      if (cnts[p] != 0) {
+        active[na] = static_cast<std::int32_t>(p);
+        ay[na] = static_cast<std::int32_t>(oy * s - pad);
+        ax[na] = static_cast<std::int32_t>(ox * s - pad);
+        astart[na] = run;
+        pos[p] = run;
+        run += cnts[p];
+        ++na;
+      }
+      if (++ox == wo) {
+        ox = 0;
+        ++oy;
+      }
     }
-    std::int32_t* bo = reinterpret_cast<std::int32_t*>(
-        img_scope.floats(static_cast<std::size_t>(cnt)));
+    std::int32_t* bo = direct_impl::ints(img_scope, cnt);
     float* bg = img_scope.floats(static_cast<std::size_t>(cnt));
-    for (std::int64_t ev = 0; ev < cnt; ++ev) {
+    for (std::int64_t ev = 0, o = 0, obase = 0; ev < cnt; ++ev) {
       const std::int64_t flat = idx[ev];
-      const std::int64_t p = flat % howo;
-      const std::int32_t at = pos[p]++;
-      bo[at] = static_cast<std::int32_t>(flat / howo);
+      while (flat >= obase + howo) {
+        obase += howo;
+        ++o;
+      }
+      const std::int32_t at = pos[flat - obase]++;
+      bo[at] = static_cast<std::int32_t>(o);
       bg[at] = val[ev];
     }
     // Phase 1: materialize only the active columns of the (CKK, HoWo)
@@ -476,10 +515,11 @@ void conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
             }
           }
         });
-    // Phase 2: scatter in col2im's exact order — kernel row r ascending,
-    // then column p ascending — restricted to the active columns (the
-    // inactive ones hold exact +0 in the dense path). Channels own
-    // disjoint planes, so the channel partition is deterministic.
+    // Phase 2: scatter kernel row r ascending, then column p ascending —
+    // each input pixel's terms in the dense dX's (c, ky, kx) order —
+    // restricted to the active columns (the inactive ones hold exact +0 in
+    // the dense path). Channels own disjoint planes, so the channel
+    // partition is deterministic.
     float* gimg = grad_in + img * in_c * hw;
     parallel_for_range(
         0, static_cast<std::size_t>(in_c), [&](std::size_t cb, std::size_t ce) {
@@ -490,11 +530,9 @@ void conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
                 const std::int64_t r =
                     (static_cast<std::int64_t>(c) * k + ky) * k + kx;
                 for (std::int64_t j = 0; j < na; ++j) {
-                  const std::int64_t p = active[j];
-                  const std::int64_t oy = p / wo, ox = p % wo;
-                  const std::int64_t iy = oy * s - pad + ky;
+                  const std::int64_t iy = ay[j] + ky;
                   if (iy < 0 || iy >= g.in_h) continue;
-                  const std::int64_t ix = ox * s - pad + kx;
+                  const std::int64_t ix = ax[j] + kx;
                   if (ix < 0 || ix >= g.in_w) continue;
                   plane[iy * g.in_w + ix] += dcols[j * ckk + r];
                 }
@@ -560,39 +598,19 @@ void linear_backward_input(const SpikeCsr& gcsr, const float* weight,
 template <bool V, bool F>
 void depthwise_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
                                const float* grad_out, float* grad_weight) {
-  const std::int64_t ho = g.out_h(), wo = g.out_w();
-  const std::int64_t howo = ho * wo;
-  const std::int64_t hw = g.in_h * g.in_w;
-  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
+  const std::int64_t howo = g.out_h() * g.out_w();
+  const std::int64_t kk = g.kernel * g.kernel;
   const std::int64_t c_ = g.in_c;
+  auto scope = Workspace::tls().scope();
+  const TapWalk walk(g, scope);
 
   for (std::int64_t img = 0; img < csr.rows(); ++img) {
-    const std::int32_t* idx = csr.row_indices(img);
-    const float* val = csr.row_values(img);
-    const std::int64_t cnt = csr.row_nnz(img);
-    for (std::int64_t e = 0; e < cnt; ++e) {
-      const std::int64_t flat = idx[e];
-      const float v = val[e];
-      const std::int64_t c = flat / hw;
-      const std::int64_t rem = flat - c * hw;
-      const std::int64_t iy = rem / g.in_w;
-      const std::int64_t ix = rem - iy * g.in_w;
-      const float* gop = grad_out + (img * c_ + c) * howo;
-      float* gw = grad_weight + c * k * k;
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const std::int64_t ty = iy + pad - ky;
-        if (ty < 0 || ty % s != 0) continue;
-        const std::int64_t oy = ty / s;
-        if (oy >= ho) continue;
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::int64_t tx = ix + pad - kx;
-          if (tx < 0 || tx % s != 0) continue;
-          const std::int64_t ox = tx / s;
-          if (ox >= wo) continue;
-          gw[ky * k + kx] += gop[oy * wo + ox] * v;
-        }
-      }
-    }
+    const float* gimg = grad_out + img * c_ * howo;
+    walk.image(csr.row_indices(img), csr.row_values(img), csr.row_nnz(img),
+               [&](std::int64_t c, float v, std::int64_t tap,
+                   std::int64_t opix) {
+                 grad_weight[c * kk + tap] += gimg[c * howo + opix] * v;
+               });
   }
 }
 
@@ -813,6 +831,9 @@ inline simd::SpikeKernels make_spike_table() {
       &packed_depthwise_term<V, F>,
       &lif_row<V, F>,
       &affine_row<V, F>,
+      &direct_impl::forward<V, F>,
+      &direct_impl::backward_input<V, F>,
+      &direct_impl::backward_weight<V, F>,
   };
 }
 

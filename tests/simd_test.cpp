@@ -17,6 +17,7 @@
 #include "infer/compile.h"
 #include "infer/engine.h"
 #include "models/zoo.h"
+#include "tensor/conv_direct.h"
 #include "tensor/cpu_features.h"
 #include "tensor/epilogue.h"
 #include "tensor/gemm.h"
@@ -77,13 +78,14 @@ struct GemmCase {
 const GemmCase kGemmCases[] = {
     {1, 1, 1},  {3, 5, 7},   {7, 17, 9},   {8, 8, 8},
     {6, 16, 4}, {13, 31, 33}, {5, 16, 64}, {33, 47, 131},
+    {16, 24, 216},  // one 4x16 and one 4x8 tile per row block
 };
 
 class GemmBitIdentity : public SimdTest,
                         public ::testing::WithParamInterface<int> {};
 
-// Each shape runs gemm, gemm_tn and gemm_nt through both their full 4x16
-// register tiles and their edge tiles.
+// Each shape runs gemm, gemm_tn and gemm_nt through their full 4x16
+// register tiles, gemm's 4x8 column-remainder tile, and their edge tiles.
 TEST_P(GemmBitIdentity, AllKernelsAllTiles) {
   SKIP_WITHOUT_AVX2();
   const GemmCase gc = kGemmCases[GetParam()];
@@ -112,7 +114,7 @@ TEST_P(GemmBitIdentity, AllKernelsAllTiles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmBitIdentity,
-                         ::testing::Range(0, 8));
+                         ::testing::Range(0, 9));
 
 TEST_F(SimdTest, GemmFmaWithinTolerance) {
   SKIP_WITHOUT_AVX2();
@@ -231,6 +233,38 @@ TEST_F(SimdTest, SpikeConvKernelsBitIdentical) {
   EXPECT_TRUE(bitwise_equal(sf, vf)) << "conv2d forward";
   EXPECT_TRUE(bitwise_equal(sw, vw)) << "conv2d backward weight";
   EXPECT_TRUE(bitwise_equal(si, vi)) << "conv2d backward input";
+}
+
+TEST_F(SimdTest, DirectConvKernelsBitIdentical) {
+  SKIP_WITHOUT_AVX2();
+  // Stride 2, 7x9 input: 4x5 output, extended-grid tails and a 3-row
+  // remainder tile (O = 7).
+  const ConvGeometry g{5, 7, 9, 3, 2, 1};
+  const std::int64_t o_c = 7, n_img = 2;
+  const std::int64_t in_n = n_img * g.in_c * g.in_h * g.in_w;
+  const std::int64_t out_n = n_img * o_c * g.col_cols();
+  const auto x = randu(in_n, 35);
+  const auto weight = randu(o_c * g.col_rows(), 36);
+  const auto gout = randu(out_n, 37);
+  auto run = [&](SimdLevel lvl, std::vector<float>* fwd,
+                 std::vector<float>* gw, std::vector<float>* gin) {
+    ASSERT_EQ(set_active_simd(lvl), lvl);
+    fwd->assign(static_cast<std::size_t>(out_n), 0.f);
+    conv2d_direct_forward(g, n_img, x.data(), weight.data(), o_c, fwd->data(),
+                          Workspace::tls());
+    gw->assign(weight.size(), 0.25f);
+    conv2d_direct_backward_weight(g, n_img, x.data(), gout.data(), o_c,
+                                  gw->data(), Workspace::tls());
+    gin->assign(static_cast<std::size_t>(in_n), 0.f);
+    conv2d_direct_backward_input(g, n_img, gout.data(), weight.data(), o_c,
+                                 gin->data(), Workspace::tls());
+  };
+  std::vector<float> sf, sw, si, vf, vw, vi;
+  run(SimdLevel::Scalar, &sf, &sw, &si);
+  run(SimdLevel::Avx2, &vf, &vw, &vi);
+  EXPECT_TRUE(bitwise_equal(sf, vf)) << "direct forward";
+  EXPECT_TRUE(bitwise_equal(sw, vw)) << "direct backward weight";
+  EXPECT_TRUE(bitwise_equal(si, vi)) << "direct backward input";
 }
 
 TEST_F(SimdTest, SpikeLinearKernelsBitIdentical) {

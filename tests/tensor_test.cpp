@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
 
+#include "tensor/conv_direct.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/ops.h"
@@ -322,6 +325,31 @@ TEST(Gemm, AccumulatesWithBetaOne) {
 
 // --- im2col --------------------------------------------------------------
 
+// Test reference: the adjoint of im2col, accumulating (CKK, HoWo) columns
+// back into an image in kernel-row order, then output pixel order. The
+// direct dX kernel must reproduce gemm_tn + col2im bit for bit.
+void col2im(const ConvGeometry& g, const float* cols, float* img) {
+  const std::int64_t ho = g.out_h(), wo = g.out_w();
+  const std::int64_t cc = g.col_cols();
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < g.in_c; ++c) {
+    float* plane = img + c * g.in_h * g.in_w;
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
+        for (std::int64_t oy = 0; oy < ho; ++oy) {
+          const std::int64_t iy = oy * g.stride - g.pad + ky;
+          if (iy < 0 || iy >= g.in_h) continue;
+          for (std::int64_t ox = 0; ox < wo; ++ox) {
+            const std::int64_t ix = ox * g.stride - g.pad + kx;
+            if (ix < 0 || ix >= g.in_w) continue;
+            plane[iy * g.in_w + ix] += cols[row * cc + oy * wo + ox];
+          }
+        }
+      }
+    }
+  }
+}
+
 class Im2ColGeom : public ::testing::TestWithParam<ConvGeometry> {};
 
 TEST_P(Im2ColGeom, AdjointProperty) {
@@ -576,6 +604,139 @@ TEST_P(SpikeConvDensity, StridedMatchesIm2colGemm) {
 
 INSTANTIATE_TEST_SUITE_P(DensitySweep, SpikeConvDensity,
                          ::testing::Values(0.0, 0.05, 0.5, 1.0));
+
+// --- Direct convolution ----------------------------------------------------
+// The dense training conv kernels must equal the im2col lowering they
+// replaced bit for bit: forward as im2col + gemm, dX as gemm_tn + col2im,
+// dW as im2col + gemm_nt with beta 1 (one add per image).
+
+struct DirectCase {
+  std::int64_t in_c, out_c, kernel, stride, pad, h, w;
+};
+
+// The zoo's training conv geometries (kernel 3/1, stride 1/2, pad 1/0) at
+// search-like widths, square and not, output widths 4-16. Static storage
+// keeps the printed parameter bytes stable (see sparse_bwd_test.cpp).
+const DirectCase kDirectCases[] = {
+    {2, 6, 3, 1, 1, 8, 8},      // stem, 8x8 out
+    {6, 6, 3, 1, 1, 8, 8},      // stage-0 block
+    {6, 12, 3, 2, 1, 8, 8},     // strided block entry, 4x4 out
+    {12, 12, 3, 1, 1, 4, 4},    // 4x4 block
+    {6, 12, 1, 2, 0, 8, 8},     // 1x1 stride-2 shortcut
+    {12, 6, 1, 1, 0, 5, 7},     // 1x1 pointwise, width 7
+    {9, 8, 3, 1, 1, 6, 12},     // non-square, width 12
+    {16, 24, 3, 2, 1, 12, 20},  // stride 2, 6x10 out
+    {9, 24, 3, 1, 0, 10, 18},   // no pad, 8x16 out
+    {2, 8, 3, 2, 0, 9, 9},      // stride 2, no pad, 4x4 out
+    {16, 12, 3, 1, 1, 16, 16},  // 16x16 out
+    {6, 24, 1, 1, 0, 4, 13},    // width 13
+};
+
+std::string direct_case_name(const ::testing::TestParamInfo<int>& p) {
+  const DirectCase& c = kDirectCases[p.param];
+  return "c" + std::to_string(c.in_c) + "o" + std::to_string(c.out_c) + "k" +
+         std::to_string(c.kernel) + "s" + std::to_string(c.stride) + "p" +
+         std::to_string(c.pad) + "_" + std::to_string(c.h) + "x" +
+         std::to_string(c.w);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+class DirectConv : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr std::int64_t kN = 3;
+  void SetUp() override {
+    c = kDirectCases[GetParam()];
+    g = ConvGeometry{c.in_c, c.h, c.w, c.kernel, c.stride, c.pad};
+    Rng rng(900 + static_cast<std::uint64_t>(GetParam()));
+    x = Tensor::randn(Shape{kN, c.in_c, c.h, c.w}, rng);
+    w = Tensor::randn(Shape{c.out_c, c.in_c, c.kernel, c.kernel}, rng);
+    go = Tensor::randn(Shape{kN, c.out_c, g.out_h(), g.out_w()}, rng);
+    dw0 = Tensor::randn(w.shape(), rng);  // dW accumulates onto this
+  }
+
+  // dW by im2col + gemm_nt, one beta-1 product per image, from dw0.
+  Tensor reference_dw(const Tensor& input) const {
+    const std::int64_t cr = g.col_rows(), cc = g.col_cols();
+    Tensor dw = dw0;
+    Tensor cols(Shape{cr, cc});
+    for (std::int64_t img = 0; img < kN; ++img) {
+      im2col(g, input.data() + img * c.in_c * c.h * c.w, cols.data());
+      gemm_nt(c.out_c, cr, cc, 1.f, go.data() + img * c.out_c * cc,
+              cols.data(), 1.f, dw.data());
+    }
+    return dw;
+  }
+
+  DirectCase c{};
+  ConvGeometry g{};
+  Tensor x, w, go, dw0;
+};
+
+TEST_P(DirectConv, ForwardMatchesIm2colGemmBitwise) {
+  Tensor got(Shape{kN, c.out_c, g.out_h(), g.out_w()});
+  conv2d_direct_forward(g, kN, x.data(), w.data(), c.out_c, got.data(),
+                        Workspace::tls());
+  EXPECT_TRUE(same_bits(got, reference_conv(g, x, w, c.out_c)));
+}
+
+TEST_P(DirectConv, InputGradMatchesGemmTnCol2imBitwise) {
+  const std::int64_t cr = g.col_rows(), cc = g.col_cols();
+  Tensor ref(x.shape());
+  Tensor dcols(Shape{cr, cc});
+  for (std::int64_t img = 0; img < kN; ++img) {
+    gemm_tn(cr, cc, c.out_c, 1.f, w.data(), go.data() + img * c.out_c * cc,
+            0.f, dcols.data());
+    col2im(g, dcols.data(), ref.data() + img * c.in_c * c.h * c.w);
+  }
+  Rng fill(5);
+  Tensor got = Tensor::randn(x.shape(), fill);  // overwritten, not added to
+  conv2d_direct_backward_input(g, kN, go.data(), w.data(), c.out_c, got.data(),
+                               Workspace::tls());
+  EXPECT_TRUE(same_bits(got, ref));
+}
+
+TEST_P(DirectConv, WeightGradMatchesGemmNtBitwise) {
+  Tensor got = dw0;
+  conv2d_direct_backward_weight(g, kN, x.data(), go.data(), c.out_c,
+                                got.data(), Workspace::tls());
+  EXPECT_TRUE(same_bits(got, reference_dw(x)));
+}
+
+TEST_P(DirectConv, EventKernelsMatchDensePathBitwise) {
+  // Spike input through the CSR forward and dW against the dense kernels
+  // on the same binary tensor.
+  Rng rng(950 + static_cast<std::uint64_t>(GetParam()));
+  Tensor spikes = Tensor::bernoulli(x.shape(), rng, 0.3f);
+  SpikeCsr csr;
+  csr.build(spikes.data(), kN, c.in_c * c.h * c.w);
+
+  Tensor dense(Shape{kN, c.out_c, g.out_h(), g.out_w()});
+  conv2d_direct_forward(g, kN, spikes.data(), w.data(), c.out_c, dense.data(),
+                        Workspace::tls());
+  Tensor events(dense.shape());
+  spike_conv2d_forward(g, csr, w.data(), nullptr, c.out_c, events.data(),
+                       Workspace::tls());
+  EXPECT_TRUE(same_bits(events, dense)) << "forward";
+
+  Tensor dw_events = dw0;
+  spike_conv2d_backward_weight(g, csr, go.data(), c.out_c, dw_events.data(),
+                               Workspace::tls());
+  Tensor dw_dense = dw0;
+  conv2d_direct_backward_weight(g, kN, spikes.data(), go.data(), c.out_c,
+                                dw_dense.data(), Workspace::tls());
+  EXPECT_TRUE(same_bits(dw_events, dw_dense)) << "weight grad";
+  EXPECT_TRUE(same_bits(dw_dense, reference_dw(spikes))) << "vs gemm_nt";
+}
+
+INSTANTIATE_TEST_SUITE_P(ZooGeometries, DirectConv,
+                         ::testing::Range(0, static_cast<int>(
+                                                 std::size(kDirectCases))),
+                         direct_case_name);
 
 }  // namespace
 }  // namespace snnskip
