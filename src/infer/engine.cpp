@@ -8,6 +8,7 @@
 #include "tensor/epilogue.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "tensor/ops.h"
 #include "tensor/quant_kernels.h"
 #include "tensor/spike_kernels.h"
 #include "tensor/spike_packed.h"
@@ -445,71 +446,25 @@ void Engine::exec_dsc_gather(const OpPlan& op) {
   const ValuePlan& sv = val(t.value);
   const ValuePlan& ov = val(op.out);
   const std::int64_t h = sv.shape[2], w = sv.shape[3];
-  const std::int64_t len = t.channels;
-  const std::int64_t ho = ov.shape[2], wo = ov.shape[3];
   const float* src = dense(t.value);
-  float* g = scratch_.data();  // (len, H, W) gathered planes
+  float* g = scratch_.data();  // (channels, H, W) gathered planes
   for (std::size_t kk = 0; kk < t.gather.size(); ++kk) {
     std::memcpy(g + static_cast<std::int64_t>(kk) * h * w,
                 src + t.gather[kk] * h * w,
                 static_cast<std::size_t>(h * w) * sizeof(float));
   }
-  // AvgPool2d::forward's partial-window averaging (ceil-mode output size
-  // was fixed at compile time).
-  float* optr = dense(op.out);
-  for (std::int64_t ch = 0; ch < len; ++ch) {
-    const float* plane = g + ch * h * w;
-    float* od = optr + ch * ho * wo;
-    for (std::int64_t oy = 0; oy < ho; ++oy) {
-      const std::int64_t y_end =
-          std::min(h, oy * op.pool_stride + op.pool_kernel);
-      for (std::int64_t ox = 0; ox < wo; ++ox) {
-        const std::int64_t x_end =
-            std::min(w, ox * op.pool_stride + op.pool_kernel);
-        float acc = 0.f;
-        std::int64_t count = 0;
-        for (std::int64_t y = oy * op.pool_stride; y < y_end; ++y) {
-          for (std::int64_t xx = ox * op.pool_stride; xx < x_end; ++xx) {
-            acc += plane[y * w + xx];
-            ++count;
-          }
-        }
-        od[oy * wo + ox] = count ? acc / static_cast<float>(count) : 0.f;
-      }
-    }
-  }
+  // The ceil-mode output size was fixed at compile time.
+  avg_pool_planes(g, t.channels, h, w, op.pool_kernel, op.pool_stride,
+                  ov.shape[2], ov.shape[3], dense(op.out));
 }
 
 void Engine::exec_avgpool(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
   const ValuePlan& sv = val(t.value);
   const ValuePlan& ov = val(op.out);
-  const std::int64_t c = sv.shape[1];
-  const std::int64_t h = sv.shape[2], w = sv.shape[3];
-  const std::int64_t ho = ov.shape[2], wo = ov.shape[3];
-  const float* src = dense(t.value);
-  float* dst = dense(op.out);
-  for (std::int64_t i = 0; i < c; ++i) {
-    const float* plane = src + i * h * w;
-    float* optr = dst + i * ho * wo;
-    for (std::int64_t oy = 0; oy < ho; ++oy) {
-      const std::int64_t y_end =
-          std::min(h, oy * op.pool_stride + op.pool_kernel);
-      for (std::int64_t ox = 0; ox < wo; ++ox) {
-        const std::int64_t x_end =
-            std::min(w, ox * op.pool_stride + op.pool_kernel);
-        float acc = 0.f;
-        std::int64_t count = 0;
-        for (std::int64_t y = oy * op.pool_stride; y < y_end; ++y) {
-          for (std::int64_t xx = ox * op.pool_stride; xx < x_end; ++xx) {
-            acc += plane[y * w + xx];
-            ++count;
-          }
-        }
-        optr[oy * wo + ox] = count ? acc / static_cast<float>(count) : 0.f;
-      }
-    }
-  }
+  avg_pool_planes(dense(t.value), sv.shape[1], sv.shape[2], sv.shape[3],
+                  op.pool_kernel, op.pool_stride, ov.shape[2], ov.shape[3],
+                  dense(op.out));
 }
 
 void Engine::exec_gap(const OpPlan& op) {
@@ -568,7 +523,7 @@ void Engine::epilogue(const OpPlan& op, const float* acc, float ascale) {
     std::int64_t spk = 0;
     if (rc == nullptr) {
       // No refractory gate: the fused SIMD-dispatched row (bit-identical
-      // to the loop below at the Scalar/Avx2 levels) handles integrate +
+      // to the loop below at every SIMD level) handles integrate +
       // threshold + soft reset + spike-bit packing in one pass.
       for (std::int64_t o = 0; o < o_c; ++o) {
         spk += lif_epilogue_row(p, acc + o * p, sc != nullptr ? 1 : 0,
@@ -588,14 +543,14 @@ void Engine::epilogue(const OpPlan& op, const float* acc, float ascale) {
           const float vt = op.beta * m[idx] + in;
           const float dist = vt - op.theta;
           bool live = true;
-          if (rc != nullptr && rc[idx] > 0.f) {
+          if (rc[idx] > 0.f) {
             live = false;
             rc[idx] -= 1.f;
           }
           if (live && dist >= 0.f) {
             dst[idx] = 1.f;
             m[idx] = vt - op.theta;
-            if (rc != nullptr) rc[idx] = static_cast<float>(op.refractory);
+            rc[idx] = static_cast<float>(op.refractory);
             wbits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
             ++spk;
           } else {

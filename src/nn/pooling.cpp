@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 
+#include "tensor/ops.h"
+
 namespace snnskip {
 
 AvgPool2d::AvgPool2d(std::int64_t kernel, std::int64_t stride, bool ceil_mode)
@@ -23,28 +25,9 @@ Shape AvgPool2d::output_shape(const Shape& in) const {
 Tensor AvgPool2d::forward(const Tensor& x, bool train) {
   const Shape& s = x.shape();
   const Shape os = output_shape(s);
-  const std::int64_t n = s[0], c = s[1], h = s[2], w = s[3];
-  const std::int64_t ho = os[2], wo = os[3];
   Tensor out(os);
-  for (std::int64_t i = 0; i < n * c; ++i) {
-    const float* plane = x.data() + i * h * w;
-    float* optr = out.data() + i * ho * wo;
-    for (std::int64_t oy = 0; oy < ho; ++oy) {
-      const std::int64_t y_end = std::min(h, oy * stride_ + kernel_);
-      for (std::int64_t ox = 0; ox < wo; ++ox) {
-        const std::int64_t x_end = std::min(w, ox * stride_ + kernel_);
-        float acc = 0.f;
-        std::int64_t count = 0;
-        for (std::int64_t y = oy * stride_; y < y_end; ++y) {
-          for (std::int64_t xx = ox * stride_; xx < x_end; ++xx) {
-            acc += plane[y * w + xx];
-            ++count;
-          }
-        }
-        optr[oy * wo + ox] = count ? acc / static_cast<float>(count) : 0.f;
-      }
-    }
-  }
+  avg_pool_planes(x.data(), s[0] * s[1], s[2], s[3], kernel_, stride_, os[2],
+                  os[3], out.data());
   if (train) saved_shapes_.push_back(s);
   return out;
 }

@@ -1,10 +1,10 @@
 #pragma once
 // Direct-convolution kernel bodies (contracts: tensor/conv_direct.h),
 // shared by the scalar and AVX2 translation units like the event kernels
-// in spike_kernels_impl.h: V selects AVX2 intrinsics, F fuses the
-// multiply-add. V=true with F=false stays bit-identical to V=false because
-// every output element accumulates the same products in the same order,
-// one unfused multiply and one add per lane.
+// in spike_kernels_impl.h: V selects AVX2 intrinsics. V=true stays
+// bit-identical to V=false because every output element accumulates the
+// same products in the same order, one unfused multiply and one add per
+// lane.
 //
 // Operand layout. Each image is copied once into a zero-padded,
 // stride-phase-split buffer: channel c holds s*s phase planes, plane
@@ -139,7 +139,7 @@ inline void unpack_phases(const ConvGeometry& g, const PhaseLayout& l,
 /// One Mr x (8 * NrV) register tile:
 ///   tile(r, j) = sum over p < depth, ascending, of a[r][aidx(p)] * bptr(p)[j]
 /// accumulated from +0 and stored at tile[r * kNr + j].
-template <bool V, bool F, int Mr, int NrV, typename AIdx, typename BPtr>
+template <bool V, int Mr, int NrV, typename AIdx, typename BPtr>
 inline void dot_tile(std::int64_t depth, const float* const* arow,
                      AIdx&& aidx, BPtr&& bptr, float* tile) {
   const float* a[Mr];
@@ -158,11 +158,7 @@ inline void dot_tile(std::int64_t depth, const float* const* arow,
       for (int r = 0; r < Mr; ++r) {
         const __m256 av = _mm256_set1_ps(a[r][ai]);
         for (int v = 0; v < NrV; ++v) {
-          if constexpr (F) {
-            acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
-          } else {
-            acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
-          }
+          acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
         }
       }
     }
@@ -189,14 +185,14 @@ inline void dot_tile(std::int64_t depth, const float* const* arow,
   }
 }
 
-template <bool V, bool F, int Mr, typename AIdx, typename BPtr>
+template <bool V, int Mr, typename AIdx, typename BPtr>
 inline void dot_tile_cols(bool wide, std::int64_t depth,
                           const float* const* arow, AIdx&& aidx, BPtr&& bptr,
                           float* tile) {
   if (wide) {
-    dot_tile<V, F, Mr, 2>(depth, arow, aidx, bptr, tile);
+    dot_tile<V, Mr, 2>(depth, arow, aidx, bptr, tile);
   } else {
-    dot_tile<V, F, Mr, 1>(depth, arow, aidx, bptr, tile);
+    dot_tile<V, Mr, 1>(depth, arow, aidx, bptr, tile);
   }
 }
 
@@ -206,8 +202,7 @@ inline void dot_tile_cols(bool wide, std::int64_t depth,
 ///               arow(i)[aidx(p)] * bptr(p)[j],
 /// in tiles of up to kMr rows x kNr columns, each handed to
 /// emit(i0, mr, j0, nr, tile) with row stride kNr.
-template <bool V, bool F, typename ARow, typename AIdx, typename BPtr,
-          typename Emit>
+template <bool V, typename ARow, typename AIdx, typename BPtr, typename Emit>
 void run_tiles(std::int64_t m0, std::int64_t m1, std::int64_t n,
                std::int64_t depth, ARow&& arow, AIdx&& aidx, BPtr&& bptr,
                Emit&& emit) {
@@ -220,10 +215,10 @@ void run_tiles(std::int64_t m0, std::int64_t m1, std::int64_t n,
       const bool wide = n - j0 >= kNr;
       auto b = [&](std::int64_t p) { return bptr(p) + j0; };
       switch (mr) {
-        case 4: dot_tile_cols<V, F, 4>(wide, depth, rows, aidx, b, tile); break;
-        case 3: dot_tile_cols<V, F, 3>(wide, depth, rows, aidx, b, tile); break;
-        case 2: dot_tile_cols<V, F, 2>(wide, depth, rows, aidx, b, tile); break;
-        default: dot_tile_cols<V, F, 1>(wide, depth, rows, aidx, b, tile);
+        case 4: dot_tile_cols<V, 4>(wide, depth, rows, aidx, b, tile); break;
+        case 3: dot_tile_cols<V, 3>(wide, depth, rows, aidx, b, tile); break;
+        case 2: dot_tile_cols<V, 2>(wide, depth, rows, aidx, b, tile); break;
+        default: dot_tile_cols<V, 1>(wide, depth, rows, aidx, b, tile);
       }
       emit(i0, mr, j0, wide ? kNr : 8, tile);
     }
@@ -234,7 +229,7 @@ struct Identity {
   std::int64_t operator()(std::int64_t p) const { return p; }
 };
 
-template <bool V, bool F>
+template <bool V>
 void forward(const ConvGeometry& g, std::int64_t n, const float* x,
              const float* weight, std::int64_t out_c, float* out,
              Workspace& ws) {
@@ -254,7 +249,7 @@ void forward(const ConvGeometry& g, std::int64_t n, const float* x,
     for (std::size_t img = b; img < e; ++img) {
       pack_phases(g, l, x + static_cast<std::int64_t>(img) * in_img, xp);
       // ext(o, q) = sum over r = (c, ky, kx) of W(o, r) * xp[roff[r] + q]
-      run_tiles<V, F>(
+      run_tiles<V>(
           0, out_c, l.ext, ckk,
           [&](std::int64_t o) { return weight + o * ckk; }, Identity{},
           [&](std::int64_t r) { return xp + roff[r]; },
@@ -276,7 +271,7 @@ void forward(const ConvGeometry& g, std::int64_t n, const float* x,
   });
 }
 
-template <bool V, bool F>
+template <bool V>
 void backward_input(const ConvGeometry& g, std::int64_t n,
                     const float* grad_out, const float* weight,
                     std::int64_t out_c, float* grad_in, Workspace& ws) {
@@ -320,7 +315,7 @@ void backward_input(const ConvGeometry& g, std::int64_t n,
       // input pixel it maps to, so every pixel receives its terms in
       // ascending (ky, kx) order, as gemm_tn + col2im added them.
       for (std::int64_t t = 0; t < kk; ++t) {
-        run_tiles<V, F>(
+        run_tiles<V>(
             0, g.in_c, l.ext, out_c,
             [&](std::int64_t c) { return wt + (c * kk + t) * out_c; },
             Identity{}, [&](std::int64_t o) { return ge + o * l.ext; },
@@ -339,7 +334,7 @@ void backward_input(const ConvGeometry& g, std::int64_t n,
   });
 }
 
-template <bool V, bool F>
+template <bool V>
 void backward_weight(const ConvGeometry& g, std::int64_t n, const float* x,
                      const float* grad_out, std::int64_t out_c,
                      float* grad_weight, Workspace& ws) {
@@ -377,7 +372,7 @@ void backward_weight(const ConvGeometry& g, std::int64_t n, const float* x,
     // dW once by the transpose, as gemm_nt's per-image product is.
     parallel_for_range(0, static_cast<std::size_t>(blocks),
                        [&](std::size_t b, std::size_t e) {
-      run_tiles<V, F>(
+      run_tiles<V>(
           static_cast<std::int64_t>(b) * kMr,
           std::min(ckk, static_cast<std::int64_t>(e) * kMr), opad, howo,
           [&](std::int64_t r) { return xp + roff[r]; },

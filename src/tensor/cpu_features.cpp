@@ -16,7 +16,6 @@ const char* to_string(SimdLevel level) {
   switch (level) {
     case SimdLevel::Scalar: return "scalar";
     case SimdLevel::Avx2: return "avx2";
-    case SimdLevel::Avx2Fma: return "avx2fma";
   }
   return "scalar";
 }
@@ -26,8 +25,6 @@ bool parse_simd_level(const std::string& s, SimdLevel* out) {
     *out = SimdLevel::Scalar;
   } else if (s == "avx2") {
     *out = SimdLevel::Avx2;
-  } else if (s == "avx2fma") {
-    *out = SimdLevel::Avx2Fma;
   } else {
     return false;
   }
@@ -61,8 +58,8 @@ bool simd_avx2_compiled() {
 }
 
 SimdLevel max_simd_level() {
-  if (!simd_avx2_compiled() || !cpu_has_avx2()) return SimdLevel::Scalar;
-  return cpu_has_fma() ? SimdLevel::Avx2Fma : SimdLevel::Avx2;
+  return simd_avx2_compiled() && cpu_has_avx2() ? SimdLevel::Avx2
+                                                : SimdLevel::Scalar;
 }
 
 std::string cpu_signature() {
@@ -102,14 +99,9 @@ std::once_flag g_resolve_once;
 
 void resolve_active() {
   // Policy: an explicit SNNSKIP_SIMD wins, clamped to what this CPU and
-  // build support; otherwise auto. "auto" picks Avx2 when available and
-  // never Avx2Fma — fused accumulation changes last-ulp rounding, so it
-  // stays an explicit opt-in (header comment).
-  const SimdLevel auto_level = max_simd_level() >= SimdLevel::Avx2
-                                   ? SimdLevel::Avx2
-                                   : SimdLevel::Scalar;
+  // build support; otherwise auto, the highest supported level.
   const std::string choice = env::get_string("SNNSKIP_SIMD", "");
-  SimdLevel level = auto_level;
+  SimdLevel level = max_simd_level();
   if (parse_simd_level(choice, &level)) {
     const SimdLevel max = max_simd_level();
     if (static_cast<int>(level) > static_cast<int>(max)) {

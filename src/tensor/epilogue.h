@@ -1,5 +1,5 @@
 #pragma once
-// SIMD-dispatched inference epilogue rows (ISSUE 9). The compiled engine
+// SIMD-dispatched inference epilogue rows. The compiled engine
 // (src/infer) fuses BN folding + bias + LIF/PLIF (or ReLU) into one pass
 // over each accumulator panel; these are the unit-stride row primitives
 // behind that pass, vectorized per the active SIMD level. The engine
@@ -7,8 +7,7 @@
 // keeps a scalar loop only for refractory neurons.
 //
 // Bitwise contract: the Scalar and Avx2 variants produce identical bits
-// (same unfused multiply/add sequence per element, lane-exact compares);
-// Avx2Fma fuses beta*m + in and is opt-in only.
+// (same unfused multiply/add sequence per element, lane-exact compares).
 
 #include <cstdint>
 

@@ -15,9 +15,8 @@ using gemm_impl::gemm_tn_entry;
 }  // namespace
 
 const GemmKernels* gemm_kernels_scalar() {
-  static const GemmKernels k = {&gemm_nn_entry<false, false>,
-                                &gemm_tn_entry<false, false>,
-                                &gemm_nt_entry<false, false>};
+  static const GemmKernels k = {&gemm_nn_entry<false>, &gemm_tn_entry<false>,
+                                &gemm_nt_entry<false>};
   return &k;
 }
 
@@ -25,7 +24,6 @@ const GemmKernels* gemm_kernels_scalar() {
 // AVX2 translation units not built (non-x86 target or the toolchain lacks
 // -mavx2): alias the scalar table so dispatch never branches on a null.
 const GemmKernels* gemm_kernels_avx2() { return gemm_kernels_scalar(); }
-const GemmKernels* gemm_kernels_avx2fma() { return gemm_kernels_scalar(); }
 #endif
 
 }  // namespace simd

@@ -1,8 +1,7 @@
 #pragma once
-// GEMM driver + microkernel templates, instantiated once per SIMD level
-// (ISSUE 9). gemm.cpp builds the scalar table from these; gemm_avx2.cpp
-// re-instantiates them with UseAvx2=true under -mavx2 -mfma
-// -ffp-contract=off.
+// GEMM driver + microkernel templates, instantiated once per SIMD level.
+// gemm.cpp builds the scalar table from these; gemm_avx2.cpp
+// re-instantiates them with UseAvx2=true under -mavx2 -ffp-contract=off.
 //
 // Bit-identity argument (extends DESIGN.md §5e): every output element
 // accumulates exactly the products the scalar kernel forms, in the same
@@ -10,9 +9,7 @@
 // independent per-element chains per instruction, and with fp-contract off
 // each lane performs the identical unfused multiply-then-add. The K panel
 // length only moves panel boundaries; each element's product sequence is
-// unchanged, so any panel length is bit-equal. The Fused variants use FMA
-// (one rounding per a*b+c) and are therefore NOT bit-identical to scalar —
-// they back the opt-in Avx2Fma level only.
+// unchanged, so any panel length is bit-equal.
 
 #include <algorithm>
 #include <cstdint>
@@ -63,9 +60,8 @@ inline void micro_scalar(std::int64_t n, std::int64_t j0, float alpha,
 #if defined(__AVX2__)
 
 // AVX2 twin: Mr rows x (Nr/8) YMM column vectors of per-element chains.
-// Fused=false issues mul+add (bit-identical to micro_scalar under
-// -ffp-contract=off); Fused=true single-rounds via vfmadd.
-template <int Mr, int NrVec, bool Fused, typename ARow>
+// Issues mul+add, bit-identical to micro_scalar under -ffp-contract=off.
+template <int Mr, int NrVec, typename ARow>
 inline void micro_avx2(std::int64_t n, std::int64_t j0, float alpha,
                        ARow&& arow, const float* b, std::int64_t kk,
                        std::int64_t kend, float* c, std::int64_t i0) {
@@ -88,12 +84,7 @@ inline void micro_avx2(std::int64_t n, std::int64_t j0, float alpha,
     for (int r = 0; r < Mr; ++r) {
       const __m256 av = _mm256_set1_ps(a[r]);
       for (int v = 0; v < NrVec; ++v) {
-        if constexpr (Fused) {
-          acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
-        } else {
-          acc[r][v] =
-              _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
-        }
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
       }
     }
   }
@@ -123,13 +114,13 @@ inline void micro_edge(std::int64_t n, std::int64_t j0, std::int64_t nr,
 }
 
 // Full Mr x Nr register tile at the active SIMD level (Nr a multiple of 8).
-template <bool UseAvx2, bool Fused, int Mr, int Nr, typename ARow>
+template <bool UseAvx2, int Mr, int Nr, typename ARow>
 inline void micro_tile(std::int64_t n, std::int64_t j0, float alpha,
                        ARow&& arow, const float* b, std::int64_t kk,
                        std::int64_t kend, float* c, std::int64_t i0) {
 #if defined(__AVX2__)
   if constexpr (UseAvx2) {
-    micro_avx2<Mr, Nr / 8, Fused>(n, j0, alpha, arow, b, kk, kend, c, i0);
+    micro_avx2<Mr, Nr / 8>(n, j0, alpha, arow, b, kk, kend, c, i0);
     return;
   }
 #else
@@ -155,7 +146,7 @@ inline void scale_rows(std::int64_t n, float beta, float* c, std::int64_t i0,
 // microkernel. The 4x16 tile keeps 4*2 accumulators + 2 B vectors + 1
 // broadcast within the 16 YMM registers; a column remainder of 8-15 runs
 // one 4x8 tile before the edge loop takes the last 0-7 columns.
-template <bool UseAvx2, bool Fused, typename ARow>
+template <bool UseAvx2, typename ARow>
 void drive(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
            ARow&& arow, const float* b, float beta, float* c) {
   constexpr int kMr = 4;
@@ -173,12 +164,12 @@ void drive(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
         std::int64_t j0 = 0;
         if (mr == kMr) {
           for (; j0 + kNr <= n; j0 += kNr) {
-            micro_tile<UseAvx2, Fused, kMr, kNr>(n, j0, alpha, arow, b, kk,
-                                                 kend, c, i0);
+            micro_tile<UseAvx2, kMr, kNr>(n, j0, alpha, arow, b, kk, kend, c,
+                                          i0);
           }
           if (j0 + 8 <= n) {
-            micro_tile<UseAvx2, Fused, kMr, 8>(n, j0, alpha, arow, b, kk, kend,
-                                               c, i0);
+            micro_tile<UseAvx2, kMr, 8>(n, j0, alpha, arow, b, kk, kend, c,
+                                        i0);
             j0 += 8;
           }
         }
@@ -192,22 +183,22 @@ void drive(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 
 // Table entry points: bind the A-access lambdas so the dispatch tables
 // hold plain function pointers.
-template <bool UseAvx2, bool Fused>
+template <bool UseAvx2>
 void gemm_nn_entry(std::int64_t m, std::int64_t n, std::int64_t k,
                    float alpha, const float* a, const float* b, float beta,
                    float* c) {
-  drive<UseAvx2, Fused>(
+  drive<UseAvx2>(
       m, n, k, alpha,
       [a, k](std::int64_t p, std::int64_t i) { return a[i * k + p]; }, b,
       beta, c);
 }
 
-template <bool UseAvx2, bool Fused>
+template <bool UseAvx2>
 void gemm_tn_entry(std::int64_t m, std::int64_t n, std::int64_t k,
                    float alpha, const float* a, const float* b, float beta,
                    float* c) {
   // A is stored (K, M); logical op is A^T(M,K) * B(K,N).
-  drive<UseAvx2, Fused>(
+  drive<UseAvx2>(
       m, n, k, alpha,
       [a, m](std::int64_t p, std::int64_t i) { return a[p * m + i]; }, b,
       beta, c);
@@ -216,8 +207,8 @@ void gemm_tn_entry(std::int64_t m, std::int64_t n, std::int64_t k,
 // gemm_nt: row-times-row dot products, both operands contiguous in K.
 // Fixed 4x4 tile (B is strided across columns; a wide tile would gather).
 // The AVX2 variant vectorizes the 4 B lanes per depth step — per-lane op
-// sequence identical to scalar, so unfused stays bit-equal.
-template <bool UseAvx2, bool Fused>
+// sequence identical to scalar, so it stays bit-equal.
+template <bool UseAvx2>
 void gemm_nt_entry(std::int64_t m, std::int64_t n, std::int64_t k,
                    float alpha, const float* a, const float* b, float beta,
                    float* c) {
@@ -253,17 +244,10 @@ void gemm_nt_entry(std::int64_t m, std::int64_t n, std::int64_t k,
               const __m128 av1 = _mm_set1_ps(a1[p]);
               const __m128 av2 = _mm_set1_ps(a2[p]);
               const __m128 av3 = _mm_set1_ps(a3[p]);
-              if constexpr (Fused) {
-                vacc[0] = _mm_fmadd_ps(av0, bv, vacc[0]);
-                vacc[1] = _mm_fmadd_ps(av1, bv, vacc[1]);
-                vacc[2] = _mm_fmadd_ps(av2, bv, vacc[2]);
-                vacc[3] = _mm_fmadd_ps(av3, bv, vacc[3]);
-              } else {
-                vacc[0] = _mm_add_ps(vacc[0], _mm_mul_ps(av0, bv));
-                vacc[1] = _mm_add_ps(vacc[1], _mm_mul_ps(av1, bv));
-                vacc[2] = _mm_add_ps(vacc[2], _mm_mul_ps(av2, bv));
-                vacc[3] = _mm_add_ps(vacc[3], _mm_mul_ps(av3, bv));
-              }
+              vacc[0] = _mm_add_ps(vacc[0], _mm_mul_ps(av0, bv));
+              vacc[1] = _mm_add_ps(vacc[1], _mm_mul_ps(av1, bv));
+              vacc[2] = _mm_add_ps(vacc[2], _mm_mul_ps(av2, bv));
+              vacc[3] = _mm_add_ps(vacc[3], _mm_mul_ps(av3, bv));
             }
             for (int r = 0; r < kMr; ++r) {
               _mm_storeu_ps(&acc[r][0], vacc[r]);

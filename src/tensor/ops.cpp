@@ -173,4 +173,28 @@ Tensor unpad2d(const Tensor& x, std::int64_t pad) {
   return out;
 }
 
+void avg_pool_planes(const float* src, std::int64_t planes, std::int64_t h,
+                     std::int64_t w, std::int64_t kernel, std::int64_t stride,
+                     std::int64_t ho, std::int64_t wo, float* dst) {
+  for (std::int64_t i = 0; i < planes; ++i) {
+    const float* plane = src + i * h * w;
+    float* optr = dst + i * ho * wo;
+    for (std::int64_t oy = 0; oy < ho; ++oy) {
+      const std::int64_t y_end = std::min(h, oy * stride + kernel);
+      for (std::int64_t ox = 0; ox < wo; ++ox) {
+        const std::int64_t x_end = std::min(w, ox * stride + kernel);
+        float acc = 0.f;
+        std::int64_t count = 0;
+        for (std::int64_t y = oy * stride; y < y_end; ++y) {
+          for (std::int64_t xx = ox * stride; xx < x_end; ++xx) {
+            acc += plane[y * w + xx];
+            ++count;
+          }
+        }
+        optr[oy * wo + ox] = count ? acc / static_cast<float>(count) : 0.f;
+      }
+    }
+  }
+}
+
 }  // namespace snnskip

@@ -42,4 +42,14 @@ Tensor pad2d(const Tensor& x, std::int64_t pad);
 /// Crop the spatial padding added by pad2d (backward of pad2d).
 Tensor unpad2d(const Tensor& x, std::int64_t pad);
 
+/// Average-pool `planes` contiguous (h, w) planes of `src` into (ho, wo)
+/// planes of `dst` with a kernel x kernel window moved by `stride`. A
+/// window cut off by the bottom or right edge (ceil-mode output sizes)
+/// averages only the pixels it covers. AvgPool2d and the inference
+/// engine's pooling ops share this one loop, so their answers agree
+/// bitwise.
+void avg_pool_planes(const float* src, std::int64_t planes, std::int64_t h,
+                     std::int64_t w, std::int64_t kernel, std::int64_t stride,
+                     std::int64_t ho, std::int64_t wo, float* dst);
+
 }  // namespace snnskip

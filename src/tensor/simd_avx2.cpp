@@ -1,8 +1,7 @@
-// AVX2 spike/packed/transpose/epilogue tables (ISSUE 9). Compiled with
-// -mavx2 -mfma -ffp-contract=off (snnskip_simd_kernel_sources) and only
-// when the toolchain supports those flags; fp-contract stays off so the
-// UNFUSED (Avx2) table remains bit-identical to scalar. The Avx2Fma table
-// fuses via explicit _mm256_fmadd intrinsics only.
+// AVX2 spike/packed/transpose/epilogue/direct-conv table. Compiled with
+// -mavx2 -ffp-contract=off (snnskip_simd_kernel_sources) and only when the
+// toolchain supports -mavx2; fp-contract stays off so the table remains
+// bit-identical to scalar.
 
 #if !defined(__AVX2__)
 #error "simd_avx2.cpp must be compiled with -mavx2"
@@ -14,12 +13,7 @@
 namespace snnskip::simd {
 
 const SpikeKernels* spike_kernels_avx2() {
-  static const SpikeKernels k = spike_impl::make_spike_table<true, false>();
-  return &k;
-}
-
-const SpikeKernels* spike_kernels_avx2fma() {
-  static const SpikeKernels k = spike_impl::make_spike_table<true, true>();
+  static const SpikeKernels k = spike_impl::make_spike_table<true>();
   return &k;
 }
 

@@ -1,12 +1,12 @@
 #pragma once
 // Internal per-kernel function-pointer tables behind the runtime SIMD
-// dispatch (ISSUE 9). Public code never includes this; the public entry
-// points in gemm.h / spike_kernels.h / spike_packed.h / epilogue.h pick a
-// table from active_simd() and jump through it.
+// dispatch. Public code never includes this; the public entry points in
+// gemm.h / spike_kernels.h / spike_packed.h / epilogue.h pick a table
+// from active_simd() and jump through it.
 //
 // Layout: one table per SimdLevel per subsystem. The AVX2 tables are
-// defined in the -mavx2 -mfma translation units (gemm_avx2.cpp,
-// simd_avx2.cpp) and only when SNNSKIP_HAVE_AVX2 is set; otherwise the
+// defined in the -mavx2 translation units (gemm_avx2.cpp, simd_avx2.cpp,
+// quant_avx2.cpp) and only when SNNSKIP_HAVE_AVX2 is set; otherwise the
 // accessors alias the scalar tables so dispatch never needs a null check.
 
 #include <cstdint>
@@ -34,12 +34,10 @@ struct GemmKernels {
 
 const GemmKernels* gemm_kernels_scalar();
 const GemmKernels* gemm_kernels_avx2();
-const GemmKernels* gemm_kernels_avx2fma();
 
 inline const GemmKernels* gemm_kernels_for(SimdLevel level) {
   switch (level) {
     case SimdLevel::Avx2: return gemm_kernels_avx2();
-    case SimdLevel::Avx2Fma: return gemm_kernels_avx2fma();
     case SimdLevel::Scalar: break;
   }
   return gemm_kernels_scalar();
@@ -97,12 +95,10 @@ struct SpikeKernels {
 
 const SpikeKernels* spike_kernels_scalar();
 const SpikeKernels* spike_kernels_avx2();
-const SpikeKernels* spike_kernels_avx2fma();
 
 inline const SpikeKernels* spike_kernels_for(SimdLevel level) {
   switch (level) {
     case SimdLevel::Avx2: return spike_kernels_avx2();
-    case SimdLevel::Avx2Fma: return spike_kernels_avx2fma();
     case SimdLevel::Scalar: break;
   }
   return spike_kernels_scalar();
@@ -112,10 +108,9 @@ inline const SpikeKernels& spike_ops() {
   return *spike_kernels_for(active_simd());
 }
 
-// ---- Int8 quantized kernels (ISSUE 10) -------------------------------------
-// One table: the int8 kernels are integer (bit-identical at every level),
-// so there is no separate FMA variant — Avx2 and Avx2Fma share the AVX2
-// instantiation.
+// ---- Int8 quantized kernels ------------------------------------------------
+// Integer arithmetic, so the AVX2 table is bit-identical to scalar like
+// the float tables above.
 
 struct QuantKernels {
   void (*quantize_row)(std::int64_t n, const float* src, float inv,
@@ -140,8 +135,7 @@ const QuantKernels* quant_kernels_avx2();
 
 inline const QuantKernels* quant_kernels_for(SimdLevel level) {
   switch (level) {
-    case SimdLevel::Avx2:
-    case SimdLevel::Avx2Fma: return quant_kernels_avx2();
+    case SimdLevel::Avx2: return quant_kernels_avx2();
     case SimdLevel::Scalar: break;
   }
   return quant_kernels_scalar();

@@ -54,7 +54,7 @@ bool SparseExec::dispatch(const float* data, std::int64_t n, bool backward) {
 namespace simd {
 
 const SpikeKernels* spike_kernels_scalar() {
-  static const SpikeKernels k = spike_impl::make_spike_table<false, false>();
+  static const SpikeKernels k = spike_impl::make_spike_table<false>();
   return &k;
 }
 
@@ -62,7 +62,6 @@ const SpikeKernels* spike_kernels_scalar() {
 // AVX2 translation units not built (non-x86 target or the toolchain lacks
 // -mavx2): alias the scalar table so dispatch never branches on a null.
 const SpikeKernels* spike_kernels_avx2() { return spike_kernels_scalar(); }
-const SpikeKernels* spike_kernels_avx2fma() { return spike_kernels_scalar(); }
 #endif
 
 }  // namespace simd

@@ -1,17 +1,14 @@
 #pragma once
-// Event-kernel bodies shared by the scalar and AVX2 translation units
-// (ISSUE 9). spike_kernels.cpp instantiates everything with V=false;
-// simd_avx2.cpp re-instantiates with V=true (and Fused=true for the
-// Avx2Fma table) under -mavx2 -mfma -ffp-contract=off. The kernel
+// Event-kernel bodies shared by the scalar and AVX2 translation units.
+// spike_kernels.cpp instantiates everything with V=false; simd_avx2.cpp
+// re-instantiates with V=true under -mavx2 -ffp-contract=off. The kernel
 // structure is byte-for-byte the historic scalar code — only the innermost
 // unit-stride loops route through the vector primitives below, each of
 // which preserves the scalar per-element operation sequence exactly
 // (unfused multiply+add per lane), so the V=true instantiations stay
-// bit-identical to V=false. Fused=true single-rounds the multiply-adds and
-// is never reachable from the deterministic training contracts.
+// bit-identical to V=false.
 //
-// Template parameters: V = use AVX2 intrinsics in the primitives,
-// F = fuse multiply-add (only meaningful with V).
+// Template parameter: V = use AVX2 intrinsics in the primitives.
 
 #include <bit>
 #include <cstdint>
@@ -35,7 +32,7 @@ namespace snnskip::spike_impl {
 /// y[0..n) += a * x[0..n). The spike kernels' workhorse: one weight-row
 /// accumulation per (event, tap). The AVX2 variant runs a 1-7 element
 /// tail (O = 6 or 12 at the search's widths) as one masked vector.
-template <bool V, bool F>
+template <bool V>
 inline void axpy(std::int64_t n, float a, const float* __restrict x,
                  float* __restrict y) {
   std::int64_t i = 0;
@@ -43,7 +40,6 @@ inline void axpy(std::int64_t n, float a, const float* __restrict x,
   if constexpr (V) {
     const __m256 av = _mm256_set1_ps(a);
     auto step = [&](__m256 xv, __m256 yv) {
-      if constexpr (F) return _mm256_fmadd_ps(av, xv, yv);
       return _mm256_add_ps(yv, _mm256_mul_ps(av, xv));
     };
     for (; i + 8 <= n; i += 8) {
@@ -66,8 +62,7 @@ inline void axpy(std::int64_t n, float a, const float* __restrict x,
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-/// y[0..n) += x[0..n). Pure adds (the packed binary-spike accumulation) —
-/// no multiply, so fusion never applies and every level is bit-equal.
+/// y[0..n) += x[0..n). Pure adds (the packed binary-spike accumulation).
 template <bool V>
 inline void add_rows(std::int64_t n, const float* __restrict x,
                      float* __restrict y) {
@@ -301,7 +296,7 @@ class TapWalk {
   std::int32_t* xtab_;
 };
 
-template <bool V, bool F>
+template <bool V>
 void conv2d_forward(const ConvGeometry& g, const SpikeCsr& csr,
                     const float* weight, const float* bias, std::int64_t out_c,
                     float* out, Workspace& ws) {
@@ -327,8 +322,8 @@ void conv2d_forward(const ConvGeometry& g, const SpikeCsr& csr,
     walk.image(csr.row_indices(img), csr.row_values(img), csr.row_nnz(img),
                [&](std::int64_t c, float v, std::int64_t tap,
                    std::int64_t opix) {
-                 axpy<V, F>(o_c, v, wt + (c * kk + tap) * o_c,
-                            outt + opix * o_c);
+                 axpy<V>(o_c, v, wt + (c * kk + tap) * o_c,
+                         outt + opix * o_c);
                });
     // Flip (HoWo, O) back to (O, HoWo) and add the bias — exact copies
     // plus the same single add per element the row-wise loop performed.
@@ -340,7 +335,7 @@ void conv2d_forward(const ConvGeometry& g, const SpikeCsr& csr,
   }
 }
 
-template <bool V, bool F>
+template <bool V>
 void linear_forward(const SpikeCsr& csr, const float* weight,
                     const float* bias, std::int64_t out_f, float* out,
                     Workspace& ws) {
@@ -360,12 +355,12 @@ void linear_forward(const SpikeCsr& csr, const float* weight,
     const std::int64_t cnt = csr.row_nnz(i);
     for (std::int64_t e = 0; e < cnt; ++e) {
       const float* wrow = wt + static_cast<std::int64_t>(idx[e]) * out_f;
-      axpy<V, F>(out_f, val[e], wrow, orow);
+      axpy<V>(out_f, val[e], wrow, orow);
     }
   }
 }
 
-template <bool V, bool F>
+template <bool V>
 void depthwise_forward(const ConvGeometry& g, const SpikeCsr& csr,
                        const float* weight, const float* bias, float* out) {
   const std::int64_t howo = g.out_h() * g.out_w();
@@ -390,7 +385,7 @@ void depthwise_forward(const ConvGeometry& g, const SpikeCsr& csr,
   }
 }
 
-template <bool V, bool F>
+template <bool V>
 void conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
                             const float* grad_out, std::int64_t out_c,
                             float* grad_weight, Workspace& ws) {
@@ -424,15 +419,15 @@ void conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
                      csr.row_nnz(img),
                      [&](std::int64_t c, float v, std::int64_t tap,
                          std::int64_t opix) {
-                       axpy<V, F>(ow, v, got + opix * o_c + ob,
-                                  dwt + (c * kk + tap) * ow);
+                       axpy<V>(ow, v, got + opix * o_c + ob,
+                               dwt + (c * kk + tap) * ow);
                      });
           transpose_tiled<V, true>(dwt, ckk, ow, grad_weight + ob * ckk);
         });
   }
 }
 
-template <bool V, bool F>
+template <bool V>
 void conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
                            const float* weight, std::int64_t out_c,
                            float* grad_in, Workspace& ws) {
@@ -511,7 +506,7 @@ void conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
             for (std::int32_t t = b0; t < b1; ++t) {
               const float* wrow =
                   weight + static_cast<std::int64_t>(bo[t]) * ckk;
-              axpy<V, F>(ckk, bg[t], wrow, buf);
+              axpy<V>(ckk, bg[t], wrow, buf);
             }
           }
         });
@@ -543,7 +538,7 @@ void conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
   }
 }
 
-template <bool V, bool F>
+template <bool V>
 void linear_backward_weight(const SpikeCsr& csr, const float* grad_out,
                             std::int64_t out_f, float* grad_weight,
                             Workspace& ws) {
@@ -567,14 +562,14 @@ void linear_backward_weight(const SpikeCsr& csr, const float* grad_out,
           const std::int64_t cnt = csr.row_nnz(row);
           for (std::int64_t ev = 0; ev < cnt; ++ev) {
             float* wrow = wgt + static_cast<std::int64_t>(idx[ev]) * out_f;
-            axpy<V, F>(oe - ob, val[ev], gorow + ob, wrow + ob);
+            axpy<V>(oe - ob, val[ev], gorow + ob, wrow + ob);
           }
         }
       });
   transpose_tiled<V, false>(wgt, in_f, out_f, grad_weight);
 }
 
-template <bool V, bool F>
+template <bool V>
 void linear_backward_input(const SpikeCsr& gcsr, const float* weight,
                            std::int64_t in_f, float* grad_in) {
   parallel_for_range(
@@ -589,13 +584,13 @@ void linear_backward_input(const SpikeCsr& gcsr, const float* weight,
           for (std::int64_t ev = 0; ev < cnt; ++ev) {
             const float* wrow =
                 weight + static_cast<std::int64_t>(idx[ev]) * in_f;
-            axpy<V, F>(in_f, val[ev], wrow, girow);
+            axpy<V>(in_f, val[ev], wrow, girow);
           }
         }
       });
 }
 
-template <bool V, bool F>
+template <bool V>
 void depthwise_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
                                const float* grad_out, float* grad_weight) {
   const std::int64_t howo = g.out_h() * g.out_w();
@@ -616,7 +611,7 @@ void depthwise_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
 
 // ---- Packed-spike term kernels (bodies: see spike_packed.h) ----------------
 
-template <bool V, bool F>
+template <bool V>
 std::int64_t packed_conv2d_term(const ConvGeometry& g, std::int64_t src_c,
                                 const std::uint64_t* words,
                                 const std::int32_t* chrow, const float* wt,
@@ -667,7 +662,7 @@ std::int64_t packed_conv2d_term(const ConvGeometry& g, std::int64_t src_c,
   return synops;
 }
 
-template <bool V, bool F>
+template <bool V>
 std::int64_t packed_depthwise_term(const ConvGeometry& g, std::int64_t src_c,
                                    const std::uint64_t* words,
                                    const std::int32_t* chrow,
@@ -717,7 +712,7 @@ std::int64_t packed_depthwise_term(const ConvGeometry& g, std::int64_t src_c,
 
 // ---- Inference epilogue rows (contracts: tensor/epilogue.h) ----------------
 
-template <bool V, bool F>
+template <bool V>
 std::int64_t lif_row(std::int64_t p, const float* acc, int use_scale,
                      float scale, float bias, float beta, float theta,
                      float* m, float* dst, std::uint64_t* wbits,
@@ -737,12 +732,7 @@ std::int64_t lif_row(std::int64_t p, const float* acc, int use_scale,
       if (use_scale != 0) a = _mm256_mul_ps(sv, a);
       const __m256 in = _mm256_add_ps(a, bv);
       const __m256 mv = _mm256_loadu_ps(m + j);
-      __m256 vt;
-      if constexpr (F) {
-        vt = _mm256_fmadd_ps(betav, mv, in);
-      } else {
-        vt = _mm256_add_ps(_mm256_mul_ps(betav, mv), in);
-      }
+      const __m256 vt = _mm256_add_ps(_mm256_mul_ps(betav, mv), in);
       const __m256 dist = _mm256_sub_ps(vt, thetav);
       // dist >= 0 (ordered: NaN never spikes, matching the scalar compare).
       const __m256 ge = _mm256_cmp_ps(dist, zero, _CMP_GE_OQ);
@@ -784,7 +774,7 @@ std::int64_t lif_row(std::int64_t p, const float* acc, int use_scale,
   return spk;
 }
 
-template <bool V, bool F>
+template <bool V>
 void affine_row(std::int64_t p, const float* acc, int use_scale, float scale,
                 float bias, int relu, float* dst) {
   std::int64_t j = 0;
@@ -811,29 +801,29 @@ void affine_row(std::int64_t p, const float* acc, int use_scale, float scale,
   }
 }
 
-/// One table per (V, F) instantiation; the three accessors in simd_ops.h
-/// each wrap one of these in a function-local static.
-template <bool V, bool F>
+/// One table per V instantiation; the two accessors declared in
+/// simd_ops.h each wrap one of these in a function-local static.
+template <bool V>
 inline simd::SpikeKernels make_spike_table() {
   return simd::SpikeKernels{
-      &conv2d_forward<V, F>,
-      &linear_forward<V, F>,
-      &depthwise_forward<V, F>,
-      &conv2d_backward_weight<V, F>,
-      &conv2d_backward_input<V, F>,
-      &linear_backward_weight<V, F>,
-      &linear_backward_input<V, F>,
-      &depthwise_backward_weight<V, F>,
+      &conv2d_forward<V>,
+      &linear_forward<V>,
+      &depthwise_forward<V>,
+      &conv2d_backward_weight<V>,
+      &conv2d_backward_input<V>,
+      &linear_backward_weight<V>,
+      &linear_backward_input<V>,
+      &depthwise_backward_weight<V>,
       &transpose_tiled<V, false>,
       &transpose_tiled<V, true>,
       &count_nonzero_impl<V>,
-      &packed_conv2d_term<V, F>,
-      &packed_depthwise_term<V, F>,
-      &lif_row<V, F>,
-      &affine_row<V, F>,
-      &direct_impl::forward<V, F>,
-      &direct_impl::backward_input<V, F>,
-      &direct_impl::backward_weight<V, F>,
+      &packed_conv2d_term<V>,
+      &packed_depthwise_term<V>,
+      &lif_row<V>,
+      &affine_row<V>,
+      &direct_impl::forward<V>,
+      &direct_impl::backward_input<V>,
+      &direct_impl::backward_weight<V>,
   };
 }
 

@@ -13,7 +13,6 @@
 namespace snnskip {
 
 namespace {
-constexpr char kMagicV1[8] = {'S', 'N', 'N', 'S', 'K', 'I', 'P', '1'};
 constexpr char kMagicV2[8] = {'S', 'N', 'N', 'S', 'K', 'I', 'P', '2'};
 
 // Header sanity bounds: generous for real models, tight enough that a
@@ -108,20 +107,15 @@ bool load_entries(const std::string& path,
   char magic[8];
   in.read(magic, sizeof(magic));
   if (!in.good()) return fail("unreadable header");
-  bool has_crc;
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    has_crc = true;
-  } else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-    has_crc = false;
-  } else {
+  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
     return fail("bad magic");
   }
 
   std::uint64_t count = 0;
   if (!read_pod(in, count)) return fail("unreadable entry count");
-  // Smallest possible entry: name_len + ndim (+ crc) with no name, no
-  // dims, no payload.
-  const std::int64_t min_entry = has_crc ? 12 : 8;
+  // Smallest possible entry: name_len + ndim + crc with no name, no dims,
+  // no payload.
+  const std::int64_t min_entry = 12;
   std::int64_t remaining = file_size - static_cast<std::int64_t>(in.tellg());
   if (count > static_cast<std::uint64_t>(remaining / min_entry)) {
     return fail("entry count exceeds file size");
@@ -162,7 +156,7 @@ bool load_entries(const std::string& path,
       numel *= d;
     }
     std::uint32_t stored_crc = 0;
-    if (has_crc && !read_pod(in, stored_crc)) return fail("truncated crc");
+    if (!read_pod(in, stored_crc)) return fail("truncated crc");
     remaining = file_size - static_cast<std::int64_t>(in.tellg());
     const std::int64_t payload =
         numel * static_cast<std::int64_t>(sizeof(float));
@@ -172,9 +166,7 @@ bool load_entries(const std::string& path,
     in.read(reinterpret_cast<char*>(value.data()),
             static_cast<std::streamsize>(payload));
     if (!in.good()) return fail("truncated payload");
-    if (has_crc &&
-        crc32(value.data(), static_cast<std::size_t>(payload)) !=
-            stored_crc) {
+    if (crc32(value.data(), static_cast<std::size_t>(payload)) != stored_crc) {
       return fail("checksum mismatch");
     }
     e.value = std::move(value);

@@ -3,7 +3,7 @@
 // simple self-describing binary format so long searches can be resumed and
 // trained models shipped.
 //
-// v2 format (little-endian), crash-safe (ISSUE 3):
+// Format (little-endian), crash-safe:
 //   magic "SNNSKIP2" | u64 count | count x entry
 //   entry: u32 name_len | name bytes | u32 ndim | i64 dims[ndim]
 //          | u32 crc32(payload) | f32 data
@@ -15,8 +15,8 @@
 // before allocating (a corrupted count/dims can no longer trigger huge
 // allocations), verifies each tensor's CRC-32, and on ANY error returns
 // false with `entries` cleared — a checkpoint is restored whole or not at
-// all. v1 files ("SNNSKIP1", no checksums) still load with the same
-// bounds validation.
+// all. Any other magic, the checksum-less "SNNSKIP1" included, fails as
+// "bad magic": every restored tensor has passed its CRC.
 //
 // Loading matches entries to parameters BY NAME and checks shapes; extra
 // entries in the file are ignored, missing parameters are reported.

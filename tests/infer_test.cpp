@@ -92,6 +92,28 @@ std::vector<Tensor> engine_eval(Engine& eng, const std::vector<Tensor>& xs) {
   return outs;
 }
 
+/// A zoo model with its default adjacencies, or one of two variants:
+/// "single_block-chain" (no skips) and "resnet18s-dsc" (each block's
+/// identity skip (0, 2) made a DSC edge, so each strided block's skip
+/// runs the engine's DscGather op).
+Network build_case(const std::string& name, const ModelConfig& cfg) {
+  if (name == "single_block-chain") {
+    return build_model("single_block", cfg, {Adjacency::chain(4)});
+  }
+  if (name == "resnet18s-dsc") {
+    // At threshold 1.0 this network falls silent from its second block
+    // on, so every gathered plane would be zero; at 0.3 every stage fires,
+    // the last one included, so a wrong gather or pooling reaches the
+    // output.
+    ModelConfig firing = cfg;
+    firing.lif.threshold = 0.3f;
+    std::vector<Adjacency> adjs = default_adjacencies("resnet18s", firing);
+    for (Adjacency& adj : adjs) adj.set(0, 2, SkipType::DSC);
+    return build_model("resnet18s", firing, adjs);
+  }
+  return build_model(name, cfg, default_adjacencies(name, cfg));
+}
+
 float max_step_diff(const std::vector<Tensor>& a,
                     const std::vector<Tensor>& b) {
   EXPECT_EQ(a.size(), b.size());
@@ -201,14 +223,17 @@ TEST_F(InferTest, FoldedPlanMatchesTrainingEvalPlif) {
 }
 
 TEST_F(InferTest, NoFoldDensePlanIsBitwiseEqualToTraining) {
-  // fold_bn = false keeps the training layout: the engine's dense path
-  // runs the identical im2col + GEMM, BN-eval expressions, and LIF update,
-  // so with both sides forced dense the outputs must agree exactly.
+  // fold_bn = false keeps the training layout: the engine's dense im2col +
+  // GEMM and the training layers' direct conv kernels sum each output's
+  // products in the same order from +0, and both sides share the BN-eval
+  // expressions, pooling loop and LIF update, so with both sides forced
+  // dense the outputs must agree exactly.
   SparseExec::set_threshold(0.f);  // training-graph side stays dense
-  for (const std::string model :
-       {"single_block", "resnet18s", "densenet121s", "mobilenetv2s"}) {
+  for (const std::string model : {"single_block", "resnet18s",
+                                  "resnet18s-dsc", "densenet121s",
+                                  "mobilenetv2s"}) {
     ModelConfig cfg = small_cfg();
-    Network net = build_model(model, cfg, default_adjacencies(model, cfg));
+    Network net = build_case(model, cfg);
     const Shape in{1, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const auto xs = spike_inputs(in, 4, 0.25f, 31);
@@ -233,14 +258,10 @@ TEST_F(InferTest, NoFoldPackedPlanIsBitwiseEqualToSparseTraining) {
   // every family's join types.
   SparseExec::set_threshold(1.f);
   for (const std::string model : {"single_block", "single_block-chain",
-                                  "resnet18s", "densenet121s",
-                                  "mobilenetv2s"}) {
+                                  "resnet18s", "resnet18s-dsc",
+                                  "densenet121s", "mobilenetv2s"}) {
     ModelConfig cfg = small_cfg();
-    const bool chain = model == "single_block-chain";
-    Network net = chain ? build_model("single_block", cfg,
-                                      {Adjacency::chain(4)})
-                        : build_model(model, cfg,
-                                      default_adjacencies(model, cfg));
+    Network net = build_case(model, cfg);
     const Shape in{1, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const auto xs = spike_inputs(in, 4, 0.15f, 41);
