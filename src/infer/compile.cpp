@@ -459,6 +459,7 @@ class Compiler {
     const Shape s = shape(in);  // copy: emit() reallocates the value table
     op.geom = ConvGeometry{conv.in_channels(), s[2], s[3], conv.kernel(),
                            conv.stride(), conv.pad()};
+    op.taps = tap_table(op.geom);
     op.out_c = conv.out_channels();
     op.macs = conv.macs(s);
     TermPlan t;
@@ -540,6 +541,7 @@ class Compiler {
     t.channels = src_c;
     t.geom = ConvGeometry{src_c, src_s[2], src_s[3], kc,
                           s1 * cons.stride(), cons.pad() * s1};
+    t.taps = tap_table(t.geom);
     t.pgeom = ConvGeometry{src_c, src_s[2], src_s[3], 1, s1, 0};
     t.proj_c = mid_c;
     t.pw.assign(proj.weight().value.data(),
@@ -718,6 +720,7 @@ class Compiler {
       } else {
         fail("unsupported block node op '" + node.op->name() + "'");
       }
+      op.taps = tap_table(op.geom);
 
       const bool spiking_out = op.epi == Epi::Lif;
       node_vals[static_cast<std::size_t>(i)] =

@@ -214,8 +214,7 @@ void Engine::step(const Tensor& x, Tensor* out) {
     throw std::invalid_argument(
         "infer::Engine::step: input shape does not match the compiled plan");
   }
-  const std::int64_t spikes0 = stats_.spikes;
-  const std::int64_t synops0 = stats_.synops;
+  const ExecStats before = stats_;
 
   write_input(x);
   for (std::size_t i = 0; i < plan_->ops.size(); ++i) {
@@ -230,16 +229,23 @@ void Engine::step(const Tensor& x, Tensor* out) {
 
   ++t_;
   ++stats_.steps;
-  Telemetry::count("infer.steps");
-  Telemetry::count(ctr_steps_.c_str());
-  Telemetry::count("infer.spikes_popcount",
-                   static_cast<double>(stats_.spikes - spikes0));
-  Telemetry::count(ctr_spikes_.c_str(),
-                   static_cast<double>(stats_.spikes - spikes0));
-  Telemetry::count("infer.synops",
-                   static_cast<double>(stats_.synops - synops0));
-  Telemetry::count(ctr_synops_.c_str(),
-                   static_cast<double>(stats_.synops - synops0));
+  // Once per step, not per op: each count takes the telemetry lock, which
+  // concurrent traced engines otherwise contend on every op.
+  auto count = [](const char* total, const std::string& model, double n) {
+    Telemetry::count(total, n);
+    Telemetry::count(model.c_str(), n);
+  };
+  count("infer.steps", ctr_steps_, 1.0);
+  count("infer.spikes_popcount", ctr_spikes_,
+        static_cast<double>(stats_.spikes - before.spikes));
+  count("infer.synops", ctr_synops_,
+        static_cast<double>(stats_.synops - before.synops));
+  count("infer.packed_layers", ctr_packed_,
+        static_cast<double>(stats_.packed_dispatches -
+                            before.packed_dispatches));
+  count("infer.dense_layers", ctr_dense_,
+        static_cast<double>(stats_.dense_dispatches -
+                            before.dense_dispatches));
 }
 
 void Engine::write_input(const Tensor& x) {
@@ -284,15 +290,7 @@ bool Engine::packed_ok(const OpPlan& op) {
 }
 
 void Engine::count_dispatch(bool packed) {
-  if (packed) {
-    ++stats_.packed_dispatches;
-    Telemetry::count("infer.packed_layers");
-    Telemetry::count(ctr_packed_.c_str());
-  } else {
-    ++stats_.dense_dispatches;
-    Telemetry::count("infer.dense_layers");
-    Telemetry::count(ctr_dense_.c_str());
-  }
+  ++(packed ? stats_.packed_dispatches : stats_.dense_dispatches);
 }
 
 void Engine::assemble(const OpPlan& op, float* dst, float* patch) {
@@ -335,6 +333,21 @@ void Engine::assemble(const OpPlan& op, float* dst, float* patch) {
 // Scratch layout of the weight ops: the accumulator first, then what the
 // dispatch needs past it (op_scratch in the compiler sizes each region).
 
+template <class Acc>
+void Engine::lif_panel_epilogue(const OpPlan& op, const Acc* acc) {
+  const ValuePlan& ov = val(op.out);
+  const std::size_t bi = static_cast<std::size_t>(op.copy_index(t_));
+  std::uint64_t* wbits = words(op.out);
+  std::memset(wbits, 0,
+              static_cast<std::size_t>(ov.words) * sizeof(std::uint64_t));
+  const std::int64_t spk = lif_epilogue_panel(
+      ov.floats / op.out_c, op.out_c, acc,
+      op.scale.empty() ? nullptr : op.scale[bi].data(), op.bias[bi].data(),
+      op.beta, op.theta, sarena_.data() + op.state_off, dense(op.out), wbits);
+  popcount(op.out) = spk;
+  stats_.spikes += spk;
+}
+
 template <class P>
 void Engine::exec_conv(const OpPlan& op) {
   using Acc = typename P::Acc;
@@ -343,8 +356,9 @@ void Engine::exec_conv(const OpPlan& op) {
   const std::int64_t o_c = op.out_c;
   const std::size_t wi = op.weight_copy(t_);
   Acc* acc = reinterpret_cast<Acc*>(scratch_.data());
-  // Packed: the panel's (O, P) transpose. Dense: the assembled input, then
-  // the patch matrix.
+  // Packed: the panel's (O, P) transpose, unless the LIF panel epilogue
+  // reads the panel itself. Dense: the assembled input, then the patch
+  // matrix.
   float* rest = scratch_.data() + o_c * p;
   float* cols = rest + g.in_c * g.in_h * g.in_w;
   const bool packed = packed_ok(op);
@@ -357,15 +371,19 @@ void Engine::exec_conv(const OpPlan& op) {
       if (t.sunk) {
         // Composite kernel over the projection's own spiking source, onto
         // the same output grid.
-        stats_.synops += P::conv_term(t.geom, src_c, w, nullptr,
-                                      P::panel(t, wi), o_c, acc);
+        stats_.synops += P::conv_term(t.geom, t.taps.data(), src_c, w,
+                                      nullptr, P::panel(t, wi), o_c, acc);
       } else {
-        stats_.synops += P::conv_term(g, src_c, w, chrow_of(t),
-                                      P::panel(op, wi), o_c, acc);
+        stats_.synops += P::conv_term(g, op.taps.data(), src_c, w,
+                                      chrow_of(t), P::panel(op, wi), o_c, acc);
       }
     }
-    transpose_panel(P::widen(p * o_c, acc), p, o_c, rest);
-    epilogue(op, rest);
+    if (op.epi == Epi::Lif && op.refrac_off < 0) {
+      lif_panel_epilogue(op, acc);
+    } else {
+      transpose_panel(P::widen(p * o_c, acc), p, o_c, rest);
+      epilogue(op, rest);
+    }
   } else {
     assemble(op, rest, cols);
     P::conv_gemm(op, wi, rest, cols, acc);  // (O, P)
@@ -388,8 +406,8 @@ void Engine::exec_dwconv(const OpPlan& op) {
   if (packed) {
     std::memset(acc, 0, static_cast<std::size_t>(g.in_c * p) * sizeof(Acc));
     for (const TermPlan& t : op.terms) {
-      stats_.synops += P::dw_term(g, val(t.value).shape[1], words(t.value),
-                                  chrow_of(t), bank, acc);
+      stats_.synops += P::dw_term(g, op.taps.data(), val(t.value).shape[1],
+                                  words(t.value), chrow_of(t), bank, acc);
     }
     epilogue(op, P::widen(g.in_c * p, acc));
   } else {

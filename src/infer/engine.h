@@ -153,8 +153,8 @@ class Engine {
   /// GEMM work. Records the assembled range for calibration.
   void assemble(const OpPlan& op, float* dst, float* patch);
 
-  /// Adds one packed or dense dispatch of an op to the stats and the
-  /// telemetry counters.
+  /// Adds one packed or dense dispatch of an op to the stats; step()
+  /// reports the step's dispatches to the telemetry counters.
   void count_dispatch(bool packed);
 
   /// Fused epilogue: scale/bias (+LIF or ReLU) over the (O, P)
@@ -164,6 +164,12 @@ class Engine {
   /// ascale * sc[o]); 1.0 everywhere else (exact — multiplying a float by
   /// 1.0 is the identity, so fp32 plans are untouched).
   void epilogue(const OpPlan& op, const float* acc, float ascale = 1.f);
+
+  /// The packed conv route's LIF epilogue (no refractory counter): reads
+  /// the (P, O) event panel directly, float or int32, and writes what
+  /// epilogue() writes, bitwise.
+  template <class Acc>
+  void lif_panel_epilogue(const OpPlan& op, const Acc* acc);
 
   /// Calibration: max-merge |x| over `n` floats into the current op's
   /// sink slot (no-op without a sink).

@@ -102,6 +102,7 @@ struct TermPlan {
   // weight copies; `value` is the projection's input.
   bool sunk = false;
   ConvGeometry geom{};                 ///< composite geometry over source
+  std::vector<std::int32_t> taps;      ///< tap table of `geom`
   std::vector<std::vector<float>> wt;  ///< per-t ((c,ky,kx), o) panels
   // Dense-dispatch route: the composite kernel's zero rows are free on
   // the event path but real GEMM work when dense, so at dense dispatch
@@ -144,6 +145,10 @@ struct OpPlan {
   // ceil_mode below apply.
   ConvGeometry geom{};
   std::int64_t out_c = 0;
+  /// Conv/DwConv: the packed term kernels' tap table of `geom`
+  /// (tensor/spike_packed.h), built once at compile time so no step
+  /// decodes a tap with a division or builds a table.
+  std::vector<std::int32_t> taps;
   std::int64_t pool_kernel = 0, pool_stride = 0;
   bool pool_ceil = false;
 

@@ -1,10 +1,11 @@
 #pragma once
-// SIMD-dispatched inference epilogue rows. The compiled engine
-// (src/infer) fuses BN folding + bias + LIF/PLIF (or ReLU) into one pass
-// over each accumulator panel; these are the unit-stride row primitives
-// behind that pass, vectorized per the active SIMD level. The engine
-// transposes its packed-conv (P, O) panels to (O, P) rows first, and
-// keeps a scalar loop only for refractory neurons.
+// SIMD-dispatched inference epilogues. The compiled engine (src/infer)
+// fuses BN folding + bias + LIF/PLIF (or ReLU) into one pass over each
+// accumulator, vectorized per the active SIMD level. The row kernels
+// read (O, P) rows: dense dispatch, depthwise, Neuron ops and ReLU
+// epilogues. A packed conv's LIF epilogue reads its (P, O) event panel
+// directly through lif_epilogue_panel, which transposes in registers.
+// Refractory neurons keep the engine's scalar loop.
 //
 // Bitwise contract: the Scalar and Avx2 variants produce identical bits
 // (same unfused multiply/add sequence per element, lane-exact compares).
@@ -26,6 +27,23 @@ std::int64_t lif_epilogue_row(std::int64_t p, const float* acc, int use_scale,
                               float scale, float bias, float beta, float theta,
                               float* m, float* dst, std::uint64_t* wbits,
                               std::int64_t bit0);
+
+/// lif_epilogue_row over every channel of a (p, o_c) accumulator panel
+/// (row j holds output pixel j's o_c channels), writing the (o_c, p)
+/// membrane `m`, dense mirror `dst` and bits `wbits` (bit o * p + j):
+/// element (o, j) takes acc[j * o_c + o], scale[o] (no scale when null)
+/// and bias[o] through the row kernel's exact arithmetic, so the result
+/// is bitwise that of a transpose and one row call per channel. Returns
+/// the spike count. The int32 overload converts each accumulator exactly
+/// on load (int8 plans).
+std::int64_t lif_epilogue_panel(std::int64_t p, std::int64_t o_c,
+                                const float* acc, const float* scale,
+                                const float* bias, float beta, float theta,
+                                float* m, float* dst, std::uint64_t* wbits);
+std::int64_t lif_epilogue_panel(std::int64_t p, std::int64_t o_c,
+                                const std::int32_t* acc, const float* scale,
+                                const float* bias, float beta, float theta,
+                                float* m, float* dst, std::uint64_t* wbits);
 
 /// Fused affine(+ReLU) epilogue over one contiguous row:
 ///   in = (use_scale ? scale * acc[j] : acc[j]) + bias

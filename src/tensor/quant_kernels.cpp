@@ -39,24 +39,26 @@ void gemm_s8s32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
 }
 
 std::int64_t spike_packed_conv2d_term_i8(const ConvGeometry& g,
+                                         const std::int32_t* taps,
                                          std::int64_t src_c,
                                          const std::uint64_t* words,
                                          const std::int32_t* chrow,
                                          const std::int8_t* wt,
                                          std::int64_t out_c,
                                          std::int32_t* outt) {
-  return simd::quant_ops().packed_conv2d_term_i8(g, src_c, words, chrow, wt,
-                                                 out_c, outt);
+  return simd::quant_ops().packed_conv2d_term_i8(g, taps, src_c, words, chrow,
+                                                 wt, out_c, outt);
 }
 
 std::int64_t spike_packed_depthwise_term_i8(const ConvGeometry& g,
+                                            const std::int32_t* taps,
                                             std::int64_t src_c,
                                             const std::uint64_t* words,
                                             const std::int32_t* chrow,
                                             const std::int8_t* weight,
                                             std::int32_t* acc) {
-  return simd::quant_ops().packed_depthwise_term_i8(g, src_c, words, chrow,
-                                                    weight, acc);
+  return simd::quant_ops().packed_depthwise_term_i8(g, taps, src_c, words,
+                                                    chrow, weight, acc);
 }
 
 }  // namespace snnskip

@@ -37,8 +37,10 @@ void gemm_s8s32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
 
 /// Int8 twin of spike_packed_conv2d_term: accumulate one packed input
 /// term into the transposed int32 panel `outt` ((Ho*Wo, O) rows). Same
-/// contracts (chrow mapping, event order, returned accumulate count).
+/// contracts (tap table, chrow mapping, event order, returned accumulate
+/// count).
 std::int64_t spike_packed_conv2d_term_i8(const ConvGeometry& g,
+                                         const std::int32_t* taps,
                                          std::int64_t src_c,
                                          const std::uint64_t* words,
                                          const std::int32_t* chrow,
@@ -48,6 +50,7 @@ std::int64_t spike_packed_conv2d_term_i8(const ConvGeometry& g,
 
 /// Int8 twin of spike_packed_depthwise_term ((C, Ho, Wo) int32 acc).
 std::int64_t spike_packed_depthwise_term_i8(const ConvGeometry& g,
+                                            const std::int32_t* taps,
                                             std::int64_t src_c,
                                             const std::uint64_t* words,
                                             const std::int32_t* chrow,

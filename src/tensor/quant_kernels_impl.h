@@ -25,7 +25,6 @@
 // the int32 accumulator never wraps (asserted at max geometry by
 // tests/quant_test.cpp).
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -36,6 +35,7 @@
 
 #include "tensor/im2col.h"
 #include "tensor/simd_ops.h"
+#include "tensor/spike_packed.h"
 
 namespace snnskip::quant_impl {
 
@@ -173,111 +173,47 @@ void gemm_s8s32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
 }
 
 // ---- Packed-spike int8 term kernels ----------------------------------------
-// Same event walk as spike_impl::packed_conv2d_term / packed_depthwise_term
-// (word skip + count-trailing-zeros bit walk, chrow channel mapping), but
-// the weight rows are int8 and the accumulator panel is int32: binary
+// Same walk as spike_impl::packed_conv2d_term / packed_depthwise_term
+// (walk_packed_taps over the plan's tap table, chrow channel mapping),
+// but the weight rows are int8 and the accumulator panel is int32: binary
 // spikes make the event path a pure integer row-add, so the int8 packed
 // dispatch is EXACT given the quantized weights (no input quantization at
 // all). Returns the accumulate count (energy accounting), like the fp32
 // twins.
 
 template <bool V>
-std::int64_t packed_conv2d_term_i8(const ConvGeometry& g, std::int64_t src_c,
+std::int64_t packed_conv2d_term_i8(const ConvGeometry& g,
+                                   const std::int32_t* taps,
+                                   std::int64_t src_c,
                                    const std::uint64_t* words,
                                    const std::int32_t* chrow,
                                    const std::int8_t* wt, std::int64_t out_c,
                                    std::int32_t* outt) {
-  const std::int64_t h = g.in_h, w = g.in_w;
-  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
-  const std::int64_t ho = g.out_h(), wo = g.out_w();
-  const std::int64_t plane = h * w;
-  const std::int64_t numel = src_c * plane;
-  const std::int64_t nwords = (numel + 63) >> 6;
-  std::int64_t synops = 0;
-
-  for (std::int64_t wi = 0; wi < nwords; ++wi) {
-    std::uint64_t bits = words[wi];
-    if (bits == 0) continue;  // popcount-guided: skip 64 positions at once
-    const std::int64_t base = wi << 6;
-    while (bits != 0) {
-      const std::int64_t flat = base + std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::int64_t c = flat / plane;
-      const std::int64_t rem = flat - c * plane;
-      const std::int64_t iy = rem / w;
-      const std::int64_t ix = rem - iy * w;
-      const std::int64_t row =
-          chrow != nullptr ? static_cast<std::int64_t>(chrow[c]) : c;
-      if (row < 0) continue;
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const std::int64_t ty = iy + pad - ky;
-        if (ty < 0 || ty % s != 0) continue;
-        const std::int64_t oy = ty / s;
-        if (oy >= ho) continue;
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::int64_t tx = ix + pad - kx;
-          if (tx < 0 || tx % s != 0) continue;
-          const std::int64_t ox = tx / s;
-          if (ox >= wo) continue;
-          const std::int8_t* wrow = wt + ((row * k + ky) * k + kx) * out_c;
-          std::int32_t* orow = outt + (oy * wo + ox) * out_c;
-          add_rows_i8<V>(out_c, wrow, orow);
-          synops += out_c;
-        }
-      }
-    }
-  }
-  return synops;
+  const std::int64_t kk = g.kernel * g.kernel;
+  return out_c * walk_packed_taps(
+                     g, taps, src_c, words, chrow,
+                     [=](std::int64_t row, std::int64_t tap,
+                         std::int64_t opix) {
+                       add_rows_i8<V>(out_c, wt + (row * kk + tap) * out_c,
+                                      outt + opix * out_c);
+                     });
 }
 
 template <bool V>
 std::int64_t packed_depthwise_term_i8(const ConvGeometry& g,
+                                      const std::int32_t* taps,
                                       std::int64_t src_c,
                                       const std::uint64_t* words,
                                       const std::int32_t* chrow,
                                       const std::int8_t* weight,
                                       std::int32_t* acc) {
-  const std::int64_t h = g.in_h, w = g.in_w;
-  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
-  const std::int64_t ho = g.out_h(), wo = g.out_w();
-  const std::int64_t plane = h * w;
-  const std::int64_t numel = src_c * plane;
-  const std::int64_t nwords = (numel + 63) >> 6;
-  std::int64_t synops = 0;
-
-  for (std::int64_t wi = 0; wi < nwords; ++wi) {
-    std::uint64_t bits = words[wi];
-    if (bits == 0) continue;
-    const std::int64_t base = wi << 6;
-    while (bits != 0) {
-      const std::int64_t flat = base + std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::int64_t c = flat / plane;
-      const std::int64_t rem = flat - c * plane;
-      const std::int64_t iy = rem / w;
-      const std::int64_t ix = rem - iy * w;
-      const std::int64_t row =
-          chrow != nullptr ? static_cast<std::int64_t>(chrow[c]) : c;
-      if (row < 0) continue;
-      const std::int8_t* ker = weight + row * k * k;
-      std::int32_t* oplane = acc + row * ho * wo;
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const std::int64_t ty = iy + pad - ky;
-        if (ty < 0 || ty % s != 0) continue;
-        const std::int64_t oy = ty / s;
-        if (oy >= ho) continue;
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::int64_t tx = ix + pad - kx;
-          if (tx < 0 || tx % s != 0) continue;
-          const std::int64_t ox = tx / s;
-          if (ox >= wo) continue;
-          oplane[oy * wo + ox] += ker[ky * k + kx];
-          ++synops;
-        }
-      }
-    }
-  }
-  return synops;
+  const std::int64_t kk = g.kernel * g.kernel;
+  const std::int64_t howo = g.out_h() * g.out_w();
+  return walk_packed_taps(g, taps, src_c, words, chrow,
+                          [=](std::int64_t row, std::int64_t tap,
+                              std::int64_t opix) {
+                            acc[row * howo + opix] += weight[row * kk + tap];
+                          });
 }
 
 /// One table per V instantiation; the accessors in simd_ops.h each wrap

@@ -67,11 +67,12 @@ struct SpikeKernels {
   void (*transpose)(const float*, std::int64_t, std::int64_t, float*);
   void (*transpose_add)(const float*, std::int64_t, std::int64_t, float*);
   std::int64_t (*count_nonzero)(const float*, std::int64_t);
-  std::int64_t (*packed_conv2d_term)(const ConvGeometry&, std::int64_t,
-                                     const std::uint64_t*,
+  std::int64_t (*packed_conv2d_term)(const ConvGeometry&, const std::int32_t*,
+                                     std::int64_t, const std::uint64_t*,
                                      const std::int32_t*, const float*,
                                      std::int64_t, float*);
-  std::int64_t (*packed_depthwise_term)(const ConvGeometry&, std::int64_t,
+  std::int64_t (*packed_depthwise_term)(const ConvGeometry&,
+                                        const std::int32_t*, std::int64_t,
                                         const std::uint64_t*,
                                         const std::int32_t*, const float*,
                                         float*);
@@ -79,6 +80,14 @@ struct SpikeKernels {
                           float scale, float bias, float beta, float theta,
                           float* m, float* dst, std::uint64_t* wbits,
                           std::int64_t bit0);
+  std::int64_t (*lif_panel)(std::int64_t p, std::int64_t o_c,
+                            const float* acc, const float* scale,
+                            const float* bias, float beta, float theta,
+                            float* m, float* dst, std::uint64_t* wbits);
+  std::int64_t (*lif_panel_i32)(std::int64_t p, std::int64_t o_c,
+                                const std::int32_t* acc, const float* scale,
+                                const float* bias, float beta, float theta,
+                                float* m, float* dst, std::uint64_t* wbits);
   void (*affine_row)(std::int64_t p, const float* acc, int use_scale,
                      float scale, float bias, int relu, float* dst);
   // Dense direct convolution (tensor/conv_direct.h).
@@ -119,12 +128,14 @@ struct QuantKernels {
   void (*gemm_s8s32_nt)(std::int64_t m, std::int64_t n, std::int64_t k,
                         const std::int8_t* a, const std::int8_t* b,
                         std::int32_t* c);
-  std::int64_t (*packed_conv2d_term_i8)(const ConvGeometry&, std::int64_t,
+  std::int64_t (*packed_conv2d_term_i8)(const ConvGeometry&,
+                                        const std::int32_t*, std::int64_t,
                                         const std::uint64_t*,
                                         const std::int32_t*,
                                         const std::int8_t*, std::int64_t,
                                         std::int32_t*);
-  std::int64_t (*packed_depthwise_term_i8)(const ConvGeometry&, std::int64_t,
+  std::int64_t (*packed_depthwise_term_i8)(const ConvGeometry&,
+                                           const std::int32_t*, std::int64_t,
                                            const std::uint64_t*,
                                            const std::int32_t*,
                                            const std::int8_t*, std::int32_t*);

@@ -162,6 +162,22 @@ std::int64_t lif_epilogue_row(std::int64_t p, const float* acc, int use_scale,
                                    theta, m, dst, wbits, bit0);
 }
 
+std::int64_t lif_epilogue_panel(std::int64_t p, std::int64_t o_c,
+                                const float* acc, const float* scale,
+                                const float* bias, float beta, float theta,
+                                float* m, float* dst, std::uint64_t* wbits) {
+  return simd::spike_ops().lif_panel(p, o_c, acc, scale, bias, beta, theta, m,
+                                     dst, wbits);
+}
+
+std::int64_t lif_epilogue_panel(std::int64_t p, std::int64_t o_c,
+                                const std::int32_t* acc, const float* scale,
+                                const float* bias, float beta, float theta,
+                                float* m, float* dst, std::uint64_t* wbits) {
+  return simd::spike_ops().lif_panel_i32(p, o_c, acc, scale, bias, beta,
+                                         theta, m, dst, wbits);
+}
+
 void affine_epilogue_row(std::int64_t p, const float* acc, int use_scale,
                          float scale, float bias, int relu, float* dst) {
   simd::spike_ops().affine_row(p, acc, use_scale, scale, bias, relu, dst);

@@ -23,6 +23,7 @@
 #include "tensor/im2col.h"
 #include "tensor/simd_ops.h"
 #include "tensor/spike_csr.h"
+#include "tensor/spike_packed.h"
 #include "tensor/workspace.h"
 
 namespace snnskip::spike_impl {
@@ -96,45 +97,44 @@ inline void add_scalar(std::int64_t n, float a, float* __restrict y) {
 // ---- Cache-blocked transpose (satellite: one templated helper) -------------
 
 #if defined(__AVX2__)
+/// Transposes 8 rows of 8 floats in registers: afterwards r[i] holds
+/// column i of the input rows. Shuffles only — exact.
+inline void transpose8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, 0x44);
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, 0x44);
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, 0x44);
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, 0x44);
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
 /// 8x8 in-register transpose block: reads 8 rows of 8 at stride `scols`,
 /// writes (or adds) the transpose as 8 rows at stride `dcols`. Exact
 /// copies/adds — no reassociation anywhere.
 template <bool Add>
 inline void transpose_8x8_avx2(const float* src, std::int64_t scols,
                                float* dst, std::int64_t dcols) {
-  __m256 r0 = _mm256_loadu_ps(src + 0 * scols);
-  __m256 r1 = _mm256_loadu_ps(src + 1 * scols);
-  __m256 r2 = _mm256_loadu_ps(src + 2 * scols);
-  __m256 r3 = _mm256_loadu_ps(src + 3 * scols);
-  __m256 r4 = _mm256_loadu_ps(src + 4 * scols);
-  __m256 r5 = _mm256_loadu_ps(src + 5 * scols);
-  __m256 r6 = _mm256_loadu_ps(src + 6 * scols);
-  __m256 r7 = _mm256_loadu_ps(src + 7 * scols);
-  __m256 t0 = _mm256_unpacklo_ps(r0, r1);
-  __m256 t1 = _mm256_unpackhi_ps(r0, r1);
-  __m256 t2 = _mm256_unpacklo_ps(r2, r3);
-  __m256 t3 = _mm256_unpackhi_ps(r2, r3);
-  __m256 t4 = _mm256_unpacklo_ps(r4, r5);
-  __m256 t5 = _mm256_unpackhi_ps(r4, r5);
-  __m256 t6 = _mm256_unpacklo_ps(r6, r7);
-  __m256 t7 = _mm256_unpackhi_ps(r6, r7);
-  __m256 s0 = _mm256_shuffle_ps(t0, t2, 0x44);
-  __m256 s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
-  __m256 s2 = _mm256_shuffle_ps(t1, t3, 0x44);
-  __m256 s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
-  __m256 s4 = _mm256_shuffle_ps(t4, t6, 0x44);
-  __m256 s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
-  __m256 s6 = _mm256_shuffle_ps(t5, t7, 0x44);
-  __m256 s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
   __m256 o[8];
-  o[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
-  o[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
-  o[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
-  o[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
-  o[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
-  o[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
-  o[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
-  o[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+  for (int i = 0; i < 8; ++i) o[i] = _mm256_loadu_ps(src + i * scols);
+  transpose8(o);
   for (int i = 0; i < 8; ++i) {
     float* d = dst + i * dcols;
     if constexpr (Add) {
@@ -219,25 +219,14 @@ std::int64_t count_nonzero_impl(const float* data, std::int64_t n) {
 
 // ---- CSR event kernels (bodies: see spike_kernels.h for contracts) ---------
 
-/// The training event kernels' shared tap walk. An event at input pixel
-/// (c, iy, ix) feeds output pixel (oy, ox) through tap (ky, kx) when
-/// iy + pad - ky = s * oy and ix + pad - kx = s * ox land in range; those
-/// (ky, oy) and (kx, ox) pairs depend on iy and ix alone, so they are
-/// tabulated once per call. Events ascend within an image, so each event's
-/// (c, iy, ix) is decoded by advancing channel and row bases from the
-/// previous one. No division runs per event or per tap.
+/// The training event kernels' shared tap walk over CSR events: the tap
+/// table (fill_tap_table) is built once per call in workspace memory, and
+/// TapCursor decodes each event without a division.
 class TapWalk {
  public:
   TapWalk(const ConvGeometry& g, Workspace::Scope& scope)
-      : w_(g.in_w),
-        hw_(g.in_h * g.in_w),
-        entry_len_(1 + 2 * g.kernel),
-        ytab_(direct_impl::ints(scope, g.in_h * entry_len_)),
-        xtab_(direct_impl::ints(scope, g.in_w * entry_len_)) {
-    // Row entry iy: [count, (ky * K, oy * Wo)...]; column entry ix:
-    // [count, (kx, ox)...]; both ascending in the tap.
-    fill(g, g.in_h, g.out_h(), g.kernel, g.out_w(), ytab_);
-    fill(g, g.in_w, g.out_w(), 1, 1, xtab_);
+      : g_(g), tab_(direct_impl::ints(scope, tap_table_ints(g))) {
+    fill_tap_table(g, tab_);
   }
 
   /// Calls f(c, v, tap, opix) for each valid tap of each of one image's
@@ -246,54 +235,19 @@ class TapWalk {
   template <typename Fn>
   void image(const std::int32_t* idx, const float* val, std::int64_t cnt,
              Fn&& f) const {
-    std::int64_t c = 0, cbase = 0, rbase = 0, iy = 0;
+    TapCursor cur(g_, tab_);
     for (std::int64_t e = 0; e < cnt; ++e) {
-      const std::int64_t flat = idx[e];
-      if (flat >= cbase + hw_) {
-        do {
-          cbase += hw_;
-          ++c;
-        } while (flat >= cbase + hw_);
-        rbase = cbase;
-        iy = 0;
-      }
-      while (flat >= rbase + w_) {
-        rbase += w_;
-        ++iy;
-      }
-      const std::int32_t* ty = ytab_ + iy * entry_len_;
-      const std::int32_t* tx = xtab_ + (flat - rbase) * entry_len_;
+      const std::int64_t c = cur.seek(idx[e]);
       const float v = val[e];
-      for (std::int32_t a = 0; a < ty[0]; ++a) {
-        const std::int64_t tap_y = ty[1 + 2 * a], pix_y = ty[2 + 2 * a];
-        for (std::int32_t b = 0; b < tx[0]; ++b) {
-          f(c, v, tap_y + tx[1 + 2 * b], pix_y + tx[2 + 2 * b]);
-        }
-      }
+      cur.taps([&](std::int64_t tap, std::int64_t opix) {
+        f(c, v, tap, opix);
+      });
     }
   }
 
  private:
-  void fill(const ConvGeometry& g, std::int64_t len, std::int64_t out_len,
-            std::int64_t tap_scale, std::int64_t pix_scale,
-            std::int32_t* tab) const {
-    for (std::int64_t i = 0; i < len; ++i) {
-      std::int32_t* entry = tab + i * entry_len_;
-      std::int32_t n = 0;
-      for (std::int64_t k = 0; k < g.kernel; ++k) {
-        const std::int64_t t = i + g.pad - k;
-        if (t < 0 || t % g.stride != 0 || t / g.stride >= out_len) continue;
-        entry[1 + 2 * n] = static_cast<std::int32_t>(k * tap_scale);
-        entry[2 + 2 * n] = static_cast<std::int32_t>(t / g.stride * pix_scale);
-        ++n;
-      }
-      entry[0] = n;
-    }
-  }
-
-  std::int64_t w_, hw_, entry_len_;
-  std::int32_t* ytab_;
-  std::int32_t* xtab_;
+  ConvGeometry g_;
+  std::int32_t* tab_;
 };
 
 template <bool V>
@@ -612,105 +566,73 @@ void depthwise_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
 // ---- Packed-spike term kernels (bodies: see spike_packed.h) ----------------
 
 template <bool V>
-std::int64_t packed_conv2d_term(const ConvGeometry& g, std::int64_t src_c,
+std::int64_t packed_conv2d_term(const ConvGeometry& g,
+                                const std::int32_t* taps, std::int64_t src_c,
                                 const std::uint64_t* words,
                                 const std::int32_t* chrow, const float* wt,
                                 std::int64_t out_c, float* outt) {
-  const std::int64_t h = g.in_h, w = g.in_w;
-  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
-  const std::int64_t ho = g.out_h(), wo = g.out_w();
-  const std::int64_t plane = h * w;
-  const std::int64_t numel = src_c * plane;
-  const std::int64_t nwords = (numel + 63) >> 6;
-  std::int64_t synops = 0;
-
-  for (std::int64_t wi = 0; wi < nwords; ++wi) {
-    std::uint64_t bits = words[wi];
-    if (bits == 0) continue;  // popcount-guided: skip 64 positions at once
-    const std::int64_t base = wi << 6;
-    while (bits != 0) {
-      const std::int64_t flat = base + std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::int64_t c = flat / plane;
-      const std::int64_t rem = flat - c * plane;
-      const std::int64_t iy = rem / w;
-      const std::int64_t ix = rem - iy * w;
-      const std::int64_t row =
-          chrow != nullptr ? static_cast<std::int64_t>(chrow[c]) : c;
-      if (row < 0) continue;
-      // Same tap walk as spike_conv2d_forward: each valid (ky, kx) is one
-      // contiguous out_c-length accumulation of a transposed weight row —
-      // pure adds (binary spikes), so every SIMD level is bit-equal.
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const std::int64_t ty = iy + pad - ky;
-        if (ty < 0 || ty % s != 0) continue;
-        const std::int64_t oy = ty / s;
-        if (oy >= ho) continue;
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::int64_t tx = ix + pad - kx;
-          if (tx < 0 || tx % s != 0) continue;
-          const std::int64_t ox = tx / s;
-          if (ox >= wo) continue;
-          const float* wrow = wt + ((row * k + ky) * k + kx) * out_c;
-          float* orow = outt + (oy * wo + ox) * out_c;
-          add_rows<V>(out_c, wrow, orow);
-          synops += out_c;
-        }
-      }
-    }
-  }
-  return synops;
+  const std::int64_t kk = g.kernel * g.kernel;
+  // Each valid tap is one contiguous out_c-length accumulation of a
+  // transposed weight row — pure adds (binary spikes), so every SIMD level
+  // is bit-equal.
+  return out_c * walk_packed_taps(
+                     g, taps, src_c, words, chrow,
+                     [=](std::int64_t row, std::int64_t tap,
+                         std::int64_t opix) {
+                       add_rows<V>(out_c, wt + (row * kk + tap) * out_c,
+                                   outt + opix * out_c);
+                     });
 }
 
 template <bool V>
-std::int64_t packed_depthwise_term(const ConvGeometry& g, std::int64_t src_c,
+std::int64_t packed_depthwise_term(const ConvGeometry& g,
+                                   const std::int32_t* taps,
+                                   std::int64_t src_c,
                                    const std::uint64_t* words,
                                    const std::int32_t* chrow,
                                    const float* weight, float* acc) {
-  const std::int64_t h = g.in_h, w = g.in_w;
-  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
-  const std::int64_t ho = g.out_h(), wo = g.out_w();
-  const std::int64_t plane = h * w;
-  const std::int64_t numel = src_c * plane;
-  const std::int64_t nwords = (numel + 63) >> 6;
-  std::int64_t synops = 0;
-
-  for (std::int64_t wi = 0; wi < nwords; ++wi) {
-    std::uint64_t bits = words[wi];
-    if (bits == 0) continue;
-    const std::int64_t base = wi << 6;
-    while (bits != 0) {
-      const std::int64_t flat = base + std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::int64_t c = flat / plane;
-      const std::int64_t rem = flat - c * plane;
-      const std::int64_t iy = rem / w;
-      const std::int64_t ix = rem - iy * w;
-      const std::int64_t row =
-          chrow != nullptr ? static_cast<std::int64_t>(chrow[c]) : c;
-      if (row < 0) continue;
-      const float* ker = weight + row * k * k;
-      float* oplane = acc + row * ho * wo;
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const std::int64_t ty = iy + pad - ky;
-        if (ty < 0 || ty % s != 0) continue;
-        const std::int64_t oy = ty / s;
-        if (oy >= ho) continue;
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::int64_t tx = ix + pad - kx;
-          if (tx < 0 || tx % s != 0) continue;
-          const std::int64_t ox = tx / s;
-          if (ox >= wo) continue;
-          oplane[oy * wo + ox] += ker[ky * k + kx];
-          ++synops;
-        }
-      }
-    }
-  }
-  return synops;
+  const std::int64_t kk = g.kernel * g.kernel;
+  const std::int64_t howo = g.out_h() * g.out_w();
+  return walk_packed_taps(g, taps, src_c, words, chrow,
+                          [=](std::int64_t row, std::int64_t tap,
+                              std::int64_t opix) {
+                            acc[row * howo + opix] += weight[row * kk + tap];
+                          });
 }
 
 // ---- Inference epilogue rows (contracts: tensor/epilogue.h) ----------------
+
+#if defined(__AVX2__)
+/// The LIF update of 8 lanes, shared by lif_row and lif_panel: inputs
+/// `in` against membranes `mv`, vt = beta * mv + in, spike where
+/// vt - theta >= 0 (ordered: NaN never spikes, matching the scalar
+/// compare), soft reset on spike lanes.
+struct LifLanes {
+  __m256 spike;  ///< 1.0 on spike lanes, +0 elsewhere
+  __m256 m;      ///< updated membranes
+  unsigned mask; ///< spike lanes as bits
+};
+inline LifLanes lif_lanes(__m256 in, __m256 mv, __m256 betav,
+                          __m256 thetav) {
+  const __m256 vt = _mm256_add_ps(_mm256_mul_ps(betav, mv), in);
+  const __m256 dist = _mm256_sub_ps(vt, thetav);
+  const __m256 ge = _mm256_cmp_ps(dist, _mm256_setzero_ps(), _CMP_GE_OQ);
+  return {_mm256_and_ps(ge, _mm256_set1_ps(1.f)),
+          _mm256_blendv_ps(vt, dist, ge),
+          static_cast<unsigned>(_mm256_movemask_ps(ge))};
+}
+
+/// ORs the low `n` bits of `mask` into `wbits` from bit `bit` on; the
+/// caller guarantees every set bit's position is in range.
+inline void or_bits(std::uint64_t* wbits, std::int64_t bit, unsigned mask,
+                    std::int64_t n) {
+  const int off = static_cast<int>(bit & 63);
+  wbits[bit >> 6] |= static_cast<std::uint64_t>(mask) << off;
+  if (off + n > 64) {
+    wbits[(bit >> 6) + 1] |= static_cast<std::uint64_t>(mask) >> (64 - off);
+  }
+}
+#endif
 
 template <bool V>
 std::int64_t lif_row(std::int64_t p, const float* acc, int use_scale,
@@ -725,32 +647,16 @@ std::int64_t lif_row(std::int64_t p, const float* acc, int use_scale,
     const __m256 bv = _mm256_set1_ps(bias);
     const __m256 betav = _mm256_set1_ps(beta);
     const __m256 thetav = _mm256_set1_ps(theta);
-    const __m256 one = _mm256_set1_ps(1.f);
-    const __m256 zero = _mm256_setzero_ps();
     for (; j + 8 <= p; j += 8) {
       __m256 a = _mm256_loadu_ps(acc + j);
       if (use_scale != 0) a = _mm256_mul_ps(sv, a);
-      const __m256 in = _mm256_add_ps(a, bv);
-      const __m256 mv = _mm256_loadu_ps(m + j);
-      const __m256 vt = _mm256_add_ps(_mm256_mul_ps(betav, mv), in);
-      const __m256 dist = _mm256_sub_ps(vt, thetav);
-      // dist >= 0 (ordered: NaN never spikes, matching the scalar compare).
-      const __m256 ge = _mm256_cmp_ps(dist, zero, _CMP_GE_OQ);
-      _mm256_storeu_ps(dst + j, _mm256_and_ps(ge, one));
-      // Soft reset on spike lanes, plain integrate on the rest.
-      _mm256_storeu_ps(m + j, _mm256_blendv_ps(vt, dist, ge));
-      const unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(ge));
-      spk += std::popcount(mask);
-      if (mask != 0) {
-        const std::int64_t bit = bit0 + j;
-        const std::int64_t wrd = bit >> 6;
-        const int off = static_cast<int>(bit & 63);
-        wbits[wrd] |= static_cast<std::uint64_t>(mask) << off;
-        if (off > 56) {
-          // The 8 lanes straddle a word boundary; the caller guarantees
-          // bit0 + p - 1 is in range, so wrd + 1 exists.
-          wbits[wrd + 1] |= static_cast<std::uint64_t>(mask) >> (64 - off);
-        }
+      const LifLanes l = lif_lanes(_mm256_add_ps(a, bv),
+                                   _mm256_loadu_ps(m + j), betav, thetav);
+      _mm256_storeu_ps(dst + j, l.spike);
+      _mm256_storeu_ps(m + j, l.m);
+      if (l.mask != 0) {
+        spk += std::popcount(l.mask);
+        or_bits(wbits, bit0 + j, l.mask, 8);
       }
     }
   }
@@ -769,6 +675,179 @@ std::int64_t lif_row(std::int64_t p, const float* acc, int use_scale,
     } else {
       dst[j] = 0.f;
       m[j] = vt;
+    }
+  }
+  return spk;
+}
+
+#if defined(__AVX2__)
+/// Eight accumulators of one panel row as floats; lanes at or past `n`
+/// are neither read nor kept (they read 0).
+inline __m256 load_acc8(const float* src, std::int64_t n, __m256i mask) {
+  return n == 8 ? _mm256_loadu_ps(src) : _mm256_maskload_ps(src, mask);
+}
+inline __m256 load_acc8(const std::int32_t* src, std::int64_t n,
+                        __m256i mask) {
+  const auto* s = reinterpret_cast<const __m256i*>(src);
+  return _mm256_cvtepi32_ps(n == 8 ? _mm256_loadu_si256(s)
+                                   : _mm256_maskload_epi32(src, mask));
+}
+
+/// Accumulators at src[idx[k]] for the lanes set in `mask` (0 elsewhere).
+inline __m256 gather_acc8(const float* src, __m256i idx, __m256i mask) {
+  return _mm256_mask_i32gather_ps(_mm256_setzero_ps(), src, idx,
+                                  _mm256_castsi256_ps(mask), 4);
+}
+inline __m256 gather_acc8(const std::int32_t* src, __m256i idx,
+                          __m256i mask) {
+  return _mm256_cvtepi32_ps(_mm256_mask_i32gather_epi32(
+      _mm256_setzero_si256(), src, idx, mask, 4));
+}
+#endif
+
+#if defined(__AVX2__)
+/// The AVX2 body of lif_panel (below), with the scale test hoisted out
+/// of its loops.
+template <bool Scaled, class Acc>
+std::int64_t lif_panel_avx2(std::int64_t p, std::int64_t o_c, const Acc* acc,
+                            const float* scale, const float* bias, float beta,
+                            float theta, float* m, float* dst,
+                            std::uint64_t* wbits) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256 betav = _mm256_set1_ps(beta);
+  const __m256 thetav = _mm256_set1_ps(theta);
+  const __m256 one = _mm256_set1_ps(1.f);
+  const __m256 zero = _mm256_setzero_ps();
+  std::int64_t spk = 0;
+  auto lanes_below = [&](std::int64_t n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)), lane);
+  };
+  // lif_row's lane update of the n outputs at m/dst + at and bit `at` on;
+  // `a` holds their accumulators, `s` and `b` their scales and biases.
+  auto update = [&](__m256 a, __m256 s, __m256 b, std::int64_t at,
+                    std::int64_t n, __m256i nmask) {
+    if constexpr (Scaled) a = _mm256_mul_ps(s, a);
+    float* mo = m + at;
+    float* d = dst + at;
+    LifLanes l = lif_lanes(
+        _mm256_add_ps(a, b),
+        n == 8 ? _mm256_loadu_ps(mo) : _mm256_maskload_ps(mo, nmask), betav,
+        thetav);
+    if (n == 8) {
+      _mm256_storeu_ps(d, l.spike);
+      _mm256_storeu_ps(mo, l.m);
+    } else {
+      _mm256_maskstore_ps(d, nmask, l.spike);
+      _mm256_maskstore_ps(mo, nmask, l.m);
+      l.mask &= (1u << n) - 1u;
+    }
+    if (l.mask != 0) {
+      spk += std::popcount(l.mask);
+      or_bits(wbits, at, l.mask, n);
+    }
+  };
+
+  if (p < 8) {
+    // Lane f of an 8-channel block's 8p outputs is channel o0 + f / p,
+    // pixel f % p.
+    alignas(32) std::int32_t orel[56], aidx[56];
+    for (std::int64_t f = 0; f < 8 * p; ++f) {
+      orel[f] = static_cast<std::int32_t>(f / p);
+      aidx[f] = static_cast<std::int32_t>(f % p * o_c + f / p);
+    }
+    for (std::int64_t o0 = 0; o0 < o_c; o0 += 8) {
+      const __m256i cmask = lanes_below(o_c - o0);
+      const __m256 s8 = Scaled ? _mm256_maskload_ps(scale + o0, cmask) : one;
+      const __m256 b8 = _mm256_maskload_ps(bias + o0, cmask);
+      const std::int64_t n = (o_c - o0 < 8 ? o_c - o0 : 8) * p;
+      for (std::int64_t f = 0; f < n; f += 8) {
+        const std::int64_t nl = n - f < 8 ? n - f : 8;
+        const __m256i lm = lanes_below(nl);
+        const __m256i oi =
+            _mm256_load_si256(reinterpret_cast<const __m256i*>(orel + f));
+        const __m256i ai =
+            _mm256_load_si256(reinterpret_cast<const __m256i*>(aidx + f));
+        update(gather_acc8(acc + o0, ai, lm),
+               _mm256_permutevar8x32_ps(s8, oi),
+               _mm256_permutevar8x32_ps(b8, oi), o0 * p + f, nl, lm);
+      }
+    }
+    return spk;
+  }
+
+  for (std::int64_t o0 = 0; o0 < o_c; o0 += 8) {
+    const std::int64_t nc = o_c - o0 < 8 ? o_c - o0 : 8;
+    const __m256i cmask = lanes_below(nc);
+    // One 8-pixel x nc-channel tile at pixel j0 with nr pixels valid.
+    auto tile = [&](std::int64_t j0, std::int64_t nr, __m256i rmask) {
+      __m256 r[8];
+      for (std::int64_t i = 0; i < 8; ++i) {
+        r[i] = i < nr ? load_acc8(acc + (j0 + i) * o_c + o0, nc, cmask)
+                      : zero;
+      }
+      transpose8(r);  // r[c]: channel o0 + c at pixels j0..j0+7
+      auto channel = [&](std::int64_t c) {
+        const std::int64_t o = o0 + c;
+        update(r[c], Scaled ? _mm256_set1_ps(scale[o]) : one,
+               _mm256_set1_ps(bias[o]), o * p + j0, nr, rmask);
+      };
+      if (nc == 8) {
+#pragma GCC unroll 8
+        for (std::int64_t c = 0; c < 8; ++c) channel(c);
+      } else {
+        for (std::int64_t c = 0; c < nc; ++c) channel(c);
+      }
+    };
+    const __m256i all = lanes_below(8);
+    std::int64_t j0 = 0;
+    for (; j0 + 8 <= p; j0 += 8) tile(j0, 8, all);
+    if (j0 < p) tile(j0, p - j0, lanes_below(p - j0));
+  }
+  return spk;
+}
+#endif
+
+/// lif_row over a (p, o_c) accumulator panel, writing the (o_c, p)
+/// outputs: element (o, j) integrates acc[j * o_c + o] (an int32
+/// accumulator converts exactly, as i32_to_f32 does) with scale[o] (none
+/// when null) and bias[o], by lif_row's per-element arithmetic. The AVX2
+/// body runs 8 outputs of one channel row per vector. From p = 8 up it
+/// transposes 8-pixel x 8-channel tiles in registers; below, a channel's
+/// row is shorter than a vector, so each vector covers 8 consecutive
+/// outputs of the (o_c, p) layout, gathers their accumulators and
+/// permutes their channels' scales and biases into place. Only a panel's
+/// last tile or vector masks lanes.
+template <bool V, class Acc>
+std::int64_t lif_panel(std::int64_t p, std::int64_t o_c, const Acc* acc,
+                       const float* scale, const float* bias, float beta,
+                       float theta, float* m, float* dst,
+                       std::uint64_t* wbits) {
+#if defined(__AVX2__)
+  if constexpr (V) {
+    return scale != nullptr
+               ? lif_panel_avx2<true>(p, o_c, acc, scale, bias, beta, theta, m,
+                                      dst, wbits)
+               : lif_panel_avx2<false>(p, o_c, acc, scale, bias, beta, theta,
+                                       m, dst, wbits);
+  }
+#endif
+  std::int64_t spk = 0;
+  for (std::int64_t o = 0; o < o_c; ++o) {
+    for (std::int64_t j = 0; j < p; ++j) {
+      const float a0 = static_cast<float>(acc[j * o_c + o]);
+      const float in = (scale != nullptr ? scale[o] * a0 : a0) + bias[o];
+      const std::int64_t idx = o * p + j;
+      const float vt = beta * m[idx] + in;
+      const float dist = vt - theta;
+      if (dist >= 0.f) {
+        dst[idx] = 1.f;
+        m[idx] = dist;
+        wbits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+        ++spk;
+      } else {
+        dst[idx] = 0.f;
+        m[idx] = vt;
+      }
     }
   }
   return spk;
@@ -820,6 +899,8 @@ inline simd::SpikeKernels make_spike_table() {
       &packed_conv2d_term<V>,
       &packed_depthwise_term<V>,
       &lif_row<V>,
+      &lif_panel<V, float>,
+      &lif_panel<V, std::int32_t>,
       &affine_row<V>,
       &direct_impl::forward<V>,
       &direct_impl::backward_input<V>,

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "infer/engine.h"
 #include "infer/quant.h"
 #include "models/zoo.h"
+#include "snn/spike_stats.h"
+#include "tensor/quant_kernels.h"
 #include "tensor/spike_csr.h"
 #include "tensor/spike_kernels.h"
 #include "tensor/spike_packed.h"
@@ -95,23 +98,50 @@ std::vector<Tensor> engine_eval(Engine& eng, const std::vector<Tensor>& xs) {
 /// A zoo model with its default adjacencies, or one of two variants:
 /// "single_block-chain" (no skips) and "resnet18s-dsc" (each block's
 /// identity skip (0, 2) made a DSC edge, so each strided block's skip
-/// runs the engine's DscGather op).
+/// runs the engine's DscGather op). Each case runs at a LIF threshold at
+/// which every LIF layer fires over the no-fold tests' sequences (8x8
+/// input, densities 0.15 and 0.25), the highest of {1, 0.75, 0.5, 0.4}
+/// (resnet18s-dsc keeps its 0.3): at threshold 1.0 the deep stages of
+/// resnet18s, resnet18s-dsc and densenet121s stay silent, and a bitwise
+/// comparison of all-zero planes checks nothing there.
 Network build_case(const std::string& name, const ModelConfig& cfg) {
+  ModelConfig firing = cfg;
+  if (name == "single_block" || name == "single_block-chain") {
+    firing.lif.threshold = 0.75f;
+  } else if (name == "resnet18s") {
+    firing.lif.threshold = 0.5f;
+  } else if (name == "densenet121s") {
+    firing.lif.threshold = 0.4f;
+  } else if (name == "resnet18s-dsc") {
+    firing.lif.threshold = 0.3f;
+  }
   if (name == "single_block-chain") {
-    return build_model("single_block", cfg, {Adjacency::chain(4)});
+    return build_model("single_block", firing, {Adjacency::chain(4)});
   }
   if (name == "resnet18s-dsc") {
-    // At threshold 1.0 this network falls silent from its second block
-    // on, so every gathered plane would be zero; at 0.3 every stage fires,
-    // the last one included, so a wrong gather or pooling reaches the
-    // output.
-    ModelConfig firing = cfg;
-    firing.lif.threshold = 0.3f;
     std::vector<Adjacency> adjs = default_adjacencies("resnet18s", firing);
     for (Adjacency& adj : adjs) adj.set(0, 2, SkipType::DSC);
     return build_model("resnet18s", firing, adjs);
   }
-  return build_model(name, cfg, default_adjacencies(name, cfg));
+  return build_model(name, firing, default_adjacencies(name, firing));
+}
+
+/// The training eval forward of `xs`, failing the test if some LIF layer
+/// stays silent over the whole sequence.
+std::vector<Tensor> firing_training_eval(Network& net,
+                                         const std::vector<Tensor>& xs,
+                                         const std::string& label) {
+  FiringRateRecorder rec;
+  net.set_recorder(&rec);
+  auto outs = training_eval(net, xs);
+  net.set_recorder(nullptr);
+  const auto rates = rec.per_layer_rates();
+  EXPECT_FALSE(rates.empty()) << label;
+  for (const auto& [layer, rate] : rates) {
+    EXPECT_GT(rate, 0.0) << label << ": LIF layer " << layer
+                         << " never fired";
+  }
+  return outs;
 }
 
 float max_step_diff(const std::vector<Tensor>& a,
@@ -175,14 +205,140 @@ TEST_F(InferTest, PackedConvTermMatchesCsrKernelBitwise) {
     }
   }
   std::vector<float> panel(static_cast<std::size_t>(p * o_c), 0.f);
-  const std::int64_t synops = spike_packed_conv2d_term(
-      g, g.in_c, words.data(), nullptr, wt.data(), o_c, panel.data());
+  const std::vector<std::int32_t> taps = tap_table(g);
+  const std::int64_t synops =
+      spike_packed_conv2d_term(g, taps.data(), g.in_c, words.data(), nullptr,
+                               wt.data(), o_c, panel.data());
   EXPECT_GT(synops, 0);
   for (std::int64_t o = 0; o < o_c; ++o) {
     for (std::int64_t j = 0; j < p; ++j) {
       EXPECT_EQ(panel[static_cast<std::size_t>(j * o_c + o)],
                 ref[static_cast<std::size_t>(o * p + j)])
           << "o=" << o << " j=" << j;
+    }
+  }
+}
+
+/// The packed term kernels' walk before tap tables: two divisions per
+/// event and a stride test per kernel row and tap. Reference for the
+/// table-driven kernels, which must visit the same events and taps in the
+/// same order.
+template <class W, class A>
+std::int64_t division_walk(const ConvGeometry& g, std::int64_t src_c,
+                           const std::uint64_t* words,
+                           const std::int32_t* chrow, const W* weight,
+                           std::int64_t out_c, bool depthwise, A* acc) {
+  const std::int64_t k = g.kernel, s = g.stride;
+  const std::int64_t ho = g.out_h(), wo = g.out_w();
+  const std::int64_t plane = g.in_h * g.in_w;
+  std::int64_t synops = 0;
+  for (std::int64_t flat = 0; flat < src_c * plane; ++flat) {
+    if (((words[flat >> 6] >> (flat & 63)) & 1u) == 0) continue;
+    const std::int64_t c = flat / plane;
+    const std::int64_t iy = (flat - c * plane) / g.in_w;
+    const std::int64_t ix = flat - c * plane - iy * g.in_w;
+    const std::int64_t row = chrow != nullptr ? chrow[c] : c;
+    if (row < 0) continue;
+    for (std::int64_t ky = 0; ky < k; ++ky) {
+      const std::int64_t ty = iy + g.pad - ky;
+      if (ty < 0 || ty % s != 0 || ty / s >= ho) continue;
+      for (std::int64_t kx = 0; kx < k; ++kx) {
+        const std::int64_t tx = ix + g.pad - kx;
+        if (tx < 0 || tx % s != 0 || tx / s >= wo) continue;
+        const std::int64_t opix = ty / s * wo + tx / s;
+        const std::int64_t tap = ky * k + kx;
+        if (depthwise) {
+          acc[row * ho * wo + opix] += weight[row * k * k + tap];
+          ++synops;
+        } else {
+          for (std::int64_t o = 0; o < out_c; ++o) {
+            acc[opix * out_c + o] += weight[(row * k * k + tap) * out_c + o];
+          }
+          synops += out_c;
+        }
+      }
+    }
+  }
+  return synops;
+}
+
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST_F(InferTest, TableDrivenPackedTermsMatchDivisionWalk) {
+  // Kernels 1 and 3, and the composite 5 of a projection sunk under a
+  // 3x3 consumer (stride and pad scaled by the projection stride 2);
+  // strides 1 and 2 (4 for the composite), pads 0 and 1 (2); identity
+  // and chrow maps with dropped (-1) channels.
+  const ConvGeometry geoms[] = {
+      {6, 9, 7, 1, 1, 0}, {6, 9, 7, 1, 2, 0}, {6, 9, 7, 3, 1, 1},
+      {6, 9, 7, 3, 2, 1}, {6, 9, 7, 3, 1, 0}, {6, 9, 7, 3, 2, 0},
+      {6, 9, 7, 5, 2, 2}, {6, 9, 7, 5, 4, 2}};
+  const std::int64_t src_c = 5, o_c = 11;
+  Rng rng(17);
+  for (const ConvGeometry& g : geoms) {
+    const std::int64_t numel = src_c * g.in_h * g.in_w;
+    const std::int64_t p = g.out_h() * g.out_w();
+    const std::int64_t kk = g.kernel * g.kernel;
+    Tensor x = Tensor::bernoulli(Shape{numel}, rng, 0.3f);
+    std::vector<std::uint64_t> words(
+        static_cast<std::size_t>(packed_words(numel)));
+    ASSERT_GE(spike_pack(x.data(), numel, words.data()), 0);
+    std::vector<float> wf(static_cast<std::size_t>(g.in_c * kk * o_c));
+    std::vector<std::int8_t> wq(wf.size());
+    for (std::size_t i = 0; i < wf.size(); ++i) {
+      wf[i] = rng.uniform(-1.f, 1.f);
+      wq[i] = static_cast<std::int8_t>(rng.uniform(-127.49f, 127.49f));
+    }
+    const std::vector<std::int32_t> taps = tap_table(g);
+    const std::vector<std::int32_t> remap = {4, -1, 0, 5, -1};
+    for (const std::int32_t* chrow : {static_cast<const std::int32_t*>(nullptr),
+                                      remap.data()}) {
+      const std::string what = "k" + std::to_string(g.kernel) + " s" +
+                               std::to_string(g.stride) + " pad" +
+                               std::to_string(g.pad) +
+                               (chrow != nullptr ? " chrow" : "");
+      std::vector<float> fc(static_cast<std::size_t>(p * o_c), 0.f);
+      std::vector<float> fc_ref = fc;
+      EXPECT_EQ(spike_packed_conv2d_term(g, taps.data(), src_c, words.data(),
+                                         chrow, wf.data(), o_c, fc.data()),
+                division_walk(g, src_c, words.data(), chrow, wf.data(), o_c,
+                              false, fc_ref.data()))
+          << what;
+      EXPECT_TRUE(same_bytes(fc, fc_ref)) << "fp32 conv " << what;
+
+      std::vector<std::int32_t> qc(static_cast<std::size_t>(p * o_c), 0);
+      std::vector<std::int32_t> qc_ref = qc;
+      EXPECT_EQ(spike_packed_conv2d_term_i8(g, taps.data(), src_c,
+                                            words.data(), chrow, wq.data(),
+                                            o_c, qc.data()),
+                division_walk(g, src_c, words.data(), chrow, wq.data(), o_c,
+                              false, qc_ref.data()))
+          << what;
+      EXPECT_TRUE(same_bytes(qc, qc_ref)) << "int8 conv " << what;
+
+      std::vector<float> fd(static_cast<std::size_t>(g.in_c * p), 0.f);
+      std::vector<float> fd_ref = fd;
+      EXPECT_EQ(spike_packed_depthwise_term(g, taps.data(), src_c,
+                                            words.data(), chrow, wf.data(),
+                                            fd.data()),
+                division_walk(g, src_c, words.data(), chrow, wf.data(), 0,
+                              true, fd_ref.data()))
+          << what;
+      EXPECT_TRUE(same_bytes(fd, fd_ref)) << "fp32 depthwise " << what;
+
+      std::vector<std::int32_t> qd(static_cast<std::size_t>(g.in_c * p), 0);
+      std::vector<std::int32_t> qd_ref = qd;
+      EXPECT_EQ(spike_packed_depthwise_term_i8(g, taps.data(), src_c,
+                                               words.data(), chrow, wq.data(),
+                                               qd.data()),
+                division_walk(g, src_c, words.data(), chrow, wq.data(), 0,
+                              true, qd_ref.data()))
+          << what;
+      EXPECT_TRUE(same_bytes(qd, qd_ref)) << "int8 depthwise " << what;
     }
   }
 }
@@ -237,7 +393,7 @@ TEST_F(InferTest, NoFoldDensePlanIsBitwiseEqualToTraining) {
     const Shape in{1, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const auto xs = spike_inputs(in, 4, 0.25f, 31);
-    const auto ref = training_eval(net, xs);
+    const auto ref = firing_training_eval(net, xs, model);
 
     CompileOptions opts;
     opts.fold_bn = false;
@@ -265,7 +421,7 @@ TEST_F(InferTest, NoFoldPackedPlanIsBitwiseEqualToSparseTraining) {
     const Shape in{1, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const auto xs = spike_inputs(in, 4, 0.15f, 41);
-    const auto ref = training_eval(net, xs);
+    const auto ref = firing_training_eval(net, xs, model);
 
     CompileOptions opts;
     opts.fold_bn = false;

@@ -239,8 +239,10 @@ TEST_F(QuantTest, PackedConvTermI8MatchesGemmReference) {
       static_cast<std::size_t>(packed_words(in_n)));
   ASSERT_GE(spike_pack(x.data(), in_n, words.data()), 0);
   std::vector<std::int32_t> panel(static_cast<std::size_t>(p * o_c), 0);
-  const std::int64_t synops = spike_packed_conv2d_term_i8(
-      g, g.in_c, words.data(), nullptr, wt.data(), o_c, panel.data());
+  const std::vector<std::int32_t> taps = tap_table(g);
+  const std::int64_t synops =
+      spike_packed_conv2d_term_i8(g, taps.data(), g.in_c, words.data(),
+                                  nullptr, wt.data(), o_c, panel.data());
   EXPECT_GT(synops, 0);
   for (std::int64_t o = 0; o < o_c; ++o) {
     for (std::int64_t j = 0; j < p; ++j) {
@@ -254,8 +256,9 @@ TEST_F(QuantTest, PackedConvTermI8MatchesGemmReference) {
   if (avx2_available()) {
     std::vector<std::int32_t> vpanel(panel.size(), 0);
     ASSERT_EQ(set_active_simd(SimdLevel::Avx2), SimdLevel::Avx2);
-    EXPECT_EQ(spike_packed_conv2d_term_i8(g, g.in_c, words.data(), nullptr,
-                                          wt.data(), o_c, vpanel.data()),
+    EXPECT_EQ(spike_packed_conv2d_term_i8(g, taps.data(), g.in_c,
+                                          words.data(), nullptr, wt.data(),
+                                          o_c, vpanel.data()),
               synops);
     EXPECT_EQ(std::memcmp(panel.data(), vpanel.data(),
                           panel.size() * sizeof(std::int32_t)),
@@ -284,12 +287,15 @@ TEST_F(QuantTest, PackedDepthwiseTermI8MatchesFloatTwin) {
   std::vector<std::uint64_t> words(
       static_cast<std::size_t>(packed_words(in_n)));
   ASSERT_GE(spike_pack(x.data(), in_n, words.data()), 0);
+  const std::vector<std::int32_t> taps = tap_table(g);
   std::vector<float> facc(static_cast<std::size_t>(out_n), 0.f);
-  const std::int64_t fsyn = spike_packed_depthwise_term(
-      g, g.in_c, words.data(), nullptr, fbank.data(), facc.data());
+  const std::int64_t fsyn =
+      spike_packed_depthwise_term(g, taps.data(), g.in_c, words.data(),
+                                  nullptr, fbank.data(), facc.data());
   std::vector<std::int32_t> iacc(static_cast<std::size_t>(out_n), 0);
-  const std::int64_t isyn = spike_packed_depthwise_term_i8(
-      g, g.in_c, words.data(), nullptr, bank.data(), iacc.data());
+  const std::int64_t isyn =
+      spike_packed_depthwise_term_i8(g, taps.data(), g.in_c, words.data(),
+                                     nullptr, bank.data(), iacc.data());
   EXPECT_EQ(fsyn, isyn);
   for (std::int64_t i = 0; i < out_n; ++i) {
     EXPECT_EQ(static_cast<float>(iacc[static_cast<std::size_t>(i)]),

@@ -344,17 +344,18 @@ TEST_F(SimdTest, PackedTermKernelsBitIdentical) {
   // Transposed weight ((c,ky,kx), o) layout per the packed-term contract.
   const auto wt = randu(g.col_rows() * o_c, 62);
   const auto dwweight = randu(g.in_c * g.kernel * g.kernel, 63);
+  const std::vector<std::int32_t> taps = tap_table(g);
 
   auto run = [&](SimdLevel lvl, std::vector<float>* outt,
                  std::vector<float>* acc, std::int64_t* ops1,
                  std::int64_t* ops2) {
     ASSERT_EQ(set_active_simd(lvl), lvl);
     outt->assign(static_cast<std::size_t>(g.col_cols() * o_c), 0.f);
-    *ops1 = spike_packed_conv2d_term(g, g.in_c, words.data(), nullptr,
-                                     wt.data(), o_c, outt->data());
+    *ops1 = spike_packed_conv2d_term(g, taps.data(), g.in_c, words.data(),
+                                     nullptr, wt.data(), o_c, outt->data());
     acc->assign(static_cast<std::size_t>(g.in_c * g.col_cols()), 0.f);
-    *ops2 = spike_packed_depthwise_term(g, g.in_c, words.data(), nullptr,
-                                        dwweight.data(), acc->data());
+    *ops2 = spike_packed_depthwise_term(g, taps.data(), g.in_c, words.data(),
+                                        nullptr, dwweight.data(), acc->data());
   };
   std::vector<float> so, sa, vo, va;
   std::int64_t sops1, sops2, vops1, vops2;
@@ -401,6 +402,95 @@ TEST_F(SimdTest, LifEpilogueRowBitIdentical) {
   // The NaN lane must not have spiked on either path.
   EXPECT_EQ(sd[4], 0.f);
   EXPECT_EQ((swb[(bit0 + 4) / 64] >> ((bit0 + 4) % 64)) & 1u, 0u);
+}
+
+TEST_F(SimdTest, LifEpiloguePanelBitIdentical) {
+  // The panel kernel reads a (P, O) accumulator and writes (O, P) rows;
+  // its reference is the old route: transpose_panel, then one
+  // lif_epilogue_row per channel. Float and int32 accumulators, with and
+  // without a scale, over panels below, at and past the 8x8 tile, with
+  // channel counts off the vector width. Two steps, so the second reads
+  // membranes the first wrote.
+  const std::pair<std::int64_t, std::int64_t> shapes[] = {
+      {1, 1}, {1, 48}, {4, 64}, {9, 12}, {16, 32}, {25, 6}, {64, 16},
+      {256, 8}};
+  std::vector<SimdLevel> levels = {SimdLevel::Scalar};
+  if (avx2_available()) levels.push_back(SimdLevel::Avx2);
+  std::int64_t total_spikes = 0;
+  struct Out {
+    std::vector<float> m, dst;
+    std::vector<std::uint64_t> bits;
+    std::int64_t spk = 0;
+  };
+  auto same = [](const Out& a, const Out& b) {
+    return bitwise_equal(a.m, b.m) && bitwise_equal(a.dst, b.dst) &&
+           a.bits == b.bits && a.spk == b.spk;
+  };
+  for (const auto& [p, o_c] : shapes) {
+    const std::int64_t n = p * o_c;
+    auto facc = randu(n, 91, -1.5f, 2.f);
+    facc[static_cast<std::size_t>(n / 2)] =
+        std::numeric_limits<float>::quiet_NaN();  // never spikes
+    std::vector<std::int32_t> iacc(static_cast<std::size_t>(n));
+    Rng rng(92);
+    for (auto& v : iacc) v = static_cast<std::int32_t>(rng.uniform(-40, 60));
+    const auto scale = randu(o_c, 93, 0.01f, 0.05f);
+    const auto bias = randu(o_c, 94, -0.3f, 0.3f);
+    const auto m0 = randu(n, 95, 0.f, 1.2f);
+    for (const bool i32 : {false, true}) {
+      std::vector<float> wide(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i) {
+        wide[static_cast<std::size_t>(i)] =
+            i32 ? static_cast<float>(iacc[static_cast<std::size_t>(i)])
+                : facc[static_cast<std::size_t>(i)];
+      }
+      for (const bool scaled : {false, true}) {
+        const std::string what = std::to_string(p) + "x" +
+                                 std::to_string(o_c) +
+                                 (i32 ? " int32" : " float") +
+                                 (scaled ? " scaled" : "");
+        const float* sc = scaled ? scale.data() : nullptr;
+        auto fresh = [&] {
+          Out o;
+          o.m = m0;
+          o.dst.assign(static_cast<std::size_t>(n), -7.f);
+          return o;
+        };
+        Out ref = fresh();
+        ASSERT_EQ(set_active_simd(SimdLevel::Scalar), SimdLevel::Scalar);
+        std::vector<float> rows(static_cast<std::size_t>(n));
+        transpose_panel(wide.data(), p, o_c, rows.data());
+        for (int step = 0; step < 2; ++step) {
+          ref.bits.assign(static_cast<std::size_t>(packed_words(n)), 0u);
+          for (std::int64_t o = 0; o < o_c; ++o) {
+            ref.spk += lif_epilogue_row(
+                p, rows.data() + o * p, scaled ? 1 : 0,
+                scaled ? scale[static_cast<std::size_t>(o)] : 0.f,
+                bias[static_cast<std::size_t>(o)], 0.9f, 1.f,
+                ref.m.data() + o * p, ref.dst.data() + o * p,
+                ref.bits.data(), o * p);
+          }
+        }
+        total_spikes += ref.spk;
+        for (const SimdLevel lvl : levels) {
+          ASSERT_EQ(set_active_simd(lvl), lvl);
+          Out got = fresh();
+          for (int step = 0; step < 2; ++step) {
+            got.bits.assign(static_cast<std::size_t>(packed_words(n)), 0u);
+            got.spk +=
+                i32 ? lif_epilogue_panel(p, o_c, iacc.data(), sc, bias.data(),
+                                         0.9f, 1.f, got.m.data(),
+                                         got.dst.data(), got.bits.data())
+                    : lif_epilogue_panel(p, o_c, facc.data(), sc, bias.data(),
+                                         0.9f, 1.f, got.m.data(),
+                                         got.dst.data(), got.bits.data());
+          }
+          EXPECT_TRUE(same(ref, got)) << what << " at " << to_string(lvl);
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_spikes, 0);
 }
 
 TEST_F(SimdTest, AffineEpilogueRowBitIdentical) {

@@ -9,8 +9,10 @@
 #include <fstream>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "util/cli.h"
+#include "util/crc32.h"
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -255,6 +257,44 @@ TEST(Splitmix, KnownSequenceIsStable) {
   EXPECT_NE(a, b);
   std::uint64_t s2 = 0;
   EXPECT_EQ(splitmix64(s2), a);
+}
+
+/// The byte-at-a-time CRC-32 (reflected 0xEDB88320, zlib's) that the
+/// slicing-by-8 implementation must reproduce.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicingBy8MatchesBytewiseReference) {
+  Rng rng(29);
+  std::vector<unsigned char> buf(16384 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 80; ++n) lengths.push_back(n);
+  lengths.push_back(16384);
+  for (const std::uint32_t seed : {0u, 0x9E3779B9u}) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      for (const std::size_t n : lengths) {
+        EXPECT_EQ(crc32(buf.data() + off, n, seed),
+                  crc32_bytewise(buf.data() + off, n, seed))
+            << "n=" << n << " offset=" << off << " seed=" << seed;
+      }
+    }
+  }
+  // Chaining: crc(a || b) == crc(b, crc(a)), split inside and across the
+  // 8-byte blocks.
+  for (const std::size_t split : {0, 1, 7, 8, 13, 64, 4099, 16384}) {
+    const std::uint32_t whole = crc32(buf.data(), 16384);
+    const std::uint32_t head = crc32(buf.data(), split);
+    EXPECT_EQ(crc32(buf.data() + split, 16384 - split, head), whole)
+        << "split=" << split;
+  }
 }
 
 }  // namespace
